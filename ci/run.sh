@@ -34,8 +34,9 @@ echo "=== tsan: concurrency suite (races fail even on one core) ==="
 ./build-tsan/tests/exec_test
 ./build-tsan/tests/concurrency_test
 ./build-tsan/tests/pipeline_test
-# The update-group suite drives the parallel encode path (Phase B fans
-# members across the scheduler), so it runs under tsan as well.
+# The update-group suite drives the parallel encode path (Phase B fans one
+# task per shared Adj-RIB-Out across the scheduler), so it runs under tsan
+# as well.
 ./build-tsan/tests/update_group_test
 # The monitor taps the speaker across the pipeline's serial/parallel
 # boundary; its byte-identity tests run the partitioned shapes under tsan.

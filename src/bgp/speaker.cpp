@@ -1,6 +1,7 @@
 #include "bgp/speaker.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "netbase/log.h"
 
@@ -43,22 +44,15 @@ struct GroupLogEntry {
   PeerId origin = 0;
 };
 
-struct BgpSpeaker::Session {
-  PeerConfig config;
-  PeerStats stats;
-  SessionState state = SessionState::kIdle;
-  std::shared_ptr<sim::StreamEndpoint> stream;
-  MessageDecoder decoder;
-  UpdateCodecOptions tx_options;
-  bool addpath_tx = false;
-  bool addpath_rx = false;
-  bool open_received = false;
-  Ipv4Address peer_router_id;
-  std::uint16_t negotiated_hold = 90;
-  AdjRibIn adj_in;
-
-  /// Adj-RIB-Out bookkeeping for one prefix: one entry per local path id
-  /// ever allocated, holding both the origin key (for RFC 7911 id-stable
+/// An Adj-RIB-Out. Members of one export group whose export state is
+/// identical reference one table — an export *subgroup*: the drain diffs and
+/// encodes it once per class and sends the same bytes to every member. A
+/// member whose result could differ leaves with a copy before anything is
+/// written (OutWriter). Tables that hold paths never re-merge: local path
+/// ids depend on drain order, so merged members would see different bytes.
+struct BgpSpeaker::OutTable {
+  /// Bookkeeping for one prefix: one entry per local path id ever
+  /// allocated, holding both the origin key (for RFC 7911 id-stable
   /// reallocation) and the currently advertised state. A withdrawn path
   /// keeps its entry with active=false so a re-advertisement of the same
   /// origin path reuses its local id. One flat vector — a prefix carries a
@@ -77,8 +71,67 @@ struct BgpSpeaker::Session {
   };
   /// Hashed on the prefix: encode probes it once per prefix and nothing
   /// needs prefix order (full-table walks dump into a sorted vector first).
-  std::unordered_map<Ipv4Prefix, PrefixOut> adj_out;
+  std::unordered_map<Ipv4Prefix, PrefixOut> prefixes;
   std::uint32_t next_out_id = 1;
+  /// Active paths and allocated path entries, for the size gauges.
+  std::size_t active_paths = 0;
+  std::size_t path_entries = 0;
+
+  std::size_t memory_bytes() const {
+    return prefixes.size() * (sizeof(Ipv4Prefix) + sizeof(PrefixOut) +
+                              2 * sizeof(void*)) +
+           path_entries * sizeof(OutPath);
+  }
+};
+
+/// One class classify_members found: its members (indices into the
+/// drain's `due` list, ascending) and the per-advert include decisions
+/// split horizon and the export filter made for them. The other fields are
+/// the class key and, for the split counter, why the class differs.
+struct BgpSpeaker::EncodeClass {
+  std::vector<std::size_t> members;
+  std::vector<std::uint8_t> keep;
+  bool own_origin = false;
+  Ipv4Address next_hop;
+  SplitReason reason = kSplitWindow;
+};
+
+/// Copy-on-write handle on the table one encode class writes: the first
+/// write swaps in a private copy while `others` sessions outside the class
+/// still reference the original.
+struct BgpSpeaker::OutWriter {
+  OutTable* table = nullptr;
+  std::size_t others = 0;
+  std::shared_ptr<OutTable> copy;
+  OutTable& write();
+};
+
+BgpSpeaker::OutTable& BgpSpeaker::OutWriter::write() {
+  if (others > 0) {
+    copy = std::make_shared<OutTable>(*table);
+    table = copy.get();
+    others = 0;
+  }
+  return *table;
+}
+
+struct BgpSpeaker::Session {
+  PeerConfig config;
+  PeerStats stats;
+  SessionState state = SessionState::kIdle;
+  std::shared_ptr<sim::StreamEndpoint> stream;
+  MessageDecoder decoder;
+  UpdateCodecOptions tx_options;
+  bool addpath_tx = false;
+  bool addpath_rx = false;
+  bool open_received = false;
+  Ipv4Address peer_router_id;
+  std::uint16_t negotiated_hold = 90;
+  AdjRibIn adj_in;
+
+  /// Adj-RIB-Out toward this peer, shared with the other members of its
+  /// export subgroup (see OutTable).
+  std::shared_ptr<OutTable> out = std::make_shared<OutTable>();
 
   /// Export-group membership: the group this established session belongs
   /// to (0 = none), the member's cursor into the group's delta log, and
@@ -211,6 +264,20 @@ BgpSpeaker::BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
     rl.back().second = "log_trim";
     obs_resync_log_trim_ =
         metrics_->counter("bgp_export_full_resyncs_total", rl);
+    obs::Labels ml = labels;
+    ml.emplace_back("mode", "shared");
+    obs_member_encodes_shared_ =
+        metrics_->counter("bgp_export_member_encodes_total", ml);
+    ml.back().second = "own";
+    obs_member_encodes_own_ =
+        metrics_->counter("bgp_export_member_encodes_total", ml);
+    static const char* const kSplitNames[kSplitReasons] = {
+        "window", "split_horizon", "filter", "next_hop", "refresh"};
+    for (int i = 0; i < kSplitReasons; ++i) {
+      rl.back().second = kSplitNames[i];
+      obs_subgroup_splits_[i] =
+          metrics_->counter("bgp_export_subgroup_splits_total", rl);
+    }
   }
   for (int i = 0; i < 4; ++i) {
     obs::Labels tl = labels;
@@ -279,8 +346,8 @@ std::vector<AttrsPtr> BgpSpeaker::adj_rib_out_attrs(
     PeerId peer, const Ipv4Prefix& prefix) const {
   std::vector<AttrsPtr> out;
   const Session& s = *sessions_.at(peer);
-  auto it = s.adj_out.find(prefix);
-  if (it == s.adj_out.end()) return out;
+  auto it = s.out->prefixes.find(prefix);
+  if (it == s.out->prefixes.end()) return out;
   for (const auto& path : it->second.paths) {
     if (!path.active) continue;
     const OutRoute& route = path.route;
@@ -305,14 +372,14 @@ std::vector<BgpSpeaker::AdjOutEntry> BgpSpeaker::adj_rib_out(
     PeerId peer) const {
   std::vector<AdjOutEntry> out;
   const Session& s = *sessions_.at(peer);
-  for (const auto& [prefix, po] : s.adj_out) {
+  for (const auto& [prefix, po] : s.out->prefixes) {
     for (const auto& path : po.paths) {
       if (!path.active) continue;
       out.push_back(AdjOutEntry{prefix, path.local_id, path.route.origin_peer,
                                 path.route.attrs, path.route.next_hop});
     }
   }
-  // adj_out is hashed; (prefix, local id) is the canonical dump order.
+  // The table is hashed; (prefix, local id) is the canonical dump order.
   std::sort(out.begin(), out.end(),
             [](const AdjOutEntry& a, const AdjOutEntry& b) {
               if (a.prefix != b.prefix) return a.prefix < b.prefix;
@@ -414,7 +481,13 @@ void BgpSpeaker::handle_message(PeerId peer, BgpMessage message) {
     // peer re-applies policy to routes that are unchanged on our side.
     Session& s = *sessions_.at(peer);
     if (s.state == SessionState::kEstablished) {
-      for (auto& [prefix, po] : s.adj_out)
+      // Only this member resends: its result now differs from the rest of
+      // its subgroup's, so it leaves with a copy of the shared table.
+      if (s.out.use_count() > 1) {
+        s.out = std::make_shared<OutTable>(*s.out);
+        obs_subgroup_splits_[kSplitRefresh]->inc();
+      }
+      for (auto& [prefix, po] : s.out->prefixes)
         for (auto& path : po.paths) path.route.attrs.reset();
       reevaluate_exports(peer);
     }
@@ -1004,6 +1077,15 @@ std::uint64_t BgpSpeaker::export_group_of(PeerId peer) const {
   return it == sessions_.end() ? 0 : it->second->group;
 }
 
+std::size_t BgpSpeaker::export_subgroup_size(PeerId peer) const {
+  const Session& s = *sessions_.at(peer);
+  if (s.group == 0) return 0;
+  std::size_t n = 0;
+  for (PeerId member : groups_.at(s.group)->members)
+    if (sessions_.at(member)->out == s.out) ++n;
+  return n;
+}
+
 void BgpSpeaker::fan_out_export(const Ipv4Prefix& prefix, PeerId origin) {
   for (auto& [id, group] : groups_) {
     // A singleton group whose sole member originated the change would log
@@ -1035,7 +1117,7 @@ bool BgpSpeaker::member_has_pending(PeerId peer) const {
   if (s.needs_full || s.group_cursor < group.log_base) {
     // A full resync with nothing to sync (empty table, nothing advertised)
     // is not pending work — scheduling it would only rearm MRAI.
-    return loc_rib_.prefix_count() > 0 || !s.adj_out.empty();
+    return loc_rib_.prefix_count() > 0 || !s.out->prefixes.empty();
   }
   for (std::uint64_t seq = s.group_cursor; seq < group.log_end(); ++seq) {
     if (group.log[seq - group.log_base].origin != peer) return true;
@@ -1156,16 +1238,25 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
 
   // Serial plan: decide which members are due and which prefixes each must
-  // diff, consuming cursors and needs_full flags now so the parallel
-  // phases below only read group state.
+  // diff (its window), consuming cursors and needs_full flags now so the
+  // parallel phases below only read group state. Equal windows of one
+  // group are stored once: members consuming the same log range share the
+  // list, which is what lets them share an encode below.
   std::vector<PeerId> due;
-  std::vector<std::vector<Ipv4Prefix>> member_prefixes;
+  std::vector<std::size_t> due_window;
+  std::vector<std::vector<Ipv4Prefix>> windows;
+  std::vector<std::uint64_t> window_group;
   std::map<std::uint64_t, std::vector<Ipv4Prefix>> group_prefixes;
-  // Full-resync lists are identical for every fresh member of one group
-  // (the whole Loc-RIB, sorted): compute once per group per batch. A mass
-  // join — hundreds of sessions syncing the initial table in one batch —
-  // would otherwise walk and sort the full table once per member.
-  std::map<std::uint64_t, std::vector<Ipv4Prefix>> full_resync_cache;
+  std::map<std::uint64_t, std::size_t> last_log_window;
+  // Full-resync lists are identical for every member of one group that
+  // resyncs from an empty table (the whole Loc-RIB, sorted): compute once
+  // per group per batch. A mass join — hundreds of sessions syncing the
+  // initial table in one batch — would otherwise walk and sort the full
+  // table once per member. Those members also end with identical tables,
+  // so they form one new subgroup: each adopts the table of the first one
+  // (per local path-id counter, which an emptied table may have advanced).
+  std::map<std::uint64_t, std::size_t> full_resync_cache;
+  std::map<std::pair<std::uint64_t, std::uint32_t>, PeerId> fresh_subgroup;
   due.reserve(peers.size());
   for (PeerId peer : peers) {
     auto it = sessions_.find(peer);
@@ -1178,6 +1269,7 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
     if (s.state != SessionState::kEstablished || s.group == 0) continue;
     ExportGroup& group = *groups_.at(s.group);
 
+    std::size_t window = windows.size();
     std::vector<Ipv4Prefix> prefixes;
     if (s.needs_full || s.group_cursor < group.log_base) {
       // Why this member resyncs: a deliberate full sync (initial table,
@@ -1185,20 +1277,25 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
       // the latter signals an undersized peer_queue_capacity.
       (s.needs_full ? obs_resync_initial_ : obs_resync_log_trim_)->inc();
       // Full resync: every Loc-RIB prefix plus everything currently
-      // advertised, so stale adverts are withdrawn too. Members with an
-      // empty Adj-RIB-Out (fresh sessions) all need exactly the sorted
-      // Loc-RIB, so that list is shared via full_resync_cache.
+      // advertised, so stale adverts are withdrawn too.
+      const bool fresh = s.out->prefixes.empty();
       auto cached = full_resync_cache.find(s.group);
-      if (s.adj_out.empty() && cached != full_resync_cache.end()) {
-        prefixes = cached->second;
+      if (fresh && cached != full_resync_cache.end()) {
+        window = cached->second;
       } else {
         loc_rib_.visit_all(
             [&](const RibRoute& route) { prefixes.push_back(route.prefix); });
-        for (const auto& [prefix, out] : s.adj_out) prefixes.push_back(prefix);
+        for (const auto& [prefix, po] : s.out->prefixes)
+          prefixes.push_back(prefix);
         std::sort(prefixes.begin(), prefixes.end());
         prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
                        prefixes.end());
-        if (s.adj_out.empty()) full_resync_cache.emplace(s.group, prefixes);
+        if (fresh) full_resync_cache.emplace(s.group, window);
+      }
+      if (fresh) {
+        auto [first, inserted] = fresh_subgroup.try_emplace(
+            {s.group, s.out->next_out_id}, peer);
+        if (!inserted) s.out = sessions_.at(first->second)->out;
       }
     } else {
       for (std::uint64_t seq = s.group_cursor; seq < group.log_end(); ++seq) {
@@ -1208,23 +1305,32 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
       std::sort(prefixes.begin(), prefixes.end());
       prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
                      prefixes.end());
+      // The overwhelmingly common case is every member consuming the same
+      // log window: one comparison per member against the group's last one.
+      auto last = last_log_window.find(s.group);
+      if (last != last_log_window.end() && windows[last->second] == prefixes)
+        window = last->second;
+      else
+        last_log_window[s.group] = window;
     }
     s.needs_full = false;
     s.group_cursor = group.log_end();
 
-    // Union of the group's member lists. The overwhelmingly common case is
-    // every member consuming the same log window (or the same full
-    // resync), yielding identical sorted lists — detected by equality so a
-    // thousand-member group costs one comparison per member, not a
-    // re-sort of a growing concatenation.
-    auto& merged = group_prefixes[s.group];
-    if (merged.empty()) {
-      merged = prefixes;
-    } else if (merged != prefixes) {
-      merged.insert(merged.end(), prefixes.begin(), prefixes.end());
+    if (window == windows.size()) {
+      // A new window: fold it into the group's prefix union (identical
+      // lists are detected by equality, so a thousand-member group does not
+      // re-sort a growing concatenation).
+      auto& merged = group_prefixes[s.group];
+      if (merged.empty()) {
+        merged = prefixes;
+      } else if (merged != prefixes) {
+        merged.insert(merged.end(), prefixes.begin(), prefixes.end());
+      }
+      windows.push_back(std::move(prefixes));
+      window_group.push_back(s.group);
     }
     due.push_back(peer);
-    member_prefixes.push_back(std::move(prefixes));
+    due_window.push_back(window);
   }
   for (auto& [gid, prefixes] : group_prefixes) {
     std::sort(prefixes.begin(), prefixes.end());
@@ -1236,6 +1342,48 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   }
   if (due.empty()) return;
   obs_flush_batch_->record(due.size());
+
+  // Encode tasks: one per table a due member references, numbered in
+  // ascending order of its first due member. `by_task` lists due indices
+  // sorted by (task, window, index), so each task is one run of it and each
+  // unit — the task's members with one window — a run inside that. `refs`
+  // counts every session referencing the table, due or not, so a class
+  // writing it knows whether it must copy first. A private table (the
+  // ungrouped case) skips the table index.
+  struct EncodeTask {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t refs = 0;
+  };
+  std::vector<EncodeTask> tasks;
+  std::vector<std::size_t> by_task(due.size());
+  {
+    std::vector<std::size_t> task_of(due.size());
+    std::unordered_map<const OutTable*, std::size_t> shared_tables;
+    for (std::size_t i = 0; i < due.size(); ++i) {
+      const std::shared_ptr<OutTable>& out = sessions_.at(due[i])->out;
+      const auto refs = static_cast<std::size_t>(out.use_count());
+      task_of[i] = refs == 1
+                       ? tasks.size()
+                       : shared_tables.try_emplace(out.get(), tasks.size())
+                             .first->second;
+      if (task_of[i] == tasks.size()) tasks.push_back(EncodeTask{0, 0, refs});
+      by_task[i] = i;
+    }
+    auto task_order = [&](std::size_t a, std::size_t b) {
+      return std::tie(task_of[a], due_window[a], a) <
+             std::tie(task_of[b], due_window[b], b);
+    };
+    // Already sorted in the common shapes: all tables private, or one
+    // subgroup consuming one window.
+    if (!std::is_sorted(by_task.begin(), by_task.end(), task_order))
+      std::sort(by_task.begin(), by_task.end(), task_order);
+    for (std::size_t k = 0; k < by_task.size(); ++k) {
+      EncodeTask& task = tasks[task_of[by_task[k]]];
+      if (task.end == 0) task.begin = k;
+      task.end = k + 1;
+    }
+  }
 
   // Phase A — group evaluation: transform + policy + export hook run once
   // per (group, prefix), producing the shared advert templates. Groups
@@ -1291,69 +1439,180 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
     }
   }
 
-  // Phase B — member encode: per-member Adj-RIB-Out diff against the group
-  // evaluation, wire assembly from the pre-encoded templates, next-hop
-  // splice. Sessions are disjoint, so members fan out across the worker
-  // pool — unless a non-thread-safe export filter is installed, or the
-  // encode cache is off (members then serialize through the pool's shared
-  // scratch buffer). Serial order is ascending peer id — `due` is sorted.
+  // Phase B — encode, once per class: classify each unit's members by
+  // their include decisions and next-hop, then diff the class's table
+  // against the group evaluation, assemble the wire from the pre-encoded
+  // templates and splice the next-hop. A class that writes a table other
+  // sessions still reference takes a private copy first. Tasks touch
+  // disjoint tables, so they fan out across the worker pool — unless a
+  // non-thread-safe export filter is installed, or the encode cache is off
+  // (classes then serialize through the pool's shared scratch buffer).
+  // Serial order is the task order above.
+  // results[i] is filled for class leaders; result_of[i] names the leader
+  // whose result member i sends.
   std::vector<EncodeResult> results(due.size());
-  auto encode_one = [&](std::size_t i) {
-    const Session& s = *sessions_.at(due[i]);
-    results[i] =
-        encode_member(due[i], member_prefixes[i], group_prefixes.at(s.group),
-                      gevals[gindex.at(s.group)]);
+  std::vector<std::size_t> result_of(due.size());
+  auto encode_class = [&](EncodeTask& task,
+                          std::span<const std::size_t> members,
+                          const std::vector<std::uint8_t>* keep,
+                          SplitReason reason,
+                          const std::vector<Ipv4Prefix>& window,
+                          const std::vector<Ipv4Prefix>& order,
+                          const GroupEval& eval) {
+    const std::size_t leader = members.front();
+    OutWriter out{sessions_.at(due[leader])->out.get(),
+                  task.refs - members.size()};
+    bool stream_open = false;
+    for (std::size_t i : members) {
+      const Session& s = *sessions_.at(due[i]);
+      stream_open = stream_open || (s.stream && s.stream->open());
+    }
+    results[leader] = encode_member(due[leader], out, keep, stream_open,
+                                    window, order, eval);
+    if (out.copy) {
+      task.refs -= members.size();
+      for (std::size_t i : members) sessions_.at(due[i])->out = out.copy;
+      obs_subgroup_splits_[reason]->inc();
+    }
+    for (std::size_t i : members) result_of[i] = leader;
+    obs_member_encodes_own_->inc();
+    if (members.size() > 1)
+      obs_member_encodes_shared_->add(members.size() - 1);
+  };
+  auto encode_task = [&](std::size_t t) {
+    EncodeTask& task = tasks[t];
+    for (std::size_t u = task.begin; u < task.end;) {
+      const std::size_t w = due_window[by_task[u]];
+      std::size_t u_end = u + 1;
+      while (u_end < task.end && due_window[by_task[u_end]] == w) ++u_end;
+      const std::vector<Ipv4Prefix>& order = group_prefixes.at(window_group[w]);
+      const GroupEval& eval = gevals[gindex.at(window_group[w])];
+      const auto unit = std::span<const std::size_t>(by_task).subspan(
+          u, u_end - u);
+      if (unit.size() == 1) {
+        // A lone member decides split horizon and the filter inline.
+        encode_class(task, unit, nullptr, kSplitWindow, windows[w], order,
+                     eval);
+      } else {
+        for (const EncodeClass& cls :
+             classify_members(due, unit, windows[w], order, eval))
+          encode_class(task, cls.members, &cls.keep, cls.reason, windows[w],
+                       order, eval);
+      }
+      u = u_end;
+    }
   };
   const bool encode_parallel =
-      scheduler_ != nullptr && due.size() > 1 &&
+      scheduler_ != nullptr && tasks.size() > 1 &&
       attr_pool_.encode_cache_enabled() &&
       (!export_filter_ || export_filter_thread_safe_);
   {
     obs::Span span(encode_span_, nullptr);  // wall-clock encode latency
     if (encode_parallel) {
-      scheduler_->parallel_for(due.size(), encode_one);
+      scheduler_->parallel_for(tasks.size(), encode_task);
     } else {
-      for (std::size_t i = 0; i < due.size(); ++i) encode_one(i);
+      for (std::size_t t = 0; t < tasks.size(); ++t) encode_task(t);
     }
   }
 
   // Phase C — serial transmit + stats, ascending peer order: one coalesced
   // stream send per peer (the decoder reassembles message-by-message).
+  // Members of one class send the same bytes and take the same stat
+  // deltas, as each would have from its own encode.
   for (std::size_t i = 0; i < due.size(); ++i) {
     Session& s = *sessions_.at(due[i]);
-    EncodeResult& r = results[i];
+    const EncodeResult& r = results[result_of[i]];
     if (s.config.mrai > Duration::nanos(0))
       s.next_flush_allowed = loop_->now() + s.config.mrai;
-    if (!r.wire.empty() && s.stream && s.stream->open())
-      s.stream->send(std::move(r.wire));
     s.stats.updates_sent += r.updates;
     total_updates_tx_ += r.updates;
-    s.stats.attr_encode_cache_hits += r.cache_hits;
-    s.stats.attr_encode_cache_misses += r.cache_misses;
     if (r.updates > 0) {
       obs_updates_out_->add(r.updates);
       s.obs_updates_out->add(r.updates);
     }
+    if (!s.stream || !s.stream->open()) continue;
+    if (!r.wire.empty()) s.stream->send(r.wire);
+    s.stats.attr_encode_cache_hits += r.cache_hits;
+    s.stats.attr_encode_cache_misses += r.cache_misses;
+    if (r.splices > 0) obs_group_splices_->add(r.splices);
   }
 }
 
-BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
-    PeerId to, const std::vector<Ipv4Prefix>& prefixes,
-    const std::vector<Ipv4Prefix>& group_order, const GroupEval& eval) {
-  Session& s = *sessions_.at(to);
-  EncodeResult r;
-  const bool stream_open = s.stream && s.stream->open();
-  std::vector<NlriEntry> withdrawals;
-  // A full-table sync lands here with one prefix per Loc-RIB entry;
-  // reserving up front avoids incremental rehashes of a large Adj-RIB-Out.
-  if (s.adj_out.size() + prefixes.size() > s.adj_out.bucket_count())
-    s.adj_out.reserve(s.adj_out.size() + prefixes.size());
+std::vector<BgpSpeaker::EncodeClass> BgpSpeaker::classify_members(
+    const std::vector<PeerId>& due, std::span<const std::size_t> members,
+    const std::vector<Ipv4Prefix>& prefixes,
+    const std::vector<Ipv4Prefix>& group_order, const GroupEval& eval) const {
+  std::vector<EncodeClass> classes;
+  std::vector<std::uint8_t> keep;
+  for (std::size_t member : members) {
+    const PeerId to = due[member];
+    const Session& s = *sessions_.at(to);
+    keep.clear();
+    bool own_origin = false;
+    bool own_next_hop = false;
+    // The same merge-walk and per-advert decisions encode_member makes
+    // inline for a lone member.
+    std::size_t gi = 0;
+    for (const Ipv4Prefix& prefix : prefixes) {
+      while (gi < group_order.size() && group_order[gi] < prefix) ++gi;
+      if (gi == group_order.size() || group_order[gi] != prefix) continue;
+      auto [off, count] = eval.spans[gi];
+      for (std::uint32_t a = off; a < off + count; ++a) {
+        const GroupAdvert& advert = eval.adverts[a];
+        bool include = false;
+        if (advert.origin == to) {
+          own_origin = true;  // split horizon
+        } else {
+          include = !export_filter_ ||
+                    export_filter_(to, advert.origin, *advert.source_attrs);
+        }
+        if (include && advert.splice && !advert.splice_nh) own_next_hop = true;
+        keep.push_back(include ? 1 : 0);
+      }
+    }
+    // The next-hop only separates members when one of their sends carries
+    // the member's own address.
+    const Ipv4Address next_hop =
+        own_next_hop ? s.config.local_address : Ipv4Address();
+    auto cls = std::find_if(classes.begin(), classes.end(),
+                            [&](const EncodeClass& c) {
+                              return c.next_hop == next_hop && c.keep == keep;
+                            });
+    if (cls != classes.end()) {
+      cls->members.push_back(member);
+      continue;
+    }
+    EncodeClass fresh{{member}, keep, own_origin, next_hop};
+    if (!classes.empty()) {
+      const EncodeClass& first = classes.front();
+      fresh.reason = (own_origin || first.own_origin) ? kSplitHorizon
+                     : fresh.keep != first.keep       ? kSplitFilter
+                                                      : kSplitNextHop;
+      if (classes.size() == 1) classes.front().reason = fresh.reason;
+    }
+    classes.push_back(std::move(fresh));
+  }
+  return classes;
+}
 
+BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
+    PeerId to, OutWriter& out, const std::vector<std::uint8_t>* keep,
+    bool stream_open, const std::vector<Ipv4Prefix>& prefixes,
+    const std::vector<Ipv4Prefix>& group_order, const GroupEval& eval) {
+  const Session& s = *sessions_.at(to);
+  EncodeResult r;
+  // Read through `table` until the first write, which goes through the
+  // copy-on-write handle.
+  OutTable* table = out.table;
+  bool writable = false;
+  std::size_t next_keep = 0;
+  std::vector<NlriEntry> withdrawals;
+  std::vector<const GroupAdvert*> chosen;
   std::vector<std::pair<std::uint32_t, const GroupAdvert*>> desired;
   std::vector<NlriEntry> nlri;
-  // Merge-walk: the member's prefix list is a sorted subset of the group's
-  // sorted prefix list, so each prefix's advert span is found by advancing
-  // a single index — no per-prefix hashing.
+  // Merge-walk: the window is a sorted subset of the group's sorted prefix
+  // list, so each prefix's advert span is found by advancing a single
+  // index — no per-prefix hashing.
   std::size_t gi = 0;
   for (const Ipv4Prefix& prefix : prefixes) {
     const GroupAdvert* abegin = nullptr;
@@ -1365,22 +1624,38 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
       aend = abegin + count;
     }
 
-    auto poit = s.adj_out.find(prefix);
-    if (abegin == aend && poit == s.adj_out.end()) continue;
-
-    // Member-level selection over the group templates: split horizon,
-    // export filter, local path-id allocation.
-    desired.clear();
+    // Member-level selection over the group templates: split horizon and
+    // the export filter (decided by classify_members for a multi-member
+    // class), then local path-id allocation.
+    chosen.clear();
     for (const GroupAdvert* ap = abegin; ap != aend; ++ap) {
+      const bool include =
+          keep ? (*keep)[next_keep++] != 0
+               : ap->origin != to &&  // split horizon
+                     (!export_filter_ ||
+                      export_filter_(to, ap->origin, *ap->source_attrs));
+      if (include) chosen.push_back(ap);
+    }
+    auto poit = table->prefixes.find(prefix);
+    if (chosen.empty() && poit == table->prefixes.end()) continue;
+    if (!writable) {
+      table = &out.write();
+      // A full-table sync lands here with one prefix per Loc-RIB entry;
+      // reserving up front avoids incremental rehashes of a large table.
+      auto& map = table->prefixes;
+      if (map.size() + prefixes.size() > map.bucket_count())
+        map.reserve(map.size() + prefixes.size());
+      poit = map.find(prefix);
+      writable = true;
+    }
+
+    desired.clear();
+    for (const GroupAdvert* ap : chosen) {
       const GroupAdvert& advert = *ap;
-      if (advert.origin == to) continue;  // split horizon
-      if (export_filter_ &&
-          !export_filter_(to, advert.origin, *advert.source_attrs))
-        continue;
       std::uint32_t local_id = 0;
       if (s.addpath_tx) {
-        if (poit == s.adj_out.end())
-          poit = s.adj_out.emplace(prefix, Session::PrefixOut{}).first;
+        if (poit == table->prefixes.end())
+          poit = table->prefixes.emplace(prefix, OutTable::PrefixOut{}).first;
         auto& paths = poit->second.paths;
         auto idit =
             std::find_if(paths.begin(), paths.end(), [&](const auto& p) {
@@ -1389,7 +1664,8 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
             });
         if (idit == paths.end()) {
           paths.push_back({advert.origin, advert.origin_path_id,
-                           s.next_out_id++, false, OutRoute{}});
+                           table->next_out_id++, false, OutRoute{}});
+          ++table->path_entries;
           idit = std::prev(paths.end());
         }
         local_id = idit->local_id;
@@ -1397,9 +1673,9 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
       desired.emplace_back(local_id, &advert);
     }
     if (!s.addpath_tx && desired.size() > 1) desired.resize(1);
-    if (poit == s.adj_out.end()) {
+    if (poit == table->prefixes.end()) {
       if (desired.empty()) continue;
-      poit = s.adj_out.emplace(prefix, Session::PrefixOut{}).first;
+      poit = table->prefixes.emplace(prefix, OutTable::PrefixOut{}).first;
     }
 
     auto& paths = poit->second.paths;
@@ -1422,6 +1698,7 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
         withdrawals.push_back({p.local_id, prefix});
         p.active = false;
         p.route = OutRoute{};
+        --table->active_paths;
       }
     }
 
@@ -1437,12 +1714,15 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
       auto it = std::lower_bound(
           paths.begin(), paths.end(), id,
           [](const auto& p, std::uint32_t v) { return p.local_id < v; });
-      if (it == paths.end() || it->local_id != id)
+      if (it == paths.end() || it->local_id != id) {
         it = paths.insert(
             it, {advert->origin, advert->origin_path_id, id, false, OutRoute{}});
+        ++table->path_entries;
+      }
       if (it->active && it->route.attrs == advert->attrs &&
           it->route.next_hop == final_nh)
         continue;
+      if (!it->active) ++table->active_paths;
       it->active = true;
       it->origin = advert->origin;
       it->origin_path_id = advert->origin_path_id;
@@ -1472,14 +1752,17 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
               advert->splice ? nh_offset : kNoNextHopOffset, final_nh, nlri,
               s.tx_options);
         }
-        if (advert->splice) obs_group_splices_->inc();
+        if (advert->splice) ++r.splices;
       }
       ++r.updates;
     }
     // No desired paths means everything was withdrawn: drop the entry (and
     // with it the id mapping — matching the previous representation, which
     // erased once no route remained).
-    if (desired.empty()) s.adj_out.erase(poit);
+    if (desired.empty()) {
+      table->path_entries -= paths.size();
+      table->prefixes.erase(poit);
+    }
   }
 
   if (!withdrawals.empty()) {
@@ -1588,7 +1871,9 @@ void BgpSpeaker::session_down(PeerId peer, const std::string& reason) {
     s.stream->close();
     s.stream.reset();
   }
-  s.adj_out.clear();
+  // Drop this session's reference only: the rest of its subgroup keeps the
+  // shared table.
+  s.out = std::make_shared<OutTable>();
   s.flush_scheduled = false;
   leave_group(peer);
 
@@ -1652,6 +1937,23 @@ void BgpSpeaker::publish_metrics(obs::Registry& registry) const {
       ->set(static_cast<std::int64_t>(pipeline_.workers));
   registry.gauge("bgp_export_group_count", labels)
       ->set(static_cast<std::int64_t>(groups_.size()));
+  // Adj-RIB-Out size and sharing: a subgroup's table counts once, however
+  // many members reference it. Kept out of memory_bytes(), which is the
+  // Figure-6a quantity.
+  std::vector<const OutTable*> tables;
+  for (const auto& [id, session] : sessions_)
+    if (session->group != 0) tables.push_back(session->out.get());
+  std::sort(tables.begin(), tables.end());
+  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
+  std::size_t out_paths = 0;
+  std::size_t out_bytes = 0;
+  for (const OutTable* table : tables) {
+    out_paths += table->active_paths;
+    out_bytes += table->memory_bytes();
+  }
+  registry.gauge("bgp_export_subgroups", labels)->set(i64(tables.size()));
+  registry.gauge("bgp_adj_out_paths", labels)->set(i64(out_paths));
+  registry.gauge("bgp_adj_out_bytes", labels)->set(i64(out_bytes));
 
   for (const auto& [id, session] : sessions_) {
     (void)id;

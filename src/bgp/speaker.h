@@ -16,9 +16,10 @@
 //       touch disjoint RIB shards, so this stage fans out across a
 //       exec::Scheduler worker pool;
 //   stage 3, update encode — peers due for an MRAI flush at the same
-//       instant are drained as one batch; per-peer Adj-RIB-Out diffing and
-//       wire encoding (through the AttrPool encode cache) run in parallel,
-//       transmission stays serial.
+//       instant are drained as one batch; Adj-RIB-Out diffing and wire
+//       encoding (through the AttrPool encode cache) run once per class of
+//       members sharing one Adj-RIB-Out (an export subgroup), in parallel
+//       across tables; transmission stays serial and per member.
 //
 // Determinism contract: the pipeline runs to completion inside the
 // sim::EventLoop event that produced the work (the barrier is event
@@ -37,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -320,6 +322,10 @@ class BgpSpeaker {
   std::uint64_t export_group_of(PeerId peer) const;
   /// Number of live export groups.
   std::size_t export_group_count() const { return groups_.size(); }
+  /// Members of the peer's export subgroup — the group members sharing its
+  /// Adj-RIB-Out, the peer included (0 when it is in no group). Test
+  /// introspection.
+  std::size_t export_subgroup_size(PeerId peer) const;
   void on_route_event(RouteEventHandler handler) {
     route_event_ = std::move(handler);
   }
@@ -378,6 +384,8 @@ class BgpSpeaker {
  private:
   struct Session;
   struct ExportGroup;
+  /// One Adj-RIB-Out, shared by the members of an export subgroup.
+  struct OutTable;
 
   /// One group-level advertisement for a prefix: where the route came from
   /// (origin peer and path id, for split horizon and member filters), the
@@ -428,14 +436,31 @@ class BgpSpeaker {
     std::vector<PeerId> rejects;
   };
 
-  /// Stage-3 output for one peer: concatenated wire messages plus the stat
-  /// deltas to apply serially.
+  /// Stage-3 output for one encode class (the members of a subgroup whose
+  /// results are identical): concatenated wire messages plus the stat
+  /// deltas each member applies serially. The cache and splice counts
+  /// describe one member's send; members without an open stream skip them.
   struct EncodeResult {
     Bytes wire;
     std::uint64_t updates = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
+    std::uint64_t splices = 0;
   };
+
+  /// Why a member left its subgroup with a copy of the shared table.
+  enum SplitReason : std::uint8_t {
+    kSplitWindow = 0,    // different prefix list or drain instant
+    kSplitHorizon,       // an advert in the window originated at a member
+    kSplitFilter,        // the export filter decided differently
+    kSplitNextHop,       // a different spliced next-hop (member address)
+    kSplitRefresh,       // ROUTE-REFRESH from one member
+    kSplitReasons,
+  };
+  /// Phase-B work for one encode class, and the copy-on-write handle on
+  /// the table it writes.
+  struct EncodeClass;
+  struct OutWriter;
 
   void handle_bytes(PeerId peer, const Bytes& data);
   void handle_message(PeerId peer, BgpMessage message);
@@ -487,11 +512,24 @@ class BgpSpeaker {
   /// are per-member concerns.
   void evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
                       std::vector<GroupAdvert>& out);
-  /// Phase B: diffs one member's Adj-RIB-Out against the group evaluation
+  /// Phase B, classification: runs split horizon and the export filter for
+  /// every member of a unit (due members sharing one table and one window)
+  /// and partitions them into classes whose encode results are identical.
+  /// Filter calls stay one per (member, advert), as without subgroups.
+  std::vector<EncodeClass> classify_members(
+      const std::vector<PeerId>& due, std::span<const std::size_t> members,
+      const std::vector<Ipv4Prefix>& prefixes,
+      const std::vector<Ipv4Prefix>& group_order, const GroupEval& eval) const;
+  /// Phase B: diffs one class's Adj-RIB-Out against the group evaluation
   /// and encodes the delta through the AttrPool encode cache, splicing the
-  /// member's next-hop into the cached template. Mutates only
-  /// session-local state; safe to run concurrently for distinct members.
-  EncodeResult encode_member(PeerId to, const std::vector<Ipv4Prefix>& prefixes,
+  /// next-hop into the cached template. `to` is the class leader; `keep`
+  /// holds the class's include decisions (null: decide inline for `to`).
+  /// Writes only through `out`; safe to run concurrently for distinct
+  /// tables.
+  EncodeResult encode_member(PeerId to, OutWriter& out,
+                             const std::vector<std::uint8_t>* keep,
+                             bool stream_open,
+                             const std::vector<Ipv4Prefix>& prefixes,
                              const std::vector<Ipv4Prefix>& group_order,
                              const GroupEval& eval);
 
@@ -601,6 +639,11 @@ class BgpSpeaker {
   obs::Histogram* obs_group_log_depth_;
   obs::Counter* obs_resync_initial_;
   obs::Counter* obs_resync_log_trim_;
+  /// Member encodes served by another member's class encode ("shared") vs
+  /// computed for the member itself ("own"), and subgroup splits by reason.
+  obs::Counter* obs_member_encodes_shared_;
+  obs::Counter* obs_member_encodes_own_;
+  obs::Counter* obs_subgroup_splits_[kSplitReasons];
   obs::SpanMeter update_span_;
   obs::SpanMeter decision_span_;
   obs::SpanMeter encode_span_;

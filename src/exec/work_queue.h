@@ -7,12 +7,6 @@
 // of unbounded growth), pop() blocks while empty, and close() wakes
 // everyone: producers see push() == false, consumers drain what is left and
 // then see nullopt.
-//
-// OverflowBatch<T> is the single-threaded bounded accumulator behind each
-// peer's pending-export queue: appends are O(1) until the bound, then the
-// batch declares overflow and the consumer falls back to a full-table walk
-// (the classic BGP "drop the delta log, schedule a full resync" move).
-// Duplicates are allowed — the consumer sorts and uniques at drain time.
 #pragma once
 
 #include <condition_variable>
@@ -21,7 +15,6 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace peering::exec {
 
@@ -112,52 +105,6 @@ class BoundedQueue {
   std::condition_variable not_empty_;
   std::deque<T> items_;
   bool closed_ = false;
-};
-
-template <typename T>
-class OverflowBatch {
- public:
-  explicit OverflowBatch(std::size_t capacity = 4096)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Appends `item` unless the batch has overflowed. Once the bound is hit
-  /// the delta log is discarded: the consumer must treat the batch as
-  /// "everything may have changed" (see overflowed()).
-  void push(T item) {
-    if (overflowed_) return;
-    if (items_.size() >= capacity_) {
-      overflowed_ = true;
-      items_.clear();
-      items_.shrink_to_fit();
-      return;
-    }
-    items_.push_back(std::move(item));
-  }
-
-  bool overflowed() const { return overflowed_; }
-  bool empty() const { return items_.empty() && !overflowed_; }
-  std::size_t size() const { return items_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  void set_capacity(std::size_t capacity) {
-    capacity_ = capacity == 0 ? 1 : capacity;
-  }
-
-  /// Returns the accumulated items and resets to empty (including the
-  /// overflow flag — the caller is expected to have checked it).
-  std::vector<T> take() {
-    overflowed_ = false;
-    return std::exchange(items_, {});
-  }
-
-  void clear() {
-    items_.clear();
-    overflowed_ = false;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<T> items_;
-  bool overflowed_ = false;
 };
 
 }  // namespace peering::exec

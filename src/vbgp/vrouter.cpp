@@ -243,6 +243,12 @@ void VRouter::add_remote_experiment_route(const Ipv4Prefix& prefix,
   routes().insert(ip::Route{prefix, gateway, backbone_interface, 0});
 }
 
+bool VRouter::is_backbone_interface(int if_index) const {
+  for (const auto& [peer, interface] : backbone_interfaces_)
+    if (interface == if_index) return true;
+  return false;
+}
+
 std::optional<std::string> VRouter::experiment_for_interface(
     int if_index) const {
   auto it = experiments_by_interface_.find(if_index);
@@ -555,6 +561,21 @@ std::string VRouter::show_summary() const {
       << pct(snap.value("bgp_attr_encode_hits", bgp),
              snap.value("bgp_attr_encode_misses", bgp))
       << "% hit\n";
+  // Adj-RIB-Out sharing: a subgroup's table counts once; a shared member
+  // encode is one served by another member's encode (counters are zero
+  // when telemetry is off).
+  obs::Labels mode = bgp;
+  mode.emplace_back("mode", "shared");
+  const std::int64_t shared_encodes =
+      snap.value("bgp_export_member_encodes_total", mode);
+  mode.back().second = "own";
+  const std::int64_t own_encodes =
+      snap.value("bgp_export_member_encodes_total", mode);
+  out << "  adj-rib-out: " << snap.value("bgp_adj_out_paths", bgp)
+      << " paths, " << snap.value("bgp_adj_out_bytes", bgp) / 1024
+      << " KiB in " << snap.value("bgp_export_subgroups", bgp)
+      << " subgroups; member encodes " << shared_encodes << " shared, "
+      << own_encodes << " own\n";
   const std::int64_t shared = snap.value("vbgp_fib_shared_bytes", vr);
   const std::int64_t flat = snap.value("vbgp_fib_flat_bytes", vr);
   out << "  neighbors: " << snap.value("vbgp_neighbors", vr) << " ("
@@ -656,8 +677,12 @@ void VRouter::handle_frame(int if_index, const ether::EthernetFrame& frame) {
 void VRouter::egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
                                      ip::Ipv4Packet packet) {
   auto exp = experiment_for_interface(in_if);
-  // Data-plane enforcement: source-address verification and rate limiting.
-  if (data_enforcer_) {
+  // Data-plane enforcement: source-address verification and rate limiting,
+  // once, at the experiment's own PoP. A frame arriving over the backbone
+  // (an experiment at a far PoP egressing through a neighbor here, §4.4)
+  // was checked and accounted where it entered the platform.
+  const bool from_backbone = !exp && is_backbone_interface(in_if);
+  if (data_enforcer_ && !from_backbone) {
     Bytes wire = packet.encode();
     enforce::FilterAction action =
         data_enforcer_->check(exp.value_or("<unknown>"), wire, loop_->now());

@@ -248,6 +248,8 @@ class VRouter : public ip::Host {
 
   void sync_fib(const bgp::RibRoute& route, bool withdrawn);
 
+  /// True when `if_index` carries a backbone circuit.
+  bool is_backbone_interface(int if_index) const;
   /// Data-plane paths.
   void egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
                               ip::Ipv4Packet packet);

@@ -7,6 +7,7 @@
 #include "backbone/fabric.h"
 #include "backbone/tcp_model.h"
 #include "bgp/speaker.h"
+#include "enforce/data_enforcer.h"
 #include "sim/stream.h"
 
 namespace peering::backbone {
@@ -237,6 +238,69 @@ TEST_F(BackboneScenario, GlobalPoolArpIsAnsweredByRemoteRouter) {
   ASSERT_TRUE(cached.has_value());
   auto* n2_local = e2_.registry().by_peer(peer_n2_);
   EXPECT_EQ(*cached, n2_local->virtual_mac);
+}
+
+/// The same scenario with a data-plane enforcer at both PoPs, as the
+/// platform deploys them. X1's frames are checked once, at E1 (its own
+/// PoP); E2 forwards frames arriving over the backbone without checking
+/// them against an experiment it does not host.
+class EnforcedBackboneScenario : public BackboneScenario {
+ protected:
+  EnforcedBackboneScenario() {
+    enforce::ExperimentGrant grant;
+    grant.experiment_id = "x1";
+    grant.allocated_prefixes = {pfx("184.164.224.0/24")};
+    EXPECT_TRUE(enforcer_e1_.install(grant).ok());
+    EXPECT_TRUE(enforcer_e2_.install(grant).ok());
+    e1_.set_data_enforcer(&enforcer_e1_);
+    e2_.set_data_enforcer(&enforcer_e2_);
+    auto* remote = e1_.registry().remote_by_global_ip(vbgp::global_pool_ip(7));
+    EXPECT_NE(remote, nullptr);
+    if (remote)
+      x1_host_.routes().insert(
+          ip::Route{pfx("192.168.0.0/24"), remote->virtual_ip, 0, 0});
+    n2_host_.on_packet([this](const ip::Ipv4Packet& packet, int,
+                              const ether::EthernetFrame&) {
+      if (packet.dst == Ipv4Address(192, 168, 0, 1)) ++received_;
+    });
+  }
+  ~EnforcedBackboneScenario() override {
+    e1_.set_data_enforcer(nullptr);
+    e2_.set_data_enforcer(nullptr);
+  }
+
+  /// Sends one echo request toward N2's stub network from `src`.
+  void send_from(Ipv4Address src) {
+    ip::Ipv4Packet packet;
+    packet.protocol = static_cast<std::uint8_t>(ip::IpProto::kIcmp);
+    packet.src = src;
+    packet.dst = Ipv4Address(192, 168, 0, 1);
+    packet.payload = ip::make_echo_request(1, 1, {}).encode();
+    ASSERT_TRUE(x1_host_.send_packet(std::move(packet)));
+    loop_.run_for(Duration::seconds(5));
+  }
+
+  enforce::DataPlaneEnforcer enforcer_e1_, enforcer_e2_;
+  int received_ = 0;
+};
+
+TEST_F(EnforcedBackboneScenario, FarPopEgressReachesNeighborThroughBackbone) {
+  send_from(Ipv4Address(184, 164, 224, 1));
+  EXPECT_EQ(received_, 1);
+  // Checked at the home PoP only: E2 neither checks nor drops it.
+  EXPECT_EQ(enforcer_e1_.packets_passed(), 1u);
+  EXPECT_EQ(enforcer_e2_.packets_passed() + enforcer_e2_.packets_dropped(),
+            0u);
+  EXPECT_EQ(e2_.stats().packets_enforcement_drop, 0u);
+}
+
+TEST_F(EnforcedBackboneScenario, SpoofedSourceIsDroppedAtHomePop) {
+  send_from(Ipv4Address(8, 8, 8, 8));
+  EXPECT_EQ(received_, 0);
+  EXPECT_EQ(enforcer_e1_.packets_dropped(), 1u);
+  EXPECT_EQ(e1_.stats().packets_enforcement_drop, 1u);
+  EXPECT_EQ(enforcer_e2_.packets_passed() + enforcer_e2_.packets_dropped(),
+            0u);
 }
 
 }  // namespace

@@ -86,35 +86,6 @@ TEST(SeededOrder, HandlesDegenerateSizes) {
   EXPECT_EQ(seeded_order(1, 7), (std::vector<std::uint32_t>{0}));
 }
 
-TEST(OverflowBatch, AccumulatesUntilCapacityThenOverflows) {
-  OverflowBatch<int> batch(3);
-  EXPECT_TRUE(batch.empty());
-  batch.push(1);
-  batch.push(2);
-  batch.push(3);
-  EXPECT_FALSE(batch.overflowed());
-  EXPECT_EQ(batch.size(), 3u);
-  batch.push(4);  // bound hit: delta log discarded
-  EXPECT_TRUE(batch.overflowed());
-  EXPECT_EQ(batch.size(), 0u);
-  EXPECT_FALSE(batch.empty());  // overflow means "everything changed"
-  batch.push(5);                // ignored while overflowed
-  EXPECT_EQ(batch.size(), 0u);
-  auto items = batch.take();  // take resets the overflow flag
-  EXPECT_TRUE(items.empty());
-  EXPECT_FALSE(batch.overflowed());
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(OverflowBatch, TakeReturnsItemsAndResets) {
-  OverflowBatch<int> batch(8);
-  batch.push(3);
-  batch.push(1);
-  batch.push(3);  // duplicates allowed; consumer dedups
-  EXPECT_EQ(batch.take(), (std::vector<int>{3, 1, 3}));
-  EXPECT_TRUE(batch.empty());
-}
-
 TEST(BoundedQueue, FifoSingleThread) {
   BoundedQueue<int> q(4);
   EXPECT_TRUE(q.try_push(1));

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,8 @@
 #include "obs/metrics.h"
 #include "sim/event_loop.h"
 #include "sim/stream.h"
+#include "vbgp/communities.h"
+#include "vbgp/vrouter.h"
 
 namespace peering::bgp {
 namespace {
@@ -25,13 +29,22 @@ Ipv4Prefix pfx(const std::string& s) { return *Ipv4Prefix::parse(s); }
 
 /// Speaks just enough BGP to bring the hub's session to Established and
 /// records every byte the hub sends, so two runs can be compared at the
-/// wire level.
+/// wire level. It can also speak on its own: announce routes (the hub then
+/// sees routes originated by a group member) and ask for a ROUTE-REFRESH.
 class RecordingPeer {
  public:
   RecordingPeer(std::shared_ptr<sim::StreamEndpoint> stream, Asn asn,
                 Ipv4Address router_id, bool addpath)
-      : stream_(std::move(stream)) {
-    stream_->on_data([this, asn, router_id, addpath](const Bytes& data) {
+      : asn_(asn), router_id_(router_id), addpath_(addpath) {
+    bind(std::move(stream));
+  }
+
+  /// Attaches to a (new) transport, e.g. after a session flap. Recording
+  /// continues into the same buffer.
+  void bind(std::shared_ptr<sim::StreamEndpoint> stream) {
+    stream_ = std::move(stream);
+    decoder_ = MessageDecoder();
+    stream_->on_data([this](const Bytes& data) {
       wire_.insert(wire_.end(), data.begin(), data.end());
       decoder_.feed(data);
       while (true) {
@@ -39,10 +52,10 @@ class RecordingPeer {
         if (!result.ok() || !result->has_value()) return;
         if (std::holds_alternative<OpenMessage>(**result)) {
           OpenMessage open;
-          open.asn = asn;
-          open.router_id = router_id;
-          open.add_four_byte_asn(asn);
-          if (addpath) open.add_addpath_ipv4(AddPathMode::kBoth);
+          open.asn = asn_;
+          open.router_id = router_id_;
+          open.add_four_byte_asn(asn_);
+          if (addpath_) open.add_addpath_ipv4(AddPathMode::kBoth);
           UpdateCodecOptions options;
           stream_->send(encode_message(open, options));
           stream_->send(encode_message(KeepaliveMessage{}, options));
@@ -51,10 +64,21 @@ class RecordingPeer {
     });
   }
 
+  /// Sends `message` to the hub with the codec options the session
+  /// negotiated (4-byte ASNs; path ids when ADD-PATH).
+  void send(const BgpMessage& message) {
+    UpdateCodecOptions options;
+    options.add_path = addpath_;
+    stream_->send(encode_message(message, options));
+  }
+
   /// Everything received from the hub, in order, since session start.
   const Bytes& wire() const { return wire_; }
 
  private:
+  Asn asn_;
+  Ipv4Address router_id_;
+  bool addpath_;
   std::shared_ptr<sim::StreamEndpoint> stream_;
   MessageDecoder decoder_;
   Bytes wire_;
@@ -67,8 +91,9 @@ struct Hub {
   std::vector<PeerId> peers;
 
   explicit Hub(bool group_exports = true)
-      : speaker(&loop, "hub", 65000, Ipv4Address(1, 1, 1, 1),
-                PipelineConfig{.group_exports = group_exports}) {}
+      : Hub(PipelineConfig{.group_exports = group_exports}) {}
+  explicit Hub(PipelineConfig pipeline)
+      : speaker(&loop, "hub", 65000, Ipv4Address(1, 1, 1, 1), pipeline) {}
 
   /// Adds one recorded session; `config.peer_asn` names the recorder ASN.
   PeerId attach(PeerConfig config, bool peer_addpath = false) {
@@ -81,6 +106,13 @@ struct Hub {
         peer_addpath));
     peers.push_back(peer);
     return peer;
+  }
+
+  /// Brings the i-th attached session back up on a fresh transport.
+  void reconnect(std::size_t i) {
+    auto streams = sim::StreamChannel::make(&loop, Duration::millis(1));
+    speaker.connect_peer(peers[i], streams.a);
+    recorders[i]->bind(streams.b);
   }
 
   void settle(Duration d = Duration::seconds(5)) { loop.run_for(d); }
@@ -460,10 +492,61 @@ struct ScenarioResult {
   std::vector<std::string> rib;
   std::uint64_t updates_sent = 0;
   std::size_t groups = 0;
+  /// Export-filter calls per session, in attach order.
+  std::vector<std::uint64_t> filter_calls;
+  /// bgp_export_subgroup_splits_total by reason label.
+  std::map<std::string, std::int64_t> splits;
 };
 
-ScenarioResult run_scenario(bool group_exports, std::uint64_t seed) {
-  Hub hub(group_exports);
+const char* const kSplitReasons[] = {"window", "split_horizon", "filter",
+                                     "next_hop", "refresh"};
+
+/// Fills `result` from a finished run of the speaker named "hub".
+void collect(const BgpSpeaker& speaker,
+             const std::vector<std::unique_ptr<RecordingPeer>>& recorders,
+             const std::vector<PeerId>& peers, const obs::Snapshot& snap,
+             ScenarioResult& result) {
+  for (const auto& recorder : recorders)
+    result.wires.push_back(recorder->wire());
+  for (PeerId peer : peers) result.stats.push_back(speaker.peer_stats(peer));
+  result.rib = rib_digest(speaker.loc_rib());
+  result.updates_sent = speaker.total_updates_sent();
+  result.groups = speaker.export_group_count();
+  for (const char* reason : kSplitReasons)
+    result.splits[reason] =
+        snap.value("bgp_export_subgroup_splits_total",
+                   {{"speaker", "hub"}, {"reason", reason}});
+}
+
+/// A route-server-style session: transparent, ADD-PATH, all paths — the
+/// shape whose members share one subgroup until something sets one apart.
+PeerConfig rs_session(const std::string& name, Asn asn) {
+  return {.name = name,
+          .peer_asn = asn,
+          .local_address = Ipv4Address(10, 9, 0, 1),
+          .addpath = AddPathMode::kBoth,
+          .export_all_paths = true,
+          .transparent = true};
+}
+
+/// An UPDATE a recorded member sends to the hub for `prefix`.
+UpdateMessage member_announce(const Ipv4Prefix& prefix, Asn asn,
+                              std::uint32_t community) {
+  UpdateMessage update;
+  PathAttributes attrs = attrs_with(community);
+  attrs.as_path = AsPath({asn});
+  attrs.next_hop = Ipv4Address(10, 99, 0, static_cast<std::uint8_t>(asn));
+  update.attributes = attrs;
+  update.nlri.push_back({1, prefix});
+  return update;
+}
+
+ScenarioResult run_scenario(PipelineConfig pipeline, std::uint64_t seed) {
+  obs::Registry registry;
+  obs::Scope scope(&registry);
+  std::mutex filter_mu;
+  std::map<PeerId, std::uint64_t> filter_calls;
+  Hub hub(pipeline);
   hub.attach({.name = "plain1", .peer_asn = 64061,
               .local_address = Ipv4Address(10, 1, 0, 1)});
   hub.attach({.name = "plain2", .peer_asn = 64062,
@@ -490,6 +573,39 @@ ScenarioResult run_scenario(bool group_exports, std::uint64_t seed) {
             .match = {.any_community = {Community(65000, 1)}},
             .actions = {.deny = true},
             .final_term = true})});
+  // The split triggers. plain1/plain2 above share a subgroup until the
+  // first advert carries each one's own next-hop. slow2 shares slow's MRAI
+  // class and router address (one address on an IXP LAN), so the two share
+  // until slow2's own announcement puts them on different windows. rs1-rs6
+  // start as one subgroup: rs1 and rs2 announce the same prefix (split
+  // horizon), rs4 is the one member the export filter treats differently,
+  // rs3 asks for a ROUTE-REFRESH, and rs6 flaps and rejoins mid-churn.
+  const std::size_t slow2 = hub.peers.size();
+  hub.attach({.name = "slow2", .peer_asn = 64068,
+              .local_address = Ipv4Address(10, 5, 0, 1),
+              .mrai = Duration::seconds(20)});
+  const std::size_t rs1 = hub.peers.size();
+  for (int i = 0; i < 6; ++i)
+    hub.attach(rs_session("rs" + std::to_string(i + 1),
+                          static_cast<Asn>(64071 + i)),
+               /*peer_addpath=*/true);
+  const PeerId rs4 = hub.peers[rs1 + 3];
+  hub.speaker.set_export_filter(
+      [&filter_mu, &filter_calls, rs4](PeerId to, PeerId,
+                                       const PathAttributes& source) {
+        std::lock_guard<std::mutex> lock(filter_mu);
+        ++filter_calls[to];
+        return to != rs4 || !source.has_community(Community(65000, 2));
+      },
+      /*thread_safe=*/true);
+  hub.settle();
+
+  // Before any other route exists, rs1 and rs2 announce the same prefix
+  // back to back: every member resyncs in one batch whose window holds
+  // adverts from two rs members.
+  hub.recorders[rs1]->send(member_announce(pfx("10.91.0.0/16"), 64071, 7));
+  hub.recorders[rs1 + 1]->send(
+      member_announce(pfx("10.91.0.0/16"), 64072, 7));
   hub.settle();
 
   // Seeded churn: announce/withdraw random prefixes drawn from a small
@@ -505,6 +621,12 @@ ScenarioResult run_scenario(bool group_exports, std::uint64_t seed) {
   }
   std::vector<bool> live(space.size(), false);
   for (int round = 0; round < 6; ++round) {
+    if (round == 1)
+      hub.recorders[slow2]->send(
+          member_announce(pfx("10.90.0.0/16"), 64068, 7));
+    if (round == 3) hub.recorders[rs1 + 2]->send(RouteRefreshMessage{});
+    if (round == 3) hub.speaker.disconnect_peer(hub.peers[rs1 + 5]);
+    if (round == 4) hub.reconnect(rs1 + 5);
     for (int step = 0; step < 12; ++step) {
       const std::size_t slot = rng() % space.size();
       if (live[slot] && rng() % 4 == 0) {
@@ -521,41 +643,254 @@ ScenarioResult run_scenario(bool group_exports, std::uint64_t seed) {
   hub.settle(Duration::seconds(30));
 
   ScenarioResult result;
-  for (const auto& recorder : hub.recorders)
-    result.wires.push_back(recorder->wire());
+  collect(hub.speaker, hub.recorders, hub.peers,
+          registry.snapshot(hub.loop.now()), result);
   for (PeerId peer : hub.peers)
-    result.stats.push_back(hub.speaker.peer_stats(peer));
-  result.rib = rib_digest(hub.speaker.loc_rib());
-  result.updates_sent = hub.speaker.total_updates_sent();
-  result.groups = hub.speaker.export_group_count();
+    result.filter_calls.push_back(filter_calls[peer]);
+  return result;
+}
+
+/// Grouped and ungrouped runs of one scenario must agree on every byte
+/// each session received and on everything the sessions' stats count.
+void expect_wire_identical(const ScenarioResult& grouped,
+                           const ScenarioResult& ungrouped,
+                           const std::string& what) {
+  ASSERT_EQ(grouped.wires.size(), ungrouped.wires.size()) << what;
+  for (std::size_t i = 0; i < grouped.wires.size(); ++i)
+    EXPECT_EQ(grouped.wires[i], ungrouped.wires[i])
+        << what << ": session " << i << " received different bytes";
+  EXPECT_EQ(grouped.rib, ungrouped.rib) << what;
+  EXPECT_EQ(grouped.updates_sent, ungrouped.updates_sent) << what;
+  EXPECT_EQ(grouped.filter_calls, ungrouped.filter_calls) << what;
+  for (std::size_t i = 0; i < grouped.stats.size(); ++i) {
+    EXPECT_EQ(grouped.stats[i].updates_sent, ungrouped.stats[i].updates_sent)
+        << what << ": session " << i;
+    EXPECT_EQ(grouped.stats[i].attr_encode_cache_hits,
+              ungrouped.stats[i].attr_encode_cache_hits)
+        << what << ": session " << i;
+    EXPECT_EQ(grouped.stats[i].attr_encode_cache_misses,
+              ungrouped.stats[i].attr_encode_cache_misses)
+        << what << ": session " << i;
+  }
+  // Sharing actually happened in the grouped run: fewer groups than
+  // sessions.
+  EXPECT_LT(grouped.groups, ungrouped.groups) << what;
+}
+
+/// vBGP at one PoP: recorded neighbor sessions feed a seeded table and
+/// churn to recorded ADD-PATH experiment sessions. With `announce`, some
+/// experiments also announce /24s with whitelist/blacklist communities, so
+/// the neighbors' export filter decides per member.
+struct VbgpResult : ScenarioResult {
+  std::vector<std::size_t> experiment_subgroups;
+  std::size_t experiment_paths = 0;
+  std::int64_t adj_out_paths = 0;
+  std::int64_t shared_encodes = 0;
+  std::int64_t own_encodes = 0;
+  std::int64_t fanout_exports = 0;
+};
+
+VbgpResult run_vbgp_scenario(bool group_exports, std::uint64_t seed,
+                             int neighbors, int experiments, bool announce) {
+  obs::Registry registry;
+  obs::Scope scope(&registry);
+  sim::EventLoop loop;
+  vbgp::VRouter router(&loop, {.name = "hub",
+                               .pop_id = "pop",
+                               .asn = 47065,
+                               .router_id = Ipv4Address(10, 255, 0, 1),
+                               .router_seed = 1,
+                               .pipeline = {.group_exports = group_exports}});
+  std::vector<std::unique_ptr<RecordingPeer>> recorders;
+  std::vector<PeerId> peers;
+  auto record = [&](PeerId peer, Asn asn, bool addpath) {
+    auto streams = sim::StreamChannel::make(&loop, Duration::millis(1));
+    router.speaker().connect_peer(peer, streams.a);
+    recorders.push_back(std::make_unique<RecordingPeer>(
+        streams.b, asn, Ipv4Address(9, 9, static_cast<std::uint8_t>(asn >> 8),
+                                    static_cast<std::uint8_t>(asn)),
+        addpath));
+    peers.push_back(peer);
+  };
+  // The neighbors sit on one IXP LAN: one router address, so only the
+  // export filter can set one apart from the others.
+  std::vector<std::uint16_t> local_ids;
+  for (int n = 0; n < neighbors; ++n) {
+    const auto octet = static_cast<std::uint8_t>(n + 2);
+    const Asn asn = 65001 + static_cast<Asn>(n);
+    PeerId peer = router.add_neighbor(
+        {.name = "n" + std::to_string(n), .asn = asn,
+         .local_address = Ipv4Address(10, 0, 0, 1),
+         .remote_address = Ipv4Address(10, 0, 0, octet), .interface = 0,
+         .global_id = static_cast<std::uint32_t>(n + 1)});
+    local_ids.push_back(router.registry().by_peer(peer)->local_id);
+    record(peer, asn, /*addpath=*/false);
+  }
+  for (int e = 0; e < experiments; ++e) {
+    const auto octet = static_cast<std::uint8_t>(e);
+    const Asn asn = 61574 + static_cast<Asn>(e);
+    PeerId peer = router.add_experiment(
+        {.experiment_id = "x" + std::to_string(e), .asn = asn,
+         .local_address = Ipv4Address(100, 64, octet, 1),
+         .remote_address = Ipv4Address(100, 64, octet, 2),
+         .interface = 100 + e});
+    record(peer, asn, /*addpath=*/true);
+  }
+  loop.run_for(Duration::seconds(5));
+
+  std::mt19937_64 rng(seed);
+  auto neighbor_update = [&](int n, const Ipv4Prefix& prefix, bool withdraw) {
+    UpdateMessage update;
+    if (withdraw) {
+      update.withdrawn.push_back({0, prefix});
+    } else {
+      PathAttributes attrs;
+      attrs.origin = Origin::kIgp;
+      attrs.as_path = AsPath({65001 + static_cast<Asn>(n),
+                              static_cast<Asn>(3356 + rng() % 3)});
+      attrs.next_hop = Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(n + 2));
+      if (rng() % 2 == 0) attrs.med = static_cast<std::uint32_t>(rng() % 4);
+      update.attributes = attrs;
+      update.nlri.push_back({0, prefix});
+    }
+    recorders[static_cast<std::size_t>(n)]->send(update);
+  };
+  std::vector<Ipv4Prefix> space;
+  for (int i = 0; i < 48; ++i)
+    space.push_back(Ipv4Prefix(
+        Ipv4Address(192, 168, static_cast<std::uint8_t>(i), 0), 24));
+  for (const Ipv4Prefix& prefix : space)
+    for (int n = 0; n < neighbors; ++n)
+      if (rng() % 4 != 0) neighbor_update(n, prefix, false);
+  loop.run_for(Duration::seconds(5));
+
+  for (int round = 0; round < 5; ++round) {
+    for (int step = 0; step < 16; ++step) {
+      const auto n =
+          static_cast<int>(rng() % static_cast<std::uint64_t>(neighbors));
+      neighbor_update(n, space[rng() % space.size()], rng() % 4 == 0);
+    }
+    if (announce) {
+      // An experiment announces (or withdraws) its /24 with a whitelist,
+      // a blacklist, or no control community; the first announcement is
+      // whitelisted to one neighbor.
+      const int e = static_cast<int>(rng() % static_cast<std::uint64_t>(
+                                              std::min(experiments, 6)));
+      const Ipv4Prefix prefix(
+          Ipv4Address(184, 164, static_cast<std::uint8_t>(224 + e), 0), 24);
+      UpdateMessage update;
+      if (round > 0 && rng() % 4 == 0) {
+        update.withdrawn.push_back({1, prefix});
+      } else {
+        PathAttributes attrs;
+        attrs.origin = Origin::kIgp;
+        attrs.as_path = AsPath({61574 + static_cast<Asn>(e)});
+        attrs.next_hop = Ipv4Address(100, 64, static_cast<std::uint8_t>(e), 2);
+        const std::uint16_t target = local_ids[rng() % local_ids.size()];
+        switch (round == 0 ? 0 : rng() % 3) {
+          case 0:
+            attrs.communities.push_back(vbgp::announce_to(target));
+            break;
+          case 1:
+            attrs.communities.push_back(vbgp::no_announce_to(target));
+            break;
+          default:
+            break;
+        }
+        update.attributes = attrs;
+        update.nlri.push_back({1, prefix});
+      }
+      recorders[static_cast<std::size_t>(neighbors + e)]->send(update);
+    }
+    loop.run_for(Duration::seconds(3));
+  }
+  loop.run_for(Duration::seconds(10));
+
+  VbgpResult result;
+  const BgpSpeaker& speaker = router.speaker();
+  const obs::Snapshot snap = registry.snapshot(loop.now());
+  collect(speaker, recorders, peers, snap, result);
+  const auto first_experiment = static_cast<std::size_t>(neighbors);
+  for (std::size_t i = first_experiment; i < peers.size(); ++i)
+    result.experiment_subgroups.push_back(
+        speaker.export_subgroup_size(peers[i]));
+  result.experiment_paths =
+      speaker.adj_rib_out(peers[first_experiment]).size();
+  result.adj_out_paths = snap.value("bgp_adj_out_paths", {{"speaker", "hub"}});
+  result.shared_encodes = snap.value("bgp_export_member_encodes_total",
+                                     {{"speaker", "hub"}, {"mode", "shared"}});
+  result.own_encodes = snap.value("bgp_export_member_encodes_total",
+                                  {{"speaker", "hub"}, {"mode", "own"}});
+  result.fanout_exports = snap.total("vbgp_addpath_fanout_exports_total");
   return result;
 }
 
 TEST(UpdateGroup, GroupedAndUngroupedAreWireIdentical) {
   for (std::uint64_t seed : {41ull, 97ull, 1234ull}) {
-    ScenarioResult grouped = run_scenario(/*group_exports=*/true, seed);
-    ScenarioResult ungrouped = run_scenario(/*group_exports=*/false, seed);
-
-    ASSERT_EQ(grouped.wires.size(), ungrouped.wires.size());
-    for (std::size_t i = 0; i < grouped.wires.size(); ++i)
-      EXPECT_EQ(grouped.wires[i], ungrouped.wires[i])
-          << "seed " << seed << ": session " << i
-          << " received different bytes";
-    EXPECT_EQ(grouped.rib, ungrouped.rib) << "seed " << seed;
-    EXPECT_EQ(grouped.updates_sent, ungrouped.updates_sent) << "seed " << seed;
-    for (std::size_t i = 0; i < grouped.stats.size(); ++i) {
-      EXPECT_EQ(grouped.stats[i].updates_sent, ungrouped.stats[i].updates_sent)
-          << "seed " << seed << ": session " << i;
-      EXPECT_EQ(grouped.stats[i].attr_encode_cache_hits,
-                ungrouped.stats[i].attr_encode_cache_hits)
-          << "seed " << seed << ": session " << i;
-      EXPECT_EQ(grouped.stats[i].attr_encode_cache_misses,
-                ungrouped.stats[i].attr_encode_cache_misses)
-          << "seed " << seed << ": session " << i;
+    const std::string what = "seed " + std::to_string(seed);
+    ScenarioResult grouped = run_scenario({}, seed);
+    ScenarioResult ungrouped = run_scenario({.group_exports = false}, seed);
+    expect_wire_identical(grouped, ungrouped, what);
+    // Phase B fanned out over the worker pool: same bytes, same splits.
+    ScenarioResult parallel =
+        run_scenario({.partitions = 4, .workers = 3}, seed);
+    expect_wire_identical(parallel, ungrouped, what + " parallel");
+    EXPECT_EQ(parallel.splits, grouped.splits) << what;
+    // Every split trigger fired in the grouped run; the ungrouped run has
+    // nothing to split.
+    for (const char* reason : kSplitReasons) {
+      EXPECT_GT(grouped.splits[reason], 0) << what << ": " << reason;
+      EXPECT_EQ(ungrouped.splits[reason], 0) << what << ": " << reason;
     }
-    // Sharing actually happened in the grouped run: fewer groups than
-    // sessions (plain pair + ADD-PATH pair each collapse).
-    EXPECT_LT(grouped.groups, ungrouped.groups) << "seed " << seed;
+
+    // vBGP: experiments announcing with whitelist/blacklist communities make
+    // the neighbors' export decisions member-dependent.
+    VbgpResult vgrouped =
+        run_vbgp_scenario(true, seed, 4, 8, /*announce=*/true);
+    VbgpResult vungrouped =
+        run_vbgp_scenario(false, seed, 4, 8, /*announce=*/true);
+    expect_wire_identical(vgrouped, vungrouped, "vbgp " + what);
+    EXPECT_EQ(vgrouped.fanout_exports, vungrouped.fanout_exports) << what;
+    // The control communities did set neighbors apart: not every neighbor
+    // received the same stream.
+    const std::set<Bytes> neighbor_streams(vgrouped.wires.begin(),
+                                           vgrouped.wires.begin() + 4);
+    EXPECT_GT(neighbor_streams.size(), 1u) << what;
+  }
+}
+
+TEST(UpdateGroup, ThirtyTwoExperimentsShareOneAdjRibOut) {
+  constexpr int kExperiments = 32;
+  VbgpResult grouped = run_vbgp_scenario(true, 7, 4, kExperiments, false);
+  VbgpResult ungrouped = run_vbgp_scenario(false, 7, 4, kExperiments, false);
+  expect_wire_identical(grouped, ungrouped, "32 experiments");
+  // One subgroup holds every experiment, and its one table holds one
+  // member's paths: the ungrouped run stores 31 more copies.
+  for (int e = 0; e < kExperiments; ++e) {
+    EXPECT_EQ(grouped.experiment_subgroups[e], 32u) << "experiment " << e;
+    EXPECT_EQ(ungrouped.experiment_subgroups[e], 1u) << "experiment " << e;
+  }
+  ASSERT_GT(grouped.experiment_paths, 0u);
+  EXPECT_EQ(grouped.experiment_paths, ungrouped.experiment_paths);
+  EXPECT_EQ(ungrouped.adj_out_paths - grouped.adj_out_paths,
+            static_cast<std::int64_t>(31 * grouped.experiment_paths));
+  // Every member still counts its own fan-out export and its own stats.
+  EXPECT_EQ(grouped.fanout_exports, ungrouped.fanout_exports);
+  EXPECT_GT(grouped.shared_encodes, 0);
+  EXPECT_EQ(ungrouped.shared_encodes, 0);
+  // With a single neighbor (never due: every change is its own) every
+  // member encode is an experiment's, and 31 of every 32 are shared.
+  VbgpResult single = run_vbgp_scenario(true, 7, 1, kExperiments, false);
+  ASSERT_GT(single.own_encodes, 0);
+  EXPECT_EQ(single.shared_encodes, 31 * single.own_encodes);
+  for (std::size_t i = 0; i < grouped.stats.size(); ++i) {
+    EXPECT_EQ(grouped.stats[i].updates_sent, ungrouped.stats[i].updates_sent);
+    EXPECT_EQ(grouped.stats[i].updates_received,
+              ungrouped.stats[i].updates_received);
+    EXPECT_EQ(grouped.stats[i].attr_encode_cache_hits,
+              ungrouped.stats[i].attr_encode_cache_hits);
+    EXPECT_EQ(grouped.stats[i].attr_encode_cache_misses,
+              ungrouped.stats[i].attr_encode_cache_misses);
   }
 }
 
