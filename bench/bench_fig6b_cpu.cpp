@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <optional>
 
 #include "bench_util.h"
@@ -153,17 +154,25 @@ double measure_per_update_seconds(bool vbgp_mode, bool multi_router,
 }
 
 /// Data-plane lookup latency: per-packet LPM through a shared-leaf FibView
-/// vs the legacy single-owner RoutingTable with identical contents. The
-/// forwarding path runs one of these per packet, so the shared store must
-/// not regress lookups while it deduplicates memory.
+/// (multibit index over the shared trie) vs the legacy single-owner
+/// RoutingTable (binary trie walk) with identical contents. The forwarding
+/// path runs one of these per packet. Both sides run interleaved, k rounds,
+/// and each keeps its best round, so a load burst on the host lands on both
+/// and the ratio is a within-process comparison a gate can trust.
 struct LookupCosts {
   double legacy_ns;
   double fibview_ns;
+  double ratio() const { return fibview_ns / legacy_ns; }
 };
+
+/// The FibView must answer in at most this fraction of the binary walk's
+/// time; the bench exits non-zero above it.
+constexpr double kMaxLookupRatio = 0.5;
 
 LookupCosts measure_lookup_ns() {
   constexpr std::size_t kRoutes = 500'000;
-  constexpr std::size_t kProbes = 2'000'000;
+  constexpr std::size_t kProbes = 1'000'000;
+  constexpr int kRounds = 5;
 
   inet::RouteFeedConfig config;
   config.route_count = kRoutes;
@@ -209,9 +218,12 @@ LookupCosts measure_lookup_ns() {
     return elapsed / static_cast<double>(kProbes) * 1e9;
   };
 
-  LookupCosts costs;
-  costs.legacy_ns = time_lookups(legacy);
-  costs.fibview_ns = time_lookups(views[3]);
+  constexpr double kUnset = std::numeric_limits<double>::infinity();
+  LookupCosts costs{kUnset, kUnset};
+  for (int round = 0; round < kRounds; ++round) {
+    costs.legacy_ns = std::min(costs.legacy_ns, time_lookups(legacy));
+    costs.fibview_ns = std::min(costs.fibview_ns, time_lookups(views[3]));
+  }
   return costs;
 }
 
@@ -288,10 +300,11 @@ int main() {
               4000 * multi < 1.0 ? "yes (under 100%)" : "NO");
 
   LookupCosts lookup = measure_lookup_ns();
-  std::printf("\ndata-plane LPM lookup: legacy RoutingTable %.0f ns, "
-              "shared-leaf FibView %.0f ns (%.2fx)\n",
-              lookup.legacy_ns, lookup.fibview_ns,
-              lookup.fibview_ns / lookup.legacy_ns);
+  std::printf("\ndata-plane LPM lookup (best of interleaved rounds): legacy "
+              "RoutingTable %.0f ns, shared-leaf FibView %.0f ns (%.2fx, "
+              "limit %.2fx)\n",
+              lookup.legacy_ns, lookup.fibview_ns, lookup.ratio(),
+              kMaxLookupRatio);
 
   benchutil::JsonReport report("fig6b_cpu");
   report.metric("accept_us_per_update", accept * 1e6);
@@ -300,6 +313,7 @@ int main() {
   report.metric("updates_per_measurement", static_cast<double>(kUpdates));
   report.metric("lookup_legacy_ns", lookup.legacy_ns);
   report.metric("lookup_fibview_ns", lookup.fibview_ns);
+  report.metric("lookup_fibview_vs_legacy_ratio", lookup.ratio());
   report.metric("telemetry_on_us_per_update", single_obs * 1e6);
   report.metric("telemetry_overhead_pct", overhead_pct);
   report.metric("obs_updates_in", static_cast<double>(obs_in));
@@ -308,5 +322,12 @@ int main() {
   report.metric("obs_nh_rewrites", static_cast<double>(obs_rewrites));
   report.metric("mon_records", static_cast<double>(mon_records));
   std::printf("wrote %s\n", report.write().c_str());
+  if (lookup.ratio() > kMaxLookupRatio) {
+    std::fprintf(stderr,
+                 "FAIL: FibView lookup %.2fx the RoutingTable walk "
+                 "(limit %.2fx)\n",
+                 lookup.ratio(), kMaxLookupRatio);
+    return 1;
+  }
   return 0;
 }

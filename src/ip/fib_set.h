@@ -14,6 +14,14 @@
 // interned by content — a neighbor's ten thousand routes through one gateway
 // reference a single pooled entry.
 //
+// Lookups do not walk the binary trie. A Poptrie-style multibit index
+// (Asai and Ohara, SIGCOMM '15; 6-bit strides) maps an address in a few
+// steps to the longest trie node that any view populates; the view's slot
+// there is the answer unless the view lacks one, in which case the binary
+// walk runs (a counted fallback). The trie stays the single source of truth;
+// the index changes only when a prefix joins or leaves the union of views,
+// never on a slot-only write.
+//
 // FibView preserves the RoutingTable contract (insert / remove / lookup /
 // exact / visit / clear / size / memory_bytes), so ip::Host-style forwarding
 // code and the looking glass work against either. Two memory numbers are
@@ -90,8 +98,13 @@ class FibSet {
   std::size_t unique_prefix_count() const;
 
   /// Actual bytes of the deduplicated store: trie nodes + leaf slot arrays
-  /// + interned payload pool (+ intern-map overhead estimate).
+  /// + lookup index + interned payload pool (+ intern-map overhead
+  /// estimate).
   std::size_t memory_bytes() const;
+
+  /// Bytes of the multibit lookup index (part of memory_bytes()). Changes
+  /// only when a prefix joins or leaves the union of views.
+  std::size_t index_bytes() const;
 
   /// What one view's contents would cost as a standalone RoutingTable
   /// (exact node count of the equivalent path-compressed trie).
@@ -146,13 +159,17 @@ class FibSet {
   /// to this leaf.
   ///
   /// Readers may race slot growth: the array is published through one
-  /// acquire/release atomic pointer whose allocation carries its own
-  /// capacity in a 4-byte header word (`arr[0]`; slots start at `arr[1]`),
-  /// so a reader always pairs a pointer with the matching capacity. The
-  /// displaced array is retired, not freed, keeping in-flight readers
-  /// valid. Concurrent readers of a *stale* array simply miss the newest
-  /// write — the usual relaxed-FIB contract. Writes are single-threaded
-  /// (serial effect-application points only).
+  /// acquire/release atomic pointer whose allocation carries a 4-byte
+  /// header word (`arr[0]`; slots start at `arr[1]`). The header's low half
+  /// is the highest view index the array holds (capacity - 1), written once
+  /// before publication, so a reader always pairs a pointer with the
+  /// matching capacity. Its high half counts the non-zero slots; only the
+  /// writer reads or updates it. Keeping the count out of line makes the
+  /// handle one pointer, which keeps a trie node at 32 bytes. The displaced
+  /// array is retired, not freed, keeping in-flight readers valid.
+  /// Concurrent readers of a *stale* array simply miss the newest write —
+  /// the usual relaxed-FIB contract. Writes are single-threaded (serial
+  /// effect-application points only).
   class Slots {
    public:
     Slots() = default;
@@ -160,8 +177,10 @@ class FibSet {
     Slots& operator=(const Slots&) = delete;
     ~Slots() { delete[] ids_.load(std::memory_order_relaxed); }
 
-    bool empty() const { return used_ == 0; }
-    std::uint16_t used() const { return used_; }
+    bool empty() const {
+      const Slot* p = ids_.load(std::memory_order_relaxed);
+      return p == nullptr || (header(p) >> 16) == 0;
+    }
     std::size_t heap_bytes() const {
       const Slot* p = ids_.load(std::memory_order_relaxed);
       return p == nullptr ? 0 : (cap_of(p) + 1) * sizeof(Slot);
@@ -189,23 +208,43 @@ class FibSet {
       }
     }
 
-    std::uint16_t capacity() const {
+    std::uint32_t capacity() const {
       const Slot* p = ids_.load(std::memory_order_relaxed);
-      return p == nullptr ? 0 : static_cast<std::uint16_t>(cap_of(p));
+      return p == nullptr ? 0 : cap_of(p);
     }
 
    private:
-    /// The header word written once before publication; immutable after,
-    /// so a relaxed read under the acquire on the pointer suffices.
-    static std::uint32_t cap_of(const Slot* p) {
+    static std::uint32_t header(const Slot* p) {
       return p[0].load(std::memory_order_relaxed);
+    }
+    /// The capacity half never changes after publication, so a relaxed
+    /// read under the acquire on the pointer suffices.
+    static std::uint32_t cap_of(const Slot* p) {
+      return (header(p) & 0xFFFFu) + 1;
     }
 
     std::atomic<Slot*> ids_{nullptr};
-    std::uint16_t used_ = 0;
   };
 
   using Trie = detail::PrefixTrie<Slots>;
+
+  /// One node of the multibit lookup index. It covers a block of 6*depth
+  /// leading address bits and splits it into 64 cells of 6 more bits (the
+  /// last level, depth 5, sees addresses padded with 4 zero bits, so a /31
+  /// or /32 spans 32 or 16 of its cells). A cell either descends to a child
+  /// node or is a leaf naming the longest non-empty trie node covering the
+  /// whole cell (nullptr: no view has a route there). Children are stored
+  /// in cell order and ranked by popcount over `child_bits`. Leaves are
+  /// run-length compressed: `leaf_bits` marks the leaf cells where a run of
+  /// equal leaves starts, ranked by popcount the same way (the leaf array
+  /// has spare capacity; see leaf_capacity). Descending reads only the
+  /// first two fields; the leaf step only the last two.
+  struct IndexNode {
+    std::uint64_t child_bits = 0;
+    std::unique_ptr<IndexNode[]> children;
+    std::uint64_t leaf_bits = 0;
+    std::unique_ptr<const Trie::Node*[]> leaves;
+  };
 
   std::uint32_t intern(const Payload& payload);
   void ref(std::uint32_t id) { ++refs_[id - 1]; }
@@ -219,7 +258,49 @@ class FibSet {
   /// prefixes `view` has entries for.
   std::size_t flat_node_count(ViewId view) const;
 
+  /// Longest trie node that any view populates and whose prefix contains
+  /// `addr`, or nullptr: the index walk.
+  const Trie::Node* longest_shared_match(std::uint32_t addr) const;
+  /// Index maintenance. An index node covers `block` (its top 6*depth
+  /// bits); `cover` is the longest non-empty trie node covering the whole
+  /// block and `top` the first trie node at or below it (either may be
+  /// null), so no call walks the trie from its root again.
+  static const Trie::Node* descend(const Trie::Node* top,
+                                   std::uint32_t cell_block, int len,
+                                   const Trie::Node*& cover);
+  void rebuild_index();
+  /// Brings the index up to date after `prefix` joined or left the union
+  /// of views. Only cells that intersect `prefix` are rebuilt.
+  void index_changed(const Ipv4Prefix& prefix);
+  void update_index_node(IndexNode& node, int depth, std::uint32_t block,
+                         const Trie::Node* cover, const Trie::Node* top,
+                         const Ipv4Prefix& changed);
+  /// Builds `node` afresh from the trie.
+  void build_index_node(IndexNode& node, int depth, std::uint32_t block,
+                        const Trie::Node* cover, const Trie::Node* top);
+  /// Per-cell state of one index node while it is rebuilt: each cell's
+  /// leaf (a child cell's leaf is the child's cover), the child bits, and
+  /// for child cells the first trie node at or below the cell.
+  struct IndexCells {
+    const Trie::Node* leaf[64];
+    const Trie::Node* top[64] = {};
+    std::uint64_t child_bits = 0;
+
+    /// Paints `n` and its subtree, all inside this node's block: a node
+    /// no longer than a cell sets the leaf of every cell it spans (longer
+    /// nodes paint later, over shorter ones); a longer one makes its cell
+    /// a child.
+    void paint(const Trie::Node* n, int depth);
+  };
+  /// Lays `cells` out as `node`'s ranked arrays. Children of cells
+  /// disjoint from `*changed` move over from the old node unchanged; all
+  /// others (every one when `changed` is null) are built afresh.
+  void layout_index_node(IndexNode& node, int depth, std::uint32_t block,
+                         const IndexCells& cells, const Ipv4Prefix* changed);
+  std::size_t index_node_bytes(const IndexNode& node) const;
+
   Trie trie_;
+  IndexNode index_;  // root: depth 0, the whole address space
   // Payload pool: contiguous storage + refcounts + content-intern index.
   std::vector<Payload> payloads_;
   std::vector<std::uint32_t> refs_;
@@ -238,6 +319,8 @@ class FibSet {
   /// splits come from the owning component's collector).
   obs::Counter* obs_cow_growth_;     // leaf slot-array CoW growths
   obs::Counter* obs_lookup_misses_;  // LPM probes with no route
+  obs::Counter* obs_lpm_fallback_;   // LPMs where the view lacks the index
+                                     // leaf's route: the binary walk ran
   obs::Histogram* obs_lpm_depth_;    // matched prefix length per LPM hit
 };
 

@@ -107,6 +107,7 @@ FibAccounting NeighborRegistry::fib_accounting() const {
   FibAccounting acct;
   acct.shared_bytes = fib_set_.memory_bytes();
   acct.flat_bytes = fib_set_.flat_equivalent_bytes();
+  acct.index_bytes = fib_set_.index_bytes();
   acct.routes = fib_set_.route_count();
   acct.unique_prefixes = fib_set_.unique_prefix_count();
   acct.views = fib_set_.view_count();

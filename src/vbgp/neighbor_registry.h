@@ -70,6 +70,7 @@ struct VirtualNeighbor {
 struct FibAccounting {
   std::size_t shared_bytes = 0;
   std::size_t flat_bytes = 0;
+  std::size_t index_bytes = 0;  // the LPM index, part of shared_bytes
   std::size_t routes = 0;
   std::size_t unique_prefixes = 0;
   std::size_t views = 0;
@@ -83,6 +84,7 @@ struct FibAccounting {
   FibAccounting& operator+=(const FibAccounting& other) {
     shared_bytes += other.shared_bytes;
     flat_bytes += other.flat_bytes;
+    index_bytes += other.index_bytes;
     routes += other.routes;
     unique_prefixes += other.unique_prefixes;
     views += other.views;

@@ -153,8 +153,13 @@ void VRouter::install_hooks() {
 }
 
 VRouter::PeerKind VRouter::peer_kind(bgp::PeerId peer) const {
-  auto it = peer_kinds_.find(peer);
-  return it == peer_kinds_.end() ? PeerKind::kNeighbor : it->second;
+  return peer < peer_kinds_.size() ? peer_kinds_[peer] : PeerKind::kNeighbor;
+}
+
+void VRouter::set_peer_kind(bgp::PeerId peer, PeerKind kind) {
+  if (peer >= peer_kinds_.size())
+    peer_kinds_.resize(peer + 1, PeerKind::kNeighbor);
+  peer_kinds_[peer] = kind;
 }
 
 bgp::PeerId VRouter::add_neighbor(const NeighborSpec& spec) {
@@ -165,7 +170,7 @@ bgp::PeerId VRouter::add_neighbor(const NeighborSpec& spec) {
   config.peer_address = spec.remote_address;
   config.hold_time = spec.hold_time;
   bgp::PeerId peer = speaker_.add_peer(config);
-  peer_kinds_[peer] = PeerKind::kNeighbor;
+  set_peer_kind(peer, PeerKind::kNeighbor);
   speaker_.set_peer_export_class(
       peer, static_cast<std::uint64_t>(PeerKind::kNeighbor) + 1);
   registry_.add_local(spec.name, peer, spec.remote_address, spec.interface,
@@ -190,7 +195,7 @@ bgp::PeerId VRouter::add_experiment(const ExperimentSpec& spec) {
   // transform from cloning a prepended set that would only be discarded.
   config.transparent = true;
   bgp::PeerId peer = speaker_.add_peer(config);
-  peer_kinds_[peer] = PeerKind::kExperiment;
+  set_peer_kind(peer, PeerKind::kExperiment);
   speaker_.set_peer_export_class(
       peer, static_cast<std::uint64_t>(PeerKind::kExperiment) + 1);
   experiments_by_peer_[peer] = spec.experiment_id;
@@ -208,7 +213,7 @@ bgp::PeerId VRouter::add_backbone_peer(const BackboneSpec& spec) {
   config.addpath = bgp::AddPathMode::kBoth;
   config.export_all_paths = true;
   bgp::PeerId peer = speaker_.add_peer(config);
-  peer_kinds_[peer] = PeerKind::kBackbone;
+  set_peer_kind(peer, PeerKind::kBackbone);
   speaker_.set_peer_export_class(
       peer, static_cast<std::uint64_t>(PeerKind::kBackbone) + 1);
   backbone_interfaces_[peer] = spec.interface;
@@ -492,6 +497,7 @@ void VRouter::publish_metrics(obs::Registry& registry) const {
   const FibAccounting fa = registry_.fib_accounting();
   registry.gauge("vbgp_fib_shared_bytes", labels)->set(i64(fa.shared_bytes));
   registry.gauge("vbgp_fib_flat_bytes", labels)->set(i64(fa.flat_bytes));
+  registry.gauge("vbgp_fib_index_bytes", labels)->set(i64(fa.index_bytes));
   registry.gauge("vbgp_fib_routes", labels)->set(i64(fa.routes));
   registry.gauge("vbgp_fib_unique_prefixes", labels)
       ->set(i64(fa.unique_prefixes));
@@ -588,6 +594,11 @@ std::string VRouter::show_summary() const {
                       : static_cast<double>(flat) /
                             static_cast<double>(shared))
       << "x dedup\n";
+  // The fallback counter is platform-wide (all FibSets share it) and zero
+  // when telemetry is off.
+  out << "  fib index: " << snap.value("vbgp_fib_index_bytes", vr) / 1024
+      << " KiB, " << snap.value("fib_lpm_fallback_total")
+      << " LPM fallbacks to the binary walk\n";
   out << "  data plane: " << snap.value("vbgp_frames_demuxed", vr)
       << " demuxed, " << snap.value("vbgp_frames_to_experiments", vr)
       << " to experiments, " << snap.value("vbgp_enforcement_drops", vr)

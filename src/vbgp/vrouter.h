@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bgp/speaker.h"
 #include "enforce/control_policy.h"
@@ -257,7 +258,10 @@ class VRouter : public ip::Host {
                                  ip::Ipv4Packet packet);
 
   enum class PeerKind { kNeighbor, kExperiment, kBackbone };
+  /// Export filters ask once per (member, advert), so this is a vector
+  /// index: PeerIds are dense, starting at 1. Unknown peers are neighbors.
   PeerKind peer_kind(bgp::PeerId peer) const;
+  void set_peer_kind(bgp::PeerId peer, PeerKind kind);
 
   VRouterConfig config_;
   bgp::BgpSpeaker speaker_;
@@ -269,7 +273,7 @@ class VRouter : public ip::Host {
   // reallocated at the same address. Cleared wholesale past a size cap.
   std::unordered_map<bgp::AttrsPtr, bgp::AttrsPtr> nh_memo_;
 
-  std::map<bgp::PeerId, PeerKind> peer_kinds_;
+  std::vector<PeerKind> peer_kinds_;  // indexed by PeerId
   std::map<bgp::PeerId, int> backbone_interfaces_;
   std::map<int, std::string> experiments_by_interface_;
   std::map<bgp::PeerId, std::string> experiments_by_peer_;

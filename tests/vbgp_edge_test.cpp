@@ -156,6 +156,8 @@ TEST_F(EdgeTest, ShowCommandsRenderOperationalState) {
   std::string summary = router->show_summary();
   EXPECT_NE(summary.find("AS47065"), std::string::npos);
   EXPECT_NE(summary.find("loc-rib"), std::string::npos);
+  EXPECT_NE(summary.find("fib index: "), std::string::npos);
+  EXPECT_NE(summary.find(" LPM fallbacks"), std::string::npos);
 }
 
 TEST_F(EdgeTest, ArpCacheExpiryTriggersReResolution) {
