@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
   config.pops = pop_names(pops);
   config.table.route_count = routes;
   config.churn.duration = Duration::seconds(duration_s);
-  config.pipeline = bgp::PipelineConfig{.partitions = 4, .workers = 4};
   config.session_flaps = flaps;
 
   std::printf("internet soak: %zu routes x %zu PoPs, %llds simulated churn, "

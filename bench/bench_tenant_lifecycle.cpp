@@ -145,8 +145,7 @@ double measure_update_wall_ns(int resident_grants) {
                             .pop_id = "bench01",
                             .asn = 47065,
                             .router_id = Ipv4Address(10, 255, 9, 1),
-                            .router_seed = 9,
-                            .pipeline = {.partitions = 1, .workers = 0}});
+                            .router_seed = 9});
   mux.set_control_enforcer(&enforcer);
   sim::LinkConfig link_config;
   link_config.name = "l-x1";
@@ -161,8 +160,7 @@ double measure_update_wall_ns(int resident_grants) {
                           .remote_address = Ipv4Address(100, 64, 0, 2),
                           .interface = if_x1});
 
-  bgp::BgpSpeaker x1(&loop, "x1", 61574, Ipv4Address(9, 9, 9, 1),
-                     bgp::PipelineConfig{.partitions = 1, .workers = 0});
+  bgp::BgpSpeaker x1(&loop, "x1", 61574, Ipv4Address(9, 9, 9, 1));
   bgp::PeerId x1_side =
       x1.add_peer({.name = "mux",
                    .peer_asn = 47065,

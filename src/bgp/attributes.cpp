@@ -405,7 +405,7 @@ AttrsPtr AttrPool::insert(AttrsPtr ptr) {
   return it->first;
 }
 
-AttrsPtr AttrPool::intern_impl(const PathAttributes& attrs) {
+AttrsPtr AttrPool::intern(const PathAttributes& attrs) {
   auto it = pool_.find(attrs);
   if (it != pool_.end()) {
     ++stats_.intern_hits;
@@ -415,7 +415,7 @@ AttrsPtr AttrPool::intern_impl(const PathAttributes& attrs) {
   return insert(std::make_shared<const PathAttributes>(attrs));
 }
 
-AttrsPtr AttrPool::intern_impl(PathAttributes&& attrs) {
+AttrsPtr AttrPool::intern(PathAttributes&& attrs) {
   auto it = pool_.find(attrs);
   if (it != pool_.end()) {
     ++stats_.intern_hits;
@@ -425,30 +425,18 @@ AttrsPtr AttrPool::intern_impl(PathAttributes&& attrs) {
   return insert(std::make_shared<const PathAttributes>(std::move(attrs)));
 }
 
-AttrsPtr AttrPool::intern(const PathAttributes& attrs) {
-  auto lock = maybe_lock();
-  return intern_impl(attrs);
-}
-
-AttrsPtr AttrPool::intern(PathAttributes&& attrs) {
-  auto lock = maybe_lock();
-  return intern_impl(std::move(attrs));
-}
-
 AttrsPtr AttrPool::adopt(const AttrsPtr& attrs) {
   if (!attrs) return attrs;
-  auto lock = maybe_lock();
   if (by_ptr_.count(attrs.get()) > 0) {
     ++stats_.intern_hits;
     return attrs;
   }
-  return intern_impl(*attrs);
+  return intern(*attrs);
 }
 
 const Bytes& AttrPool::encoded(const AttrsPtr& attrs,
                                const AttrCodecOptions& options, bool* hit,
                                std::size_t* nh_offset) {
-  auto lock = maybe_lock();
   const std::size_t slot = options.four_byte_asn ? 1 : 0;
   if (hit) *hit = false;
   if (encode_cache_enabled_) {

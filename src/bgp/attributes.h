@@ -8,12 +8,13 @@
 // Unknown optional-transitive attributes are preserved verbatim (with the
 // Partial bit set when propagated), which is what PEERING's capability
 // framework polices (§4.7: "optional BGP transitive attributes").
+// Each speaker owns one pool and uses it from its single thread, so nothing
+// here locks.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -181,14 +182,9 @@ class AttrBuilder {
 /// memory stays in the hundreds of bytes). Keyed by content hash. Also
 /// memoizes the wire encoding per (attribute set, codec options) so an
 /// ADD-PATH fan-out to N sessions with identical negotiated options
-/// serializes the update body once, not N times.
-///
-/// Thread safety: single-threaded by default. set_concurrent(true) puts
-/// intern/adopt/owns/encoded behind a mutex so the pipelined speaker's
-/// decision and encode workers can share one pool (refcounts are already
-/// atomic via shared_ptr; returned Bytes&/AttrsPtr stay valid because
-/// unordered_map nodes never move). sweep() and the size/stats accessors
-/// remain serial-point-only either way.
+/// serializes the update body once, not N times. Returned Bytes& and
+/// AttrsPtr stay valid across later interning because unordered_map nodes
+/// never move.
 class AttrPool {
  public:
   struct Stats {
@@ -217,23 +213,15 @@ class AttrPool {
 
   /// True if this exact pointer came from this pool.
   bool owns(const AttrsPtr& attrs) const {
-    auto lock = maybe_lock();
     return attrs && by_ptr_.count(attrs.get()) > 0;
   }
-
-  /// Toggles the internal mutex. Flip only at a serial point (no concurrent
-  /// callers in flight).
-  void set_concurrent(bool on) { concurrent_ = on; }
-  bool concurrent() const { return concurrent_; }
 
   /// Cached wire encoding of an interned set for the given codec options.
   /// Encoded at most once per (set, options); all sessions with identical
   /// negotiated options share the bytes. Foreign (non-pool) pointers fall
   /// back to a direct encode into a scratch buffer. The reference is valid
   /// until the next encoded() call or sweep(). When `hit` is non-null it
-  /// reports whether this call was served from the cache — callers must use
-  /// it (not a stats() delta) for attribution, because in concurrent mode
-  /// other threads advance the shared counters between reads.
+  /// reports whether this call was served from the cache.
   const Bytes& encoded(const AttrsPtr& attrs, const AttrCodecOptions& options,
                        bool* hit = nullptr, std::size_t* nh_offset = nullptr);
 
@@ -288,13 +276,6 @@ class AttrPool {
 
   static std::size_t attrs_footprint(const PathAttributes& attrs);
   AttrsPtr insert(AttrsPtr ptr);
-  AttrsPtr intern_impl(const PathAttributes& attrs);
-  AttrsPtr intern_impl(PathAttributes&& attrs);
-
-  std::unique_lock<std::mutex> maybe_lock() const {
-    return concurrent_ ? std::unique_lock<std::mutex>(mu_)
-                       : std::unique_lock<std::mutex>();
-  }
 
   std::unordered_map<AttrsPtr, Entry, Hash, Eq> pool_;
   /// Pointer index for O(1) encoded()/owns() lookups; values are stable
@@ -303,8 +284,6 @@ class AttrPool {
   std::size_t attr_bytes_ = 0;
   std::size_t wire_bytes_ = 0;
   bool encode_cache_enabled_ = true;
-  bool concurrent_ = false;
-  mutable std::mutex mu_;
   Stats stats_;
   Bytes scratch_;
 };

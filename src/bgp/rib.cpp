@@ -4,55 +4,15 @@
 
 namespace peering::bgp {
 
-namespace {
-
-/// Merge-visits a vector of sorted maps in ascending key order. The
-/// output order depends only on the union of keys, never on how they are
-/// distributed over shards — linear-scan min is fine at the shard counts
-/// we run (<= 16).
-template <typename Shard, typename Fn>
-void merge_shards(const std::vector<Shard>& shards, Fn&& fn) {
-  if (shards.size() == 1) {
-    for (const auto& entry : shards[0]) fn(entry);
-    return;
-  }
-  std::vector<typename Shard::const_iterator> cursors;
-  cursors.reserve(shards.size());
-  for (const auto& shard : shards) cursors.push_back(shard.begin());
-  for (;;) {
-    int min = -1;
-    for (int i = 0; i < static_cast<int>(shards.size()); ++i) {
-      if (cursors[static_cast<std::size_t>(i)] ==
-          shards[static_cast<std::size_t>(i)].end())
-        continue;
-      if (min < 0 || cursors[static_cast<std::size_t>(i)]->first <
-                         cursors[static_cast<std::size_t>(min)]->first)
-        min = i;
-    }
-    if (min < 0) return;
-    auto& cursor = cursors[static_cast<std::size_t>(min)];
-    fn(*cursor);
-    ++cursor;
-  }
-}
-
-}  // namespace
-
-AdjRibIn::AdjRibIn(exec::PartitionMap pmap)
-    : pmap_(pmap),
-      shards_(pmap.partitions()),
-      shard_sizes_(pmap.partitions(), 0) {}
-
 bool AdjRibIn::update(const RibRoute& route) {
-  std::uint32_t shard = pmap_.of(route.prefix);
-  auto& paths = shards_[shard][route.prefix];
+  auto& paths = routes_[route.prefix];
   auto it = std::lower_bound(paths.begin(), paths.end(), route.path_id,
                              [](const RibRoute& r, std::uint32_t id) {
                                return r.path_id < id;
                              });
   if (it == paths.end() || it->path_id != route.path_id) {
     paths.insert(it, route);
-    ++shard_sizes_[shard];
+    ++size_;
     return true;
   }
   if (it->attrs == route.attrs) return false;
@@ -62,10 +22,8 @@ bool AdjRibIn::update(const RibRoute& route) {
 
 std::optional<RibRoute> AdjRibIn::withdraw(const Ipv4Prefix& prefix,
                                            std::uint32_t path_id) {
-  std::uint32_t shard = pmap_.of(prefix);
-  auto& routes = shards_[shard];
-  auto pit = routes.find(prefix);
-  if (pit == routes.end()) return std::nullopt;
+  auto pit = routes_.find(prefix);
+  if (pit == routes_.end()) return std::nullopt;
   auto& paths = pit->second;
   auto it = std::lower_bound(paths.begin(), paths.end(), path_id,
                              [](const RibRoute& r, std::uint32_t id) {
@@ -74,46 +32,31 @@ std::optional<RibRoute> AdjRibIn::withdraw(const Ipv4Prefix& prefix,
   if (it == paths.end() || it->path_id != path_id) return std::nullopt;
   RibRoute removed = std::move(*it);
   paths.erase(it);
-  if (paths.empty()) routes.erase(pit);
-  --shard_sizes_[shard];
+  if (paths.empty()) routes_.erase(pit);
+  --size_;
   return removed;
 }
 
 std::vector<RibRoute> AdjRibIn::paths(const Ipv4Prefix& prefix) const {
-  const auto& routes = shards_[pmap_.of(prefix)];
-  auto it = routes.find(prefix);
-  if (it == routes.end()) return {};
+  auto it = routes_.find(prefix);
+  if (it == routes_.end()) return {};
   return it->second;
 }
 
 void AdjRibIn::visit(const std::function<void(const RibRoute&)>& fn) const {
-  merge_shards(shards_, [&](const auto& entry) {
-    for (const auto& route : entry.second) fn(route);
-  });
+  for (const auto& [prefix, paths] : routes_)
+    for (const auto& route : paths) fn(route);
 }
 
 std::vector<RibRoute> AdjRibIn::clear() {
   std::vector<RibRoute> removed;
-  removed.reserve(size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (auto& [prefix, paths] : shards_[s])
-      for (auto& route : paths) removed.push_back(std::move(route));
-    shards_[s].clear();
-    shard_sizes_[s] = 0;
-  }
-  // Shard-count independent output order.
-  std::sort(removed.begin(), removed.end(),
-            [](const RibRoute& a, const RibRoute& b) {
-              if (a.prefix != b.prefix) return a.prefix < b.prefix;
-              return a.path_id < b.path_id;
-            });
+  removed.reserve(size_);
+  // Map order, and paths ordered by path id within a prefix.
+  for (auto& [prefix, paths] : routes_)
+    for (auto& route : paths) removed.push_back(std::move(route));
+  routes_.clear();
+  size_ = 0;
   return removed;
-}
-
-std::size_t AdjRibIn::size() const {
-  std::size_t total = 0;
-  for (std::size_t n : shard_sizes_) total += n;
-  return total;
 }
 
 std::size_t AdjRibIn::memory_bytes() const {
@@ -121,11 +64,9 @@ std::size_t AdjRibIn::memory_bytes() const {
   // the flat path vector's heap block.
   constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
   std::size_t bytes = sizeof(AdjRibIn);
-  for (const auto& shard : shards_) {
-    for (const auto& [prefix, paths] : shard) {
-      bytes += kNodeOverhead + sizeof(Ipv4Prefix) + sizeof(paths);
-      bytes += paths.capacity() * sizeof(RibRoute);
-    }
+  for (const auto& [prefix, paths] : routes_) {
+    bytes += kNodeOverhead + sizeof(Ipv4Prefix) + sizeof(paths);
+    bytes += paths.capacity() * sizeof(RibRoute);
   }
   return bytes;
 }
@@ -198,16 +139,11 @@ int select_best_path(
   return best;
 }
 
-LocRib::LocRib(std::function<PeerDecisionInfo(PeerId)> peer_info,
-               exec::PartitionMap pmap)
-    : peer_info_(std::move(peer_info)),
-      pmap_(pmap),
-      shards_(pmap.partitions()),
-      route_counts_(pmap.partitions(), 0) {}
+LocRib::LocRib(std::function<PeerDecisionInfo(PeerId)> peer_info)
+    : peer_info_(std::move(peer_info)) {}
 
 bool LocRib::update(const RibRoute& route) {
-  std::uint32_t shard = pmap_.of(route.prefix);
-  auto& state = shards_[shard][route.prefix];
+  auto& state = prefixes_[route.prefix];
   bool found = false;
   for (auto& cand : state.candidates) {
     if (cand.peer == route.peer && cand.path_id == route.path_id) {
@@ -218,27 +154,25 @@ bool LocRib::update(const RibRoute& route) {
   }
   if (!found) {
     state.candidates.push_back(route);
-    ++route_counts_[shard];
+    ++route_count_;
   }
   return reselect(route.prefix, state);
 }
 
 bool LocRib::withdraw(const Ipv4Prefix& prefix, PeerId peer,
                       std::uint32_t path_id) {
-  std::uint32_t shard = pmap_.of(prefix);
-  auto& prefixes = shards_[shard];
-  auto it = prefixes.find(prefix);
-  if (it == prefixes.end()) return false;
+  auto it = prefixes_.find(prefix);
+  if (it == prefixes_.end()) return false;
   auto& cands = it->second.candidates;
   auto removed = std::remove_if(cands.begin(), cands.end(),
                                 [&](const RibRoute& r) {
                                   return r.peer == peer && r.path_id == path_id;
                                 });
   if (removed == cands.end()) return false;
-  route_counts_[shard] -= static_cast<std::size_t>(cands.end() - removed);
+  route_count_ -= static_cast<std::size_t>(cands.end() - removed);
   cands.erase(removed, cands.end());
   if (cands.empty()) {
-    prefixes.erase(it);
+    prefixes_.erase(it);
     return true;  // best existed, now gone
   }
   return reselect(prefix, it->second);
@@ -259,61 +193,42 @@ bool LocRib::reselect(const Ipv4Prefix& prefix, PrefixState& state) {
 }
 
 std::optional<RibRoute> LocRib::best(const Ipv4Prefix& prefix) const {
-  const auto& prefixes = shards_[pmap_.of(prefix)];
-  auto it = prefixes.find(prefix);
-  if (it == prefixes.end() || it->second.best < 0) return std::nullopt;
+  auto it = prefixes_.find(prefix);
+  if (it == prefixes_.end() || it->second.best < 0) return std::nullopt;
   return it->second.candidates[static_cast<std::size_t>(it->second.best)];
 }
 
 std::vector<RibRoute> LocRib::candidates(const Ipv4Prefix& prefix) const {
-  const auto& prefixes = shards_[pmap_.of(prefix)];
-  auto it = prefixes.find(prefix);
-  if (it == prefixes.end()) return {};
+  auto it = prefixes_.find(prefix);
+  if (it == prefixes_.end()) return {};
   return it->second.candidates;
 }
 
 const std::vector<RibRoute>* LocRib::candidates_ref(
     const Ipv4Prefix& prefix) const {
-  const auto& prefixes = shards_[pmap_.of(prefix)];
-  auto it = prefixes.find(prefix);
-  if (it == prefixes.end()) return nullptr;
+  auto it = prefixes_.find(prefix);
+  if (it == prefixes_.end()) return nullptr;
   return &it->second.candidates;
 }
 
 void LocRib::visit_best(const std::function<void(const RibRoute&)>& fn) const {
-  merge_shards(shards_, [&](const auto& entry) {
-    const PrefixState& state = entry.second;
+  for (const auto& [prefix, state] : prefixes_) {
     if (state.best >= 0)
       fn(state.candidates[static_cast<std::size_t>(state.best)]);
-  });
+  }
 }
 
 void LocRib::visit_all(const std::function<void(const RibRoute&)>& fn) const {
-  merge_shards(shards_, [&](const auto& entry) {
-    for (const auto& cand : entry.second.candidates) fn(cand);
-  });
-}
-
-std::size_t LocRib::prefix_count() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard.size();
-  return total;
-}
-
-std::size_t LocRib::route_count() const {
-  std::size_t total = 0;
-  for (std::size_t n : route_counts_) total += n;
-  return total;
+  for (const auto& [prefix, state] : prefixes_)
+    for (const auto& cand : state.candidates) fn(cand);
 }
 
 std::size_t LocRib::memory_bytes() const {
   constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
   std::size_t bytes = sizeof(LocRib);
-  for (const auto& shard : shards_) {
-    for (const auto& [prefix, state] : shard) {
-      bytes += kNodeOverhead + sizeof(Ipv4Prefix) + sizeof(PrefixState);
-      bytes += state.candidates.capacity() * sizeof(RibRoute);
-    }
+  for (const auto& [prefix, state] : prefixes_) {
+    bytes += kNodeOverhead + sizeof(Ipv4Prefix) + sizeof(PrefixState);
+    bytes += state.candidates.capacity() * sizeof(RibRoute);
   }
   return bytes;
 }

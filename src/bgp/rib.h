@@ -5,15 +5,8 @@
 // all received paths (not just best) because ADD-PATH re-exports every one
 // of them to experiments.
 //
-// Both RIBs are N-way sharded by prefix hash (exec::PartitionMap): all
-// state for a prefix lives in exactly one shard, so the pipelined decision
-// process can run shards on different threads without locking. Per-shard
-// mutation counters keep the hot path contention-free; the aggregate
-// accessors (size, route_count, memory_bytes) sum them and must only be
-// called at serial points. Whole-table visits merge the sorted shard maps
-// back into global prefix order, so iteration output is byte-identical no
-// matter the shard count — the foundation of the N=1 vs N=4 determinism
-// contract.
+// Each RIB is one prefix-ordered map, so whole-table visits and dumps come
+// out in ascending prefix order.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +18,6 @@
 #include <vector>
 
 #include "bgp/attributes.h"
-#include "exec/partition.h"
 #include "netbase/prefix.h"
 
 namespace peering::bgp {
@@ -48,10 +40,7 @@ struct RibRoute {
 /// (prefix, path-id).
 class AdjRibIn {
  public:
-  explicit AdjRibIn(exec::PartitionMap pmap = exec::PartitionMap(1));
-
   /// Inserts/replaces a path. Returns true if the stored route changed.
-  /// Thread-safe across DIFFERENT partitions, never within one.
   bool update(const RibRoute& route);
 
   /// Removes a path. Returns the removed route if it existed.
@@ -61,17 +50,14 @@ class AdjRibIn {
   /// All paths for a prefix.
   std::vector<RibRoute> paths(const Ipv4Prefix& prefix) const;
 
-  /// Visits all routes in ascending prefix order (shard-count independent).
+  /// Visits all routes in ascending (prefix, path_id) order.
   void visit(const std::function<void(const RibRoute&)>& fn) const;
 
   /// Removes everything (session reset). Returns the removed routes in
-  /// ascending (prefix, path_id) order regardless of shard count.
+  /// ascending (prefix, path_id) order.
   std::vector<RibRoute> clear();
 
-  const exec::PartitionMap& partition_map() const { return pmap_; }
-
-  /// Serial-point only: sums per-shard counters.
-  std::size_t size() const;
+  std::size_t size() const { return size_; }
 
   /// Bytes for route entries (attribute bytes are accounted in AttrPool).
   std::size_t memory_bytes() const;
@@ -81,11 +67,8 @@ class AdjRibIn {
   /// (peer, prefix) carries a single path, so a per-path rb-tree node costs
   /// ~32 B/route for nothing. The vector keeps Adj-RIB-In at a few dozen
   /// bytes per route, which Figure 6a's B/route directly reports.
-  using Shard = std::map<Ipv4Prefix, std::vector<RibRoute>>;
-
-  exec::PartitionMap pmap_;
-  std::vector<Shard> shards_;
-  std::vector<std::size_t> shard_sizes_;
+  std::map<Ipv4Prefix, std::vector<RibRoute>> routes_;
+  std::size_t size_ = 0;
 };
 
 /// Context the decision process needs about the peer a route came from.
@@ -110,8 +93,7 @@ int select_best_path(
 /// import policy.
 class LocRib {
  public:
-  explicit LocRib(std::function<PeerDecisionInfo(PeerId)> peer_info,
-                  exec::PartitionMap pmap = exec::PartitionMap(1));
+  explicit LocRib(std::function<PeerDecisionInfo(PeerId)> peer_info);
 
   struct PrefixState {
     std::vector<RibRoute> candidates;
@@ -120,7 +102,6 @@ class LocRib {
 
   /// Adds/replaces the candidate identified by (route.peer, route.path_id).
   /// Returns true if the best path for the prefix changed.
-  /// Thread-safe across DIFFERENT partitions, never within one.
   bool update(const RibRoute& route);
 
   /// Removes the candidate. Returns true if the best path changed.
@@ -137,29 +118,22 @@ class LocRib {
   /// mutate the RIB while holding it.
   const std::vector<RibRoute>* candidates_ref(const Ipv4Prefix& prefix) const;
 
-  /// Visits the best path of every prefix, ascending prefix order
-  /// (shard-count independent).
+  /// Visits the best path of every prefix, ascending prefix order.
   void visit_best(const std::function<void(const RibRoute&)>& fn) const;
 
   /// Visits every candidate of every prefix, ascending prefix order.
   void visit_all(const std::function<void(const RibRoute&)>& fn) const;
 
-  const exec::PartitionMap& partition_map() const { return pmap_; }
-
-  /// Serial-point only: sum per-shard state.
-  std::size_t prefix_count() const;
-  std::size_t route_count() const;
+  std::size_t prefix_count() const { return prefixes_.size(); }
+  std::size_t route_count() const { return route_count_; }
   std::size_t memory_bytes() const;
 
  private:
-  using Shard = std::map<Ipv4Prefix, PrefixState>;
-
   bool reselect(const Ipv4Prefix& prefix, PrefixState& state);
 
   std::function<PeerDecisionInfo(PeerId)> peer_info_;
-  exec::PartitionMap pmap_;
-  std::vector<Shard> shards_;
-  std::vector<std::size_t> route_counts_;
+  std::map<Ipv4Prefix, PrefixState> prefixes_;
+  std::size_t route_count_ = 0;
 };
 
 }  // namespace peering::bgp

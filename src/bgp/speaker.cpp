@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "netbase/log.h"
+#include "netbase/rand.h"
 
 namespace peering::bgp {
 
@@ -226,16 +227,8 @@ BgpSpeaker::BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
       asn_(asn),
       router_id_(router_id),
       pipeline_(pipeline),
-      pmap_(pipeline.partitions),
-      loc_rib_([this](PeerId p) { return peer_decision_info(p); }, pmap_),
-      stage_in_(pmap_.partitions()),
-      stage_out_(pmap_.partitions()),
+      loc_rib_([this](PeerId p) { return peer_decision_info(p); }),
       metrics_(obs::Registry::global()) {
-  if (pipeline_.workers > 0) {
-    scheduler_ = std::make_unique<exec::Scheduler>(pipeline_.workers);
-    // Decision/encode workers intern and serialize through the shared pool.
-    attr_pool_.set_concurrent(true);
-  }
   obs::Labels labels{{"speaker", name_}};
   obs_updates_in_ = metrics_->counter("bgp_updates_in_total", labels);
   obs_updates_out_ = metrics_->counter("bgp_updates_out_total", labels);
@@ -248,9 +241,6 @@ BgpSpeaker::BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
       metrics_->counter("bgp_export_group_splices_total", labels);
   obs_group_members_ =
       metrics_->histogram("bgp_export_group_members", labels);
-  // Pipeline-interior instruments carry the bgp_pipeline_ prefix: they are
-  // partition-configuration-dependent and determinism fingerprints exclude
-  // that prefix. Export-group instruments are partition-independent.
   obs_stage_depth_ =
       metrics_->histogram("bgp_pipeline_stage_depth", labels);
   obs_flush_batch_ = metrics_->histogram("bgp_mrai_flush_batch", labels);
@@ -299,7 +289,6 @@ PeerId BgpSpeaker::add_peer(PeerConfig config) {
   PeerId id = next_peer_id_++;
   auto session = std::make_unique<Session>();
   session->config = std::move(config);
-  session->adj_in = AdjRibIn(pmap_);
   obs::Labels labels{{"speaker", name_}, {"peer", session->config.name}};
   session->obs_updates_in =
       metrics_->counter("bgp_peer_updates_in_total", labels);
@@ -636,96 +625,55 @@ void BgpSpeaker::stage_update(PeerId peer, const UpdateMessage& update) {
 
 void BgpSpeaker::stage_route(PeerId from, const NlriEntry& entry,
                              AttrsPtr attrs) {
-  // Pre-policy route monitoring: stage 1 is serial and runs in arrival
-  // order, so this mirror is canonical at any partition count.
+  // Pre-policy route monitoring, in arrival order.
   if (monitor_) monitor_->on_route_pre_policy(from, entry, attrs);
-  stage_in_[pmap_.of(entry.prefix)].push_back(
-      RouteWork{from, entry, std::move(attrs)});
-  ++stage_pending_;
+  stage_in_.push_back(RouteWork{from, entry, std::move(attrs)});
 }
 
 void BgpSpeaker::drain_pipeline() {
-  if (stage_pending_ == 0 || in_pipeline_) return;
+  if (stage_in_.empty() || in_pipeline_) return;
   in_pipeline_ = true;
-  obs_stage_depth_->record(stage_pending_);
-  const std::uint32_t n = pmap_.partitions();
-  // Seeded visit order: deterministic per (seed, epoch), and deliberately
-  // not ascending so nothing comes to depend on partition index order.
-  auto order =
-      exec::seeded_order(n, exec::mix64(pipeline_.seed ^ ++pipeline_epoch_));
-
+  obs_stage_depth_->record(stage_in_.size());
   {
     obs::Span span(decision_span_, nullptr);  // wall-clock decision latency
-    // Decision stage. Parallel only when a worker pool exists and any
-    // installed import hook is declared thread-safe.
-    const bool parallel = scheduler_ != nullptr &&
-                          (!import_hook_ || import_hook_thread_safe_) && n > 1;
-    if (parallel) {
-      scheduler_->parallel_for(
-          n, [this](std::size_t p) {
-            process_partition(static_cast<std::uint32_t>(p));
-          });
-    } else {
-      for (std::uint32_t p : order) process_partition(p);
+    for (RouteWork& w : stage_in_) {
+      if (w.attrs) {
+        decide_import(w);
+      } else {
+        decide_withdraw(w.from, w.entry);
+      }
     }
+    stage_in_.clear();
   }
-  stage_pending_ = 0;
 
-  // Serial effect application in the seeded partition order: per-peer
-  // stats, route events, export fan-out. Totals are order-independent;
-  // the fixed order keeps event sequences reproducible.
-  for (std::uint32_t p : order) {
-    PartitionOut& out = stage_out_[p];
-    for (PeerId rejected : out.rejects)
-      ++sessions_.at(rejected)->stats.routes_rejected_import;
-    for (RouteEffect& effect : out.effects) {
-      if (route_event_) route_event_(effect.route, effect.withdrawn);
-      fan_out_export(effect.route.prefix, effect.route.peer);
-      if (monitor_) monitor_batch_.push_back(&effect);
-    }
-    out.rejects.clear();
-    // With a monitor attached the effects stay put until the tap pass
-    // below has walked them; the batch holds bare pointers so attaching a
-    // monitor costs pointer sorting, not RouteEffect (attrs refcount)
-    // copies, in the hot path.
-    if (!monitor_) out.effects.clear();
+  // Effect application: per-peer stats, route events, export fan-out.
+  for (PeerId rejected : stage_out_.rejects)
+    ++sessions_.at(rejected)->stats.routes_rejected_import;
+  stage_out_.rejects.clear();
+  for (RouteEffect& effect : stage_out_.effects) {
+    if (route_event_) route_event_(effect.route, effect.withdrawn);
+    fan_out_export(effect.route.prefix, effect.route.peer);
+    // The batch holds bare pointers so attaching a monitor costs pointer
+    // sorting, not RouteEffect (attrs refcount) copies, in the hot path.
+    if (monitor_) monitor_batch_.push_back(&effect);
   }
-  // Post-policy route monitoring: the seeded visit order above depends on
-  // the partition count, so the tap sees the batch stable-sorted by prefix
-  // instead — all effects for one prefix live in one partition FIFO, which
-  // makes (prefix, then arrival) a canonical order at any partition count.
-  if (monitor_) {
-    if (!monitor_batch_.empty()) {
-      std::stable_sort(monitor_batch_.begin(), monitor_batch_.end(),
-                       [](const RouteEffect* a, const RouteEffect* b) {
-                         return a->route.prefix < b->route.prefix;
-                       });
-      for (const RouteEffect* effect : monitor_batch_)
-        monitor_->on_route_post_policy(effect->route, effect->withdrawn);
-      monitor_batch_.clear();
-    }
-    for (std::uint32_t p : order) stage_out_[p].effects.clear();
+  // Post-policy route monitoring: the tap sees the drain stable-sorted by
+  // prefix, arrival order within a prefix.
+  if (monitor_ && !monitor_batch_.empty()) {
+    std::stable_sort(monitor_batch_.begin(), monitor_batch_.end(),
+                     [](const RouteEffect* a, const RouteEffect* b) {
+                       return a->route.prefix < b->route.prefix;
+                     });
+    for (const RouteEffect* effect : monitor_batch_)
+      monitor_->on_route_post_policy(effect->route, effect->withdrawn);
   }
+  monitor_batch_.clear();
+  stage_out_.effects.clear();
   obs_pipeline_runs_->inc();
   in_pipeline_ = false;
 }
 
-void BgpSpeaker::process_partition(std::uint32_t part) {
-  auto& work = stage_in_[part];
-  PartitionOut& out = stage_out_[part];
-  for (RouteWork& w : work) {
-    if (w.attrs) {
-      decide_import(part, w, out);
-    } else {
-      decide_withdraw(w.from, w.entry, out);
-    }
-  }
-  work.clear();
-}
-
-void BgpSpeaker::decide_import(std::uint32_t part, RouteWork& work,
-                               PartitionOut& out) {
-  (void)part;
+void BgpSpeaker::decide_import(RouteWork& work) {
   PeerId from = work.from;
   Session& s = *sessions_.at(from);
   const bool ibgp = s.config.peer_asn == asn_;
@@ -733,15 +681,15 @@ void BgpSpeaker::decide_import(std::uint32_t part, RouteWork& work,
   // eBGP loop detection: drop routes carrying our own ASN.
   if (!ibgp && !s.config.allow_own_asn_in &&
       work.attrs->as_path.contains(asn_)) {
-    out.rejects.push_back(from);
+    stage_out_.rejects.push_back(from);
     return;
   }
 
   AttrBuilder builder(work.attrs);
   if (!s.config.import_policy.apply(work.entry.prefix, builder)) {
-    out.rejects.push_back(from);
+    stage_out_.rejects.push_back(from);
     // An implicit withdraw may be needed if a previous version was accepted.
-    decide_withdraw(from, work.entry, out);
+    decide_withdraw(from, work.entry);
     return;
   }
   // Hand the hook an uninterned candidate and intern only its final answer:
@@ -751,8 +699,8 @@ void BgpSpeaker::decide_import(std::uint32_t part, RouteWork& work,
   if (import_hook_) {
     auto hooked = import_hook_(from, work.entry, builder.release());
     if (!hooked) {
-      out.rejects.push_back(from);
-      decide_withdraw(from, work.entry, out);
+      stage_out_.rejects.push_back(from);
+      decide_withdraw(from, work.entry);
       return;
     }
     working = attr_pool_.adopt(*hooked);
@@ -768,16 +716,17 @@ void BgpSpeaker::decide_import(std::uint32_t part, RouteWork& work,
 
   if (!s.adj_in.update(route)) return;  // no change
   loc_rib_.update(route);
-  out.effects.push_back(RouteEffect{std::move(route), /*withdrawn=*/false});
+  stage_out_.effects.push_back(
+      RouteEffect{std::move(route), /*withdrawn=*/false});
 }
 
-void BgpSpeaker::decide_withdraw(PeerId from, const NlriEntry& entry,
-                                 PartitionOut& out) {
+void BgpSpeaker::decide_withdraw(PeerId from, const NlriEntry& entry) {
   Session& s = *sessions_.at(from);
   auto removed = s.adj_in.withdraw(entry.prefix, entry.path_id);
   if (!removed) return;
   loc_rib_.withdraw(entry.prefix, from, entry.path_id);
-  out.effects.push_back(RouteEffect{std::move(*removed), /*withdrawn=*/true});
+  stage_out_.effects.push_back(
+      RouteEffect{std::move(*removed), /*withdrawn=*/true});
 }
 
 void BgpSpeaker::originate(const Ipv4Prefix& prefix, PathAttributes attrs) {
@@ -868,7 +817,7 @@ bool BgpSpeaker::standard_export_transform(PeerId to, const RibRoute& route,
 std::uint64_t BgpSpeaker::export_fingerprint(PeerId peer) const {
   const Session& s = *sessions_.at(peer);
   std::uint64_t h = 0x5ee71a6e0bull;
-  auto mix = [&](std::uint64_t v) { h = exec::mix64(h ^ v); };
+  auto mix = [&](std::uint64_t v) { h = mix64(h ^ v); };
   // Grouping off: every session fingerprints to itself (singleton groups
   // running the identical machinery — the differential's escape hatch).
   if (!pipeline_.group_exports) mix(peer);
@@ -926,7 +875,7 @@ void BgpSpeaker::join_group(PeerId peer) {
       group = &candidate;
       break;
     }
-    key = exec::mix64(key + 1);
+    key = mix64(key + 1);
   }
   if (group == nullptr) {
     auto owned = std::make_unique<ExportGroup>();
@@ -1019,10 +968,8 @@ void BgpSpeaker::trim_group_log(ExportGroup& group) {
   }
 }
 
-void BgpSpeaker::set_export_hook(ExportHook hook, bool thread_safe,
-                                 bool memo_safe) {
+void BgpSpeaker::set_export_hook(ExportHook hook, bool memo_safe) {
   export_hook_ = std::move(hook);
-  export_hook_thread_safe_ = thread_safe;
   export_hook_memo_safe_ = memo_safe;
   // Hook presence changes fingerprints (opaque peers become singletons)
   // and memo eligibility; memoized results may embed old hook output.
@@ -1045,11 +992,6 @@ void BgpSpeaker::set_source_export_hook(std::uint64_t export_class,
 }
 
 void BgpSpeaker::invalidate_export_memos() { clear_group_memos(); }
-
-void BgpSpeaker::set_export_filter(ExportFilterHook hook, bool thread_safe) {
-  export_filter_ = std::move(hook);
-  export_filter_thread_safe_ = thread_safe;
-}
 
 void BgpSpeaker::set_peer_export_class(PeerId peer,
                                        std::uint64_t export_class) {
@@ -1223,7 +1165,7 @@ void BgpSpeaker::schedule_flush(PeerId to, bool immediate) {
   auto [it, inserted] = flush_batches_.try_emplace(at);
   it->second.push_back(to);
   // One drain event per distinct flush instant: every peer due then shares
-  // the event — and the encode stage's parallel fan-out.
+  // the event, and members of one subgroup share an encode.
   if (inserted)
     loop_->schedule_at(at, [this, at]() { drain_flush_batch(at); });
 }
@@ -1237,9 +1179,9 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   std::sort(peers.begin(), peers.end());
   peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
 
-  // Serial plan: decide which members are due and which prefixes each must
+  // Plan: decide which members are due and which prefixes each must
   // diff (its window), consuming cursors and needs_full flags now so the
-  // parallel phases below only read group state. Equal windows of one
+  // phases below only read group state. Equal windows of one
   // group are stored once: members consuming the same log range share the
   // list, which is what lets them share an encode below.
   std::vector<PeerId> due;
@@ -1386,11 +1328,8 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   }
 
   // Phase A — group evaluation: transform + policy + export hook run once
-  // per (group, prefix), producing the shared advert templates. Groups
-  // touch disjoint state (their own memo) and the attr pool is
-  // concurrent-safe, so groups fan out across the worker pool (unless a
-  // non-thread-safe export hook is installed). Ascending group id is the
-  // deterministic serial order.
+  // per (group, prefix), in ascending group id, producing the shared advert
+  // templates.
   std::vector<std::uint64_t> gids;
   std::vector<GroupEval> gevals(group_prefixes.size());
   std::unordered_map<std::uint64_t, std::size_t> gindex;
@@ -1399,7 +1338,7 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
     gindex.emplace(gid, gids.size());
     gids.push_back(gid);
   }
-  auto eval_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < gids.size(); ++i) {
     ExportGroup& group = *groups_.at(gids[i]);
     GroupEval& eval = gevals[i];
     const std::vector<Ipv4Prefix>& order = group_prefixes.at(gids[i]);
@@ -1410,24 +1349,16 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
       eval.spans.emplace_back(
           before, static_cast<std::uint32_t>(eval.adverts.size()) - before);
     }
-  };
-  const bool eval_parallel = scheduler_ != nullptr && gids.size() > 1 &&
-                             (!export_hook_ || export_hook_thread_safe_);
-  if (eval_parallel) {
-    scheduler_->parallel_for(gids.size(), eval_one);
-  } else {
-    for (std::size_t i = 0; i < gids.size(); ++i) eval_one(i);
   }
 
-  // Serial pre-encode: resolve each advert's wire template once per group
-  // through the encode cache, ascending group id — the deterministic order
-  // the pool's hit/miss counters accrue in. Phase B then splices from the
-  // resolved cache storage (stable: entries are node-based and never swept
-  // mid-drain) without touching the pool, so per-member cache crediting is
-  // deterministic under the parallel encode fan-out: a member's send is a
-  // cache hit by construction once its template is warm. Adverts always
-  // carry pool-interned sets (adopt/commit guarantee it), so encoded()
-  // never falls back to its scratch buffer here.
+  // Pre-encode warm-up: resolve each advert's wire template once per group
+  // through the encode cache, ascending group id — the order the pool's
+  // hit/miss counters accrue in. Phase B then splices from the resolved
+  // cache storage (stable: entries are node-based and never swept
+  // mid-drain) without touching the pool, so a member's send is a cache
+  // hit by construction once its template is warm, whichever class sends
+  // first. Adverts always carry pool-interned sets (adopt/commit guarantee
+  // it), so encoded() never falls back to its scratch buffer here.
   if (attr_pool_.encode_cache_enabled()) {
     for (std::size_t i = 0; i < gids.size(); ++i) {
       ExportGroup& group = *groups_.at(gids[i]);
@@ -1443,11 +1374,8 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   // their include decisions and next-hop, then diff the class's table
   // against the group evaluation, assemble the wire from the pre-encoded
   // templates and splice the next-hop. A class that writes a table other
-  // sessions still reference takes a private copy first. Tasks touch
-  // disjoint tables, so they fan out across the worker pool — unless a
-  // non-thread-safe export filter is installed, or the encode cache is off
-  // (classes then serialize through the pool's shared scratch buffer).
-  // Serial order is the task order above.
+  // sessions still reference takes a private copy first. Tasks run in the
+  // task order above.
   // results[i] is filled for class leaders; result_of[i] names the leader
   // whose result member i sends.
   std::vector<EncodeResult> results(due.size());
@@ -1479,8 +1407,8 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
     if (members.size() > 1)
       obs_member_encodes_shared_->add(members.size() - 1);
   };
-  auto encode_task = [&](std::size_t t) {
-    EncodeTask& task = tasks[t];
+  obs::Span encode_span(encode_span_, nullptr);  // wall-clock encode latency
+  for (EncodeTask& task : tasks) {
     for (std::size_t u = task.begin; u < task.end;) {
       const std::size_t w = due_window[by_task[u]];
       std::size_t u_end = u + 1;
@@ -1501,21 +1429,10 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
       }
       u = u_end;
     }
-  };
-  const bool encode_parallel =
-      scheduler_ != nullptr && tasks.size() > 1 &&
-      attr_pool_.encode_cache_enabled() &&
-      (!export_filter_ || export_filter_thread_safe_);
-  {
-    obs::Span span(encode_span_, nullptr);  // wall-clock encode latency
-    if (encode_parallel) {
-      scheduler_->parallel_for(tasks.size(), encode_task);
-    } else {
-      for (std::size_t t = 0; t < tasks.size(); ++t) encode_task(t);
-    }
   }
+  encode_span.finish();
 
-  // Phase C — serial transmit + stats, ascending peer order: one coalesced
+  // Phase C — transmit + stats, ascending peer order: one coalesced
   // stream send per peer (the decoder reassembles message-by-message).
   // Members of one class send the same bytes and take the same stat
   // deltas, as each would have from its own encode.
@@ -1731,7 +1648,7 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
       if (stream_open) {
         nlri.assign(1, {id, prefix});
         if (advert->wire != nullptr) {
-          // Pre-encoded by the serial warm-up pass: this member's send is
+          // Pre-encoded by the warm-up pass: this member's send is
           // a cache hit by construction.
           ++r.cache_hits;
           encode_update_spliced_into(
@@ -1884,8 +1801,7 @@ void BgpSpeaker::session_down(PeerId peer, const std::string& reason) {
     loc_rib_.withdraw(route.prefix, peer, route.path_id);
     affected.insert(route.prefix);
     if (route_event_) route_event_(route, /*withdrawn=*/true);
-    // adj_in.clear() returns routes merged back into global prefix order,
-    // so this direct emission is canonical at any partition count.
+    // adj_in.clear() returns routes in (prefix, path id) order.
     if (monitor_) monitor_->on_route_post_policy(route, /*withdrawn=*/true);
   }
   for (const auto& prefix : affected) fan_out_export(prefix, peer);
@@ -1931,10 +1847,6 @@ void BgpSpeaker::publish_metrics(obs::Registry& registry) const {
       ->set(i64(loc_rib_.prefix_count()));
   registry.gauge("bgp_locrib_paths", labels)->set(i64(loc_rib_.route_count()));
   registry.gauge("bgp_memory_bytes", labels)->set(i64(memory_bytes()));
-  registry.gauge("bgp_pipeline_partitions", labels)
-      ->set(static_cast<std::int64_t>(pmap_.partitions()));
-  registry.gauge("bgp_pipeline_workers", labels)
-      ->set(static_cast<std::int64_t>(pipeline_.workers));
   registry.gauge("bgp_export_group_count", labels)
       ->set(static_cast<std::int64_t>(groups_.size()));
   // Adj-RIB-Out size and sharing: a subgroup's table counts once, however

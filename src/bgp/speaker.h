@@ -4,31 +4,26 @@
 // export with MRAI batching, and hook points at import/export where vBGP
 // interposes (next-hop rewriting, security enforcement).
 //
-// This is the role BIRD plays in the authors' deployment. Unlike BIRD, the
-// route-processing core is organized as a three-stage pipeline over an
-// N-way prefix-hash partitioning of the RIBs (the Contrail control-node
-// decomposition):
+// This is the role BIRD plays in the authors' deployment, and like BIRD the
+// speaker is single-threaded. Route processing is split into serial stages
+// (the Contrail control-node decomposition, run on one thread):
 //
-//   stage 1, input decode  — the message path parses UPDATEs and stages
-//       RouteWork items into per-partition queues (serial, cheap);
-//   stage 2, decision      — per partition: loop check, import policy,
-//       import hook, interning, Adj-RIB-In + Loc-RIB update. Partitions
-//       touch disjoint RIB shards, so this stage fans out across a
-//       exec::Scheduler worker pool;
-//   stage 3, update encode — peers due for an MRAI flush at the same
-//       instant are drained as one batch; Adj-RIB-Out diffing and wire
-//       encoding (through the AttrPool encode cache) run once per class of
-//       members sharing one Adj-RIB-Out (an export subgroup), in parallel
-//       across tables; transmission stays serial and per member.
+//   decode        — the message path parses UPDATEs, interns attributes
+//       once per UPDATE and stages one RouteWork item per NLRI;
+//   decision      — loop check, import policy, import hook, interning,
+//       Adj-RIB-In + Loc-RIB update, one staged item at a time;
+//   effect apply  — route events, export fan-out into the group delta logs;
+//   group eval    — peers due for an MRAI flush at the same instant drain
+//       as one batch: transform + policy + export hook once per (export
+//       group, prefix);
+//   member classify — split horizon and the export filter per member,
+//       members with identical results form one encode class;
+//   encode        — Adj-RIB-Out diff and wire encode (through the AttrPool
+//       encode cache) once per class;
+//   transmit      — per member, ascending peer order.
 //
-// Determinism contract: the pipeline runs to completion inside the
-// sim::EventLoop event that produced the work (the barrier is event
-// granularity — staged work never spans events), route effects are applied
-// in a seeded partition visit order, RIB iteration merges shards back into
-// global prefix order, and per-prefix candidate order is partition-local
-// FIFO. With workers == 0 (deterministic mode, the default) every stage
-// runs inline on the event-loop thread and a run is byte-identical to the
-// same seed at any partition count.
+// Staged work never outlives the sim::EventLoop event that produced it:
+// the message path drains it before the delivery event returns.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +41,6 @@
 #include "bgp/message.h"
 #include "bgp/policy.h"
 #include "bgp/rib.h"
-#include "exec/partition.h"
-#include "exec/scheduler.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/event_loop.h"
@@ -70,17 +63,8 @@ const char* session_state_name(SessionState state);
 /// Pseudo peer id for locally originated routes.
 constexpr PeerId kLocalRoutes = 0;
 
-/// Concurrency shape of one speaker. The default (1 partition, 0 workers)
-/// is the fully serial, deterministic configuration every existing test and
-/// the fault-injection differential reference run under.
+/// Export-path shape of one speaker.
 struct PipelineConfig {
-  /// RIB shards / decision-stage parallelism. Must be >= 1.
-  std::uint32_t partitions = 1;
-  /// Worker threads in the exec::Scheduler. 0 = no threads: all stages run
-  /// inline on the event-loop thread in deterministic order.
-  std::uint32_t workers = 0;
-  /// Seed for the deterministic-mode partition visit order.
-  std::uint64_t seed = 0x9ee71a6ull;
   /// Bound on each export group's pending-export delta log; a member whose
   /// cursor falls off the trimmed end falls back to a full-table
   /// reevaluation at its next flush.
@@ -93,19 +77,15 @@ struct PipelineConfig {
   /// hatch the grouped-vs-ungrouped differential drives. Both settings run
   /// the same machinery and must stay byte-identical on the wire.
   bool group_exports = true;
-
-  bool deterministic() const { return workers == 0; }
 };
 
 /// Passive monitoring tap, BMP-flavored (RFC 7854): the monitoring plane
 /// (src/mon) implements this and attaches with BgpSpeaker::set_monitor.
-/// Declared here so bgp does not depend on mon. The speaker guarantees a
-/// canonical callback order independent of the pipeline's partition count:
-///  * on_route_pre_policy fires in arrival order (stage 1 is serial);
-///  * on_route_post_policy fires once per drain, stable-sorted by prefix —
-///    all effects for one prefix live in one partition FIFO, so the
-///    within-prefix order is arrival order at any partition count;
-///  * on_peer_state fires at every FSM transition, serially.
+/// Declared here so bgp does not depend on mon. Callback order:
+///  * on_route_pre_policy fires in arrival order, at decode;
+///  * on_route_post_policy fires once per drain, stable-sorted by prefix
+///    (within one prefix: arrival order);
+///  * on_peer_state fires at every FSM transition.
 /// A tap must not mutate the speaker from inside a callback.
 class MonitorTap {
  public:
@@ -208,9 +188,8 @@ class BgpSpeaker {
       PeerId to, PeerId origin, const PathAttributes& source_attrs)>;
 
   /// Route event: fired when the post-import route set changes (install or
-  /// withdraw). vBGP synchronizes per-neighbor FIBs from this. Always
-  /// invoked from the event-loop thread (post-barrier), in seeded partition
-  /// order, never from a worker.
+  /// withdraw). vBGP synchronizes per-neighbor FIBs from this, in the order
+  /// the decision stage produced the changes.
   using RouteEventHandler =
       std::function<void(const RibRoute& route, bool withdrawn)>;
 
@@ -267,9 +246,9 @@ class BgpSpeaker {
 
   /// Stages an UPDATE as if it had arrived (already decoded) on `peer`'s
   /// established session, without the wire framing. Work accumulates until
-  /// drain_pipeline() — callers batching many injected UPDATEs into one
-  /// "event" (as a coalesced TCP segment would) maximize decision-stage
-  /// parallelism. No-op unless the session is Established.
+  /// drain_pipeline(), so callers can batch many injected UPDATEs into one
+  /// "event", as a coalesced TCP segment would. No-op unless the session
+  /// is Established.
   void inject_update(PeerId peer, const UpdateMessage& update);
 
   /// Runs the decision stage over all staged work and applies its effects.
@@ -277,27 +256,21 @@ class BgpSpeaker {
   /// granularity by the message path; public for inject_update() users.
   void drain_pipeline();
 
-  /// `thread_safe` promises the hook may be invoked concurrently from
-  /// decision-stage workers; otherwise that stage degrades to serial while
-  /// the hook is installed (the hook itself still only ever runs on one
-  /// route at a time per partition).
-  void set_import_hook(ImportHook hook, bool thread_safe = false) {
-    import_hook_ = std::move(hook);
-    import_hook_thread_safe_ = thread_safe;
-  }
+  void set_import_hook(ImportHook hook) { import_hook_ = std::move(hook); }
   /// `memo_safe` declares the hook a pure function of (route.attrs,
   /// route.peer, export class) *given* the external state it reads — the
   /// owner must call invalidate_export_memos() whenever that state changes
   /// (vBGP does on neighbor-registry mutations). Memo-safe hooks keep the
   /// per-group evaluation memo enabled; opaque hooks disable it.
-  void set_export_hook(ExportHook hook, bool thread_safe = false,
-                       bool memo_safe = false);
+  void set_export_hook(ExportHook hook, bool memo_safe = false);
   /// Installs a source-driven hook for one export class (must be nonzero);
   /// groups of that class use it instead of the general export hook. Pass
   /// an empty function to unregister.
   void set_source_export_hook(std::uint64_t export_class,
                               SourceExportHook hook);
-  void set_export_filter(ExportFilterHook hook, bool thread_safe = false);
+  void set_export_filter(ExportFilterHook hook) {
+    export_filter_ = std::move(hook);
+  }
   /// Drops every group's export-evaluation memo. Required from owners of
   /// memo-safe export hooks when hook-visible external state changes.
   void invalidate_export_memos();
@@ -352,7 +325,7 @@ class BgpSpeaker {
 
   /// One advertised path in a peer's Adj-RIB-Out, with the next-hop the
   /// peer actually sees (the splice placeholder resolved). Ordered by
-  /// (prefix, local path id) — deterministic at any partition count.
+  /// (prefix, local path id).
   struct AdjOutEntry {
     Ipv4Prefix prefix;
     std::uint32_t local_id = 0;
@@ -416,29 +389,29 @@ class BgpSpeaker {
     std::vector<GroupAdvert> adverts;
   };
 
-  /// Stage-1 output: one staged route change. Null attrs = withdraw.
+  /// Decode-stage output: one staged route change. Null attrs = withdraw.
   struct RouteWork {
     PeerId from = 0;
     NlriEntry entry;
     AttrsPtr attrs;
   };
 
-  /// Stage-2 output: a post-import route-set change awaiting serial effect
+  /// Decision-stage output: a post-import route-set change awaiting effect
   /// application (route event + export fan-out).
   struct RouteEffect {
     RibRoute route;
     bool withdrawn = false;
   };
 
-  struct PartitionOut {
+  struct DecisionOut {
     std::vector<RouteEffect> effects;
     /// One entry per rejected route, naming the session it arrived on.
     std::vector<PeerId> rejects;
   };
 
-  /// Stage-3 output for one encode class (the members of a subgroup whose
-  /// results are identical): concatenated wire messages plus the stat
-  /// deltas each member applies serially. The cache and splice counts
+  /// Encode-stage output for one encode class (the members of a subgroup
+  /// whose results are identical): concatenated wire messages plus the stat
+  /// deltas each member applies at transmit. The cache and splice counts
   /// describe one member's send; members without an open stream skip them.
   struct EncodeResult {
     Bytes wire;
@@ -477,17 +450,14 @@ class BgpSpeaker {
   void schedule_hold_check(PeerId peer, std::uint64_t gen);
   void arm_keepalive_timer(PeerId peer);
 
-  /// Stage 1: appends one route change to its partition's work queue.
+  /// Decode stage: appends one route change to the staged work.
   void stage_route(PeerId from, const NlriEntry& entry, AttrsPtr attrs);
   /// Stages all of `update`'s withdrawals and announcements.
   void stage_update(PeerId peer, const UpdateMessage& update);
 
-  /// Stage 2 for one partition: runs decision-process work against that
-  /// partition's RIB shards only. Safe to call concurrently for distinct
-  /// partitions.
-  void process_partition(std::uint32_t part);
-  void decide_import(std::uint32_t part, RouteWork& work, PartitionOut& out);
-  void decide_withdraw(PeerId from, const NlriEntry& entry, PartitionOut& out);
+  /// Decision stage, one staged item: RIB updates, effects into stage_out_.
+  void decide_import(RouteWork& work);
+  void decide_withdraw(PeerId from, const NlriEntry& entry);
 
   /// Appends (prefix, origin) to every group's delta log and schedules a
   /// flush for members other than `origin` (split horizon records the
@@ -499,9 +469,9 @@ class BgpSpeaker {
   /// True when the member has undrained export work (a full resync due, or
   /// group delta-log entries past its cursor from another origin).
   bool member_has_pending(PeerId peer) const;
-  /// Stage-3 event: drains every peer whose flush came due at `at` —
-  /// group evaluation fans out over groups, member encode over members,
-  /// transmit stays serial in ascending peer order.
+  /// Flush event: drains every peer whose flush came due at `at` — group
+  /// evaluation once per group, encode once per class, transmit per member
+  /// in ascending peer order.
   void drain_flush_batch(SimTime at);
   /// Sends the full table to a newly established peer.
   void send_initial_table(PeerId to);
@@ -524,8 +494,7 @@ class BgpSpeaker {
   /// and encodes the delta through the AttrPool encode cache, splicing the
   /// next-hop into the cached template. `to` is the class leader; `keep`
   /// holds the class's include decisions (null: decide inline for `to`).
-  /// Writes only through `out`; safe to run concurrently for distinct
-  /// tables.
+  /// Writes only through `out`.
   EncodeResult encode_member(PeerId to, OutWriter& out,
                              const std::vector<std::uint8_t>* keep,
                              bool stream_open,
@@ -569,8 +538,6 @@ class BgpSpeaker {
   Asn asn_;
   Ipv4Address router_id_;
   PipelineConfig pipeline_;
-  exec::PartitionMap pmap_;
-  std::unique_ptr<exec::Scheduler> scheduler_;
 
   std::map<PeerId, std::unique_ptr<Session>> sessions_;
   PeerId next_peer_id_ = 1;
@@ -579,19 +546,17 @@ class BgpSpeaker {
   LocRib loc_rib_;
   std::map<Ipv4Prefix, AttrsPtr> originated_;
 
-  /// Stage-1 -> stage-2 handoff, one queue per partition. Non-empty only
-  /// while the event that staged the work is still executing.
-  std::vector<std::vector<RouteWork>> stage_in_;
-  std::vector<PartitionOut> stage_out_;
-  std::size_t stage_pending_ = 0;
+  /// Decode -> decision handoff. Non-empty only while the event that
+  /// staged the work is still executing.
+  std::vector<RouteWork> stage_in_;
+  DecisionOut stage_out_;
   bool in_pipeline_ = false;
-  std::uint64_t pipeline_epoch_ = 0;
 
-  /// Stage-3 batches: peers whose pending exports come due at the same
-  /// instant share one drain event (and one parallel encode fan-out).
+  /// Flush batches: peers whose pending exports come due at the same
+  /// instant share one drain event.
   std::map<SimTime, std::vector<PeerId>> flush_batches_;
 
-  /// Export groups by id (ascending — the deterministic Phase-A order) and
+  /// Export groups by id (ascending — the group-evaluation order) and
   /// the fingerprint-key index into them.
   std::map<std::uint64_t, std::unique_ptr<ExportGroup>> groups_;
   std::unordered_map<std::uint64_t, std::uint64_t> group_by_key_;
@@ -601,16 +566,12 @@ class BgpSpeaker {
   ExportHook export_hook_;
   std::unordered_map<std::uint64_t, SourceExportHook> source_export_hooks_;
   ExportFilterHook export_filter_;
-  bool import_hook_thread_safe_ = false;
-  bool export_hook_thread_safe_ = false;
   bool export_hook_memo_safe_ = false;
-  bool export_filter_thread_safe_ = false;
   RouteEventHandler route_event_;
   SessionEventHandler session_event_;
   MonitorTap* monitor_ = nullptr;
   /// Post-policy effects buffered during a drain, stable-sorted by prefix
-  /// before the tap sees them (the canonical, partition-count-independent
-  /// stream order). Pointers into stage_out_ effect vectors, which are
+  /// before the tap sees them. Pointers into stage_out_.effects, which is
   /// kept alive through the tap pass.
   std::vector<const RouteEffect*> monitor_batch_;
 
@@ -629,12 +590,10 @@ class BgpSpeaker {
   obs::Counter* obs_group_splices_;
   obs::Histogram* obs_group_members_;
   obs::Counter* obs_transitions_[4];  // indexed by SessionState
-  /// Pipeline interior (names carry the bgp_pipeline_ prefix: they depend
-  /// on the partition configuration, and determinism fingerprints exclude
-  /// that prefix). Depth is sampled at drain entry; stage latencies are
-  /// wall-only spans.
+  /// Pipeline interior: staged items per drain (sampled at drain entry);
+  /// the bgp_pipeline_ stage latencies are wall-only spans.
   obs::Histogram* obs_stage_depth_;
-  /// Export-group interior (partition-independent: plain names).
+  /// Export-group interior.
   obs::Histogram* obs_flush_batch_;
   obs::Histogram* obs_group_log_depth_;
   obs::Counter* obs_resync_initial_;

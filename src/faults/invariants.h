@@ -81,8 +81,7 @@ class InvariantChecker {
 
   /// Differential Loc-RIB check: every candidate (and every best path) of
   /// `got`'s Loc-RIB must match `want`'s, attribute content included. Both
-  /// visits emit in ascending prefix order regardless of shard count, so
-  /// this also holds across pipeline shapes. The internet-scale soak uses
+  /// visits emit in ascending prefix order. The internet-scale soak uses
   /// it to prove the post-churn table equals a fresh-converged reference.
   static void diff_locrib(const bgp::BgpSpeaker& got,
                           const bgp::BgpSpeaker& want,

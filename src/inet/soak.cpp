@@ -75,7 +75,6 @@ void SoakHarness::build() {
     rc.pop_id = config_.pops[i];
     rc.router_id = Ipv4Address(10, 255, static_cast<std::uint8_t>(i + 1), 1);
     rc.router_seed = static_cast<std::uint32_t>(i + 1);
-    rc.pipeline = config_.pipeline;
     routers_.push_back(std::make_unique<vbgp::VRouter>(&loop_, rc));
   }
 

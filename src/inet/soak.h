@@ -15,13 +15,13 @@
 //    faults::InvariantChecker::diff_locrib that the churned world converged
 //    back to exactly the fresh-converged table (the schedule is closed —
 //    see inet::generate_churn_schedule);
-//  * the determinism test runs the same world at pipeline shapes {1,0} and
-//    {4,4} and compares Loc-RIB fingerprints, monitor-stream hashes, fault
-//    schedules, and churn logs byte for byte.
+//  * the determinism test runs the same world twice from the same seed and
+//    compares Loc-RIB fingerprints, monitor-stream hashes, fault schedules,
+//    and churn logs byte for byte.
 //
 // Scale notes: the harness never renders the full table as text. Loc-RIB
 // fingerprints are streaming FNV-1a over canonical attribute encodings in
-// ascending prefix order (shard-count independent, see bgp::LocRib), and
+// ascending prefix order (see bgp::LocRib), and
 // monitor fingerprints hash each session's bounded binary stream.
 #pragma once
 
@@ -48,8 +48,6 @@ struct SoakConfig {
   std::vector<std::string> pops;
   inet::FullTableConfig table;
   inet::ChurnScheduleConfig churn;
-  /// Pipeline shape of every router's embedded speaker.
-  bgp::PipelineConfig pipeline;
   /// MRAI armed on every backbone iBGP session (both ends) — the batching
   /// knob the soak's flush-efficiency gate measures.
   Duration backbone_mrai = Duration::millis(200);

@@ -72,37 +72,24 @@ FibSet::FibSet() {
 // Slots
 // ---------------------------------------------------------------------------
 
-std::uint32_t FibSet::Slots::set(ViewId view, std::uint32_t id,
-                                 RetiredArrays& retired) {
-  Slot* cur = ids_.load(std::memory_order_relaxed);
-  std::uint32_t cap = cur == nullptr ? 0 : cap_of(cur);
-  std::uint32_t count = cur == nullptr ? 0 : header(cur) >> 16;
+std::uint32_t FibSet::Slots::set(ViewId view, std::uint32_t id) {
+  const std::uint32_t cap = capacity();
   if (view >= cap) {
     if (id == 0) return 0;  // clearing an absent slot: nothing to do
     std::uint32_t new_cap = cap != 0 ? cap : 2;
     while (new_cap <= view) new_cap *= 2;
-    // The header word [0] carries the capacity so readers pair a pointer
-    // with its bound through one acquire load; slots live at [1..new_cap].
-    auto grown = std::make_unique<Slot[]>(new_cap + 1);  // value-init: zeroed
-    grown[0].store((new_cap - 1) | (count << 16), std::memory_order_relaxed);
-    for (std::uint32_t v = 0; v < cap; ++v) {
-      grown[1 + v].store(cur[1 + v].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    }
-    ids_.store(grown.release(), std::memory_order_release);
-    if (cur != nullptr) retired.emplace_back(cur);
-    cur = ids_.load(std::memory_order_relaxed);
+    // Header word [0], slots at [1..new_cap]; value-init zeroes them.
+    auto grown = std::make_unique<std::uint32_t[]>(new_cap + 1);
+    grown[0] = (new_cap - 1) | (ids_ ? ids_[0] & 0xFFFF0000u : 0);
+    if (ids_) std::copy(&ids_[1], &ids_[1] + cap, &grown[1]);
+    ids_ = std::move(grown);
   }
-  std::uint32_t prev = cur[1 + view].load(std::memory_order_relaxed);
-  // Release so a reader that observes the new id also observes the pool
-  // entry it names (interned before the slot write).
-  cur[1 + view].store(id, std::memory_order_release);
+  const std::uint32_t prev = ids_[1 + view];
+  ids_[1 + view] = id;
   if (prev == 0 && id != 0)
-    ++count;
+    ids_[0] += 1u << 16;
   else if (prev != 0 && id == 0)
-    --count;
-  cur[0].store((header(cur) & 0xFFFFu) | (count << 16),
-               std::memory_order_relaxed);
+    ids_[0] -= 1u << 16;
   return prev;
 }
 
@@ -181,7 +168,7 @@ bool FibSet::insert(ViewId view, const Route& route) {
       intern(Payload{route.next_hop, route.interface, route.metric});
   const bool joins_union = node->payload.empty();
   std::uint32_t cap_before = node->payload.capacity();
-  std::uint32_t prev = node->payload.set(view, id, retired_slot_arrays_);
+  std::uint32_t prev = node->payload.set(view, id);
   if (node->payload.capacity() != cap_before) obs_cow_growth_->inc();
   if (joins_union) index_changed(route.prefix);
   if (prev != 0) {
@@ -196,7 +183,7 @@ bool FibSet::remove(ViewId view, const Ipv4Prefix& prefix) {
   if (!view_live(view)) return false;
   Trie::Node* node = trie_.find(prefix);
   if (!node) return false;
-  std::uint32_t prev = node->payload.set(view, 0, retired_slot_arrays_);
+  std::uint32_t prev = node->payload.set(view, 0);
   if (prev == 0) return false;  // node exists but is another view's (or structural)
   deref(prev);
   --view_sizes_[view];
@@ -252,7 +239,7 @@ void FibSet::clear(ViewId view) {
   std::vector<Ipv4Prefix> left_union;
   std::size_t kept = 0;
   trie_.visit_mut([&](Trie::Node& node) {
-    std::uint32_t prev = node.payload.set(view, 0, retired_slot_arrays_);
+    std::uint32_t prev = node.payload.set(view, 0);
     if (prev != 0) deref(prev);
     if (!node.payload.empty())
       ++kept;

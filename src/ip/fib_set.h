@@ -28,9 +28,12 @@
 // exposed: FibSet::memory_bytes() is the deduplicated truth ("shared");
 // flat_equivalent_bytes() is what the same contents would cost as private
 // per-neighbor RoutingTables ("flat") — the fig6a ablation compares the two.
+//
+// A FibSet belongs to one router and is read and written from its single
+// thread: slot arrays are plain memory, and growing one frees the array it
+// replaces at once.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -114,14 +117,6 @@ class FibSet {
   /// per-neighbor-table implementation would need for the same state.
   std::size_t flat_equivalent_bytes() const;
 
-  /// Frees slot arrays displaced by CoW growth. Retired arrays must
-  /// outlive any lock-free reader that might still hold one, so this is
-  /// only safe at a caller-asserted quiescent point (no concurrent LPM
-  /// readers in flight). Skipping it entirely is also fine: geometric
-  /// growth bounds the parked bytes per leaf below the live array, and
-  /// everything is freed on destruction.
-  void collect_retired() { retired_slot_arrays_.clear(); }
-
  private:
   /// Interned route payload: everything of a Route except the prefix
   /// (implied by the leaf). Ids are 1-based; 0 means "no route".
@@ -141,89 +136,45 @@ class FibSet {
     }
   };
 
-  /// One slot cell. Atomic so an LPM reader on another thread can race the
-  /// writer's store without UB; all hot-path accesses are relaxed/acquire
-  /// loads and release stores — no locks, no RMW.
-  using Slot = std::atomic<std::uint32_t>;
-
-  /// Arrays replaced by slot growth, parked until a quiescent point. With
-  /// geometric growth the parked bytes per leaf sum to less than the live
-  /// array, so retention is bounded even if the owner never drains; the
-  /// owning FibSet frees the list in collect_retired() (caller asserts
-  /// reader quiescence) and on destruction.
-  using RetiredArrays = std::vector<std::unique_ptr<Slot[]>>;
-
   /// Per-leaf slot array: slot `view` is the view's interned payload id
   /// (0 = absent). Starts empty; grows geometrically on the first write by
   /// a view beyond the current capacity — the copy-on-write step, confined
   /// to this leaf.
   ///
-  /// Readers may race slot growth: the array is published through one
-  /// acquire/release atomic pointer whose allocation carries a 4-byte
-  /// header word (`arr[0]`; slots start at `arr[1]`). The header's low half
-  /// is the highest view index the array holds (capacity - 1), written once
-  /// before publication, so a reader always pairs a pointer with the
-  /// matching capacity. Its high half counts the non-zero slots; only the
-  /// writer reads or updates it. Keeping the count out of line makes the
-  /// handle one pointer, which keeps a trie node at 32 bytes. The displaced
-  /// array is retired, not freed, keeping in-flight readers valid.
-  /// Concurrent readers of a *stale* array simply miss the newest write —
-  /// the usual relaxed-FIB contract. Writes are single-threaded (serial
-  /// effect-application points only).
+  /// The allocation carries a 4-byte header word (`arr[0]`; slots start at
+  /// `arr[1]`). The header's low half is the highest view index the array
+  /// holds (capacity - 1) and its high half counts the non-zero slots.
+  /// Keeping both out of line makes the handle one pointer, which keeps a
+  /// trie node at 32 bytes.
   class Slots {
    public:
-    Slots() = default;
-    Slots(const Slots&) = delete;
-    Slots& operator=(const Slots&) = delete;
-    ~Slots() { delete[] ids_.load(std::memory_order_relaxed); }
-
-    bool empty() const {
-      const Slot* p = ids_.load(std::memory_order_relaxed);
-      return p == nullptr || (header(p) >> 16) == 0;
-    }
+    bool empty() const { return !ids_ || (ids_[0] >> 16) == 0; }
     std::size_t heap_bytes() const {
-      const Slot* p = ids_.load(std::memory_order_relaxed);
-      return p == nullptr ? 0 : (cap_of(p) + 1) * sizeof(Slot);
+      return ids_ ? (capacity() + 1) * sizeof(std::uint32_t) : 0;
     }
 
     std::uint32_t get(ViewId view) const {
-      const Slot* p = ids_.load(std::memory_order_acquire);
-      if (p == nullptr || view >= cap_of(p)) return 0;
-      return p[1 + view].load(std::memory_order_acquire);
+      return view < capacity() ? ids_[1 + view] : 0;
     }
 
-    /// Stores `id` for `view` (growing if needed, parking any displaced
-    /// array in `retired`) and returns the previous id. Storing 0 into a
-    /// view beyond capacity is a no-op.
-    std::uint32_t set(ViewId view, std::uint32_t id, RetiredArrays& retired);
+    /// Stores `id` for `view` (growing if needed) and returns the previous
+    /// id. Storing 0 into a view beyond capacity is a no-op.
+    std::uint32_t set(ViewId view, std::uint32_t id);
 
     template <typename Fn>
     void for_each(Fn&& fn) const {  // fn(view, payload id), non-zero only
-      const Slot* p = ids_.load(std::memory_order_acquire);
-      if (p == nullptr) return;
-      std::uint32_t cap = cap_of(p);
+      const std::uint32_t cap = capacity();
       for (std::uint32_t v = 0; v < cap; ++v) {
-        std::uint32_t id = p[1 + v].load(std::memory_order_acquire);
-        if (id != 0) fn(static_cast<ViewId>(v), id);
+        if (ids_[1 + v] != 0) fn(static_cast<ViewId>(v), ids_[1 + v]);
       }
     }
 
     std::uint32_t capacity() const {
-      const Slot* p = ids_.load(std::memory_order_relaxed);
-      return p == nullptr ? 0 : cap_of(p);
+      return ids_ ? (ids_[0] & 0xFFFFu) + 1 : 0;
     }
 
    private:
-    static std::uint32_t header(const Slot* p) {
-      return p[0].load(std::memory_order_relaxed);
-    }
-    /// The capacity half never changes after publication, so a relaxed
-    /// read under the acquire on the pointer suffices.
-    static std::uint32_t cap_of(const Slot* p) {
-      return (header(p) & 0xFFFFu) + 1;
-    }
-
-    std::atomic<Slot*> ids_{nullptr};
+    std::unique_ptr<std::uint32_t[]> ids_;
   };
 
   using Trie = detail::PrefixTrie<Slots>;
@@ -310,9 +261,6 @@ class FibSet {
   std::vector<std::size_t> view_sizes_;
   std::vector<std::uint8_t> view_live_;
   std::vector<ViewId> free_views_;
-  // Slot arrays displaced by CoW growth, freed at the next serial mutation
-  // (a quiescent point for lock-free readers).
-  RetiredArrays retired_slot_arrays_;
 
   /// Telemetry handles, resolved once against the process-global registry.
   /// All FibSets share the same platform-wide series (per-router memory

@@ -5,8 +5,8 @@
 // pre- and post-policy, and periodic per-peer statistics reports rendered
 // from the obs::Snapshot API. Records can be rendered as JSON-lines or as
 // a binary BMP-flavored byte stream; either rendering is byte-identical
-// across same-seed runs at any pipeline partition/worker count (the
-// speaker emits tap callbacks in a canonical order — see bgp::MonitorTap).
+// across same-seed runs (the speaker emits tap callbacks in a canonical
+// order — see bgp::MonitorTap).
 //
 // A MonitoringStation aggregates streams from many sessions (one per
 // router across a backbone) in arrival order, playing the role RouteViews

@@ -7,16 +7,25 @@
 
 namespace peering {
 
+/// splitmix64 step as a pure function: full avalanche, so consecutive keys
+/// hash far apart. Rng::next() returns mix64 of its state before advancing
+/// it; the export-group fingerprint hashes with it too.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : state_(seed) {}
 
   /// Next 64-bit value (splitmix64).
   std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    std::uint64_t z = mix64(state_);
+    state_ += 0x9e3779b97f4a7c15ull;
+    return z;
   }
 
   /// Uniform value in [0, bound). Precondition: bound > 0.

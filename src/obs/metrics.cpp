@@ -325,8 +325,8 @@ Registry* Registry::install(Registry* registry) {
   return previous;
 }
 
-// The shared no-op instruments are constructed in place (atomics make the
-// types immovable) and demoted to dead before first use.
+// The shared no-op instruments are function-local statics, demoted to dead
+// before first use.
 Counter* Registry::nop_counter() {
   static Counter c;
   static const bool dead = ((c.live_ = false), true);

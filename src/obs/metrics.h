@@ -3,12 +3,8 @@
 // log-bucketed Histogram — are registered under a metric name plus a small
 // label set (pop / peer / experiment / rule / ...). Call sites resolve an
 // instrument ONCE (a map lookup) and keep the returned pointer; the hot
-// path is then a single relaxed atomic add, no hashing, no locking.
-// Relaxed ordering is enough: instruments are monotone totals with no
-// cross-metric invariants, and every reader (snapshot, tests) runs at a
-// serial point. This is what lets the pipelined BgpSpeaker's decision and
-// encode workers bump shared counters without a data race. Registration
-// (counter()/gauge()/histogram()) remains serial-point-only.
+// path is then a single integer add, no hashing, no locking. Instruments
+// are plain integers: the platform is single-threaded.
 //
 // Determinism contract: every instrument value is an integer, instruments
 // are snapshotted in canonical (kind, name, sorted-labels) order, and
@@ -33,7 +29,6 @@
 // cannot balloon the registry.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <deque>
@@ -59,58 +54,51 @@ inline constexpr bool kCompiledIn = true;
 /// registration; order given by the caller does not matter.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotone event count. `add` on a live counter is one relaxed atomic
-/// add (thread-safe); on the shared no-op instrument it is a predictable
-/// branch and nothing else.
+/// Monotone event count. `add` on a live counter is one integer add; on
+/// the shared no-op instrument it is a predictable branch and nothing else.
 class Counter {
  public:
   void add(std::uint64_t n) {
 #ifndef PEERING_OBS_DISABLED
-    if (live_) value_.fetch_add(n, std::memory_order_relaxed);
+    if (live_) value_ += n;
 #else
     (void)n;
 #endif
   }
   void inc() { add(1); }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t value() const { return value_; }
   /// False only for the shared no-op instrument of a disabled registry.
   bool live() const { return live_; }
 
  private:
   friend class Registry;
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
   bool live_ = true;
 };
 
-/// Point-in-time level (bytes held, sessions up, ...). Signed. set/add are
-/// relaxed atomics; concurrent set() races resolve to one of the written
-/// values, which is the usual gauge semantics.
+/// Point-in-time level (bytes held, sessions up, ...). Signed.
 class Gauge {
  public:
   void set(std::int64_t v) {
 #ifndef PEERING_OBS_DISABLED
-    if (live_) value_.store(v, std::memory_order_relaxed);
+    if (live_) value_ = v;
 #else
     (void)v;
 #endif
   }
   void add(std::int64_t n) {
 #ifndef PEERING_OBS_DISABLED
-    if (live_) value_.fetch_add(n, std::memory_order_relaxed);
+    if (live_) value_ += n;
 #else
     (void)n;
 #endif
   }
-  std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  std::int64_t value() const { return value_; }
   bool live() const { return live_; }
 
  private:
   friend class Registry;
-  std::atomic<std::int64_t> value_{0};
+  std::int64_t value_ = 0;
   bool live_ = true;
 };
 
@@ -135,24 +123,20 @@ class Histogram {
   void record(std::uint64_t v) {
 #ifndef PEERING_OBS_DISABLED
     if (!live_) return;
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+    ++count_;
+    sum_ += v;
+    ++buckets_[bucket_index(v)];
 #else
     (void)v;
 #endif
   }
 
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const { return count_; }
+  std::uint64_t sum() const { return sum_; }
   /// q-quantile (q in [0,1]) estimated by linear interpolation inside the
   /// log2 bucket holding the target rank. 0 when empty.
   std::uint64_t quantile(double q) const;
-  std::uint64_t bucket(int i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  std::uint64_t bucket(int i) const { return buckets_[i]; }
   bool live() const { return live_; }
   /// True for wall-clock-valued histograms: excluded from deterministic
   /// snapshots (see SnapshotOptions::include_timing).
@@ -160,9 +144,9 @@ class Histogram {
 
  private:
   friend class Registry;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> buckets_[kBucketCount] = {};
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t buckets_[kBucketCount] = {};
   bool live_ = true;
   bool timing_ = false;
 };

@@ -96,7 +96,7 @@ void VRouter::install_hooks() {
              const bgp::AttrsPtr& attrs) {
         return export_route(to, route, attrs);
       },
-      /*thread_safe=*/false, /*memo_safe=*/true);
+      /*memo_safe=*/true);
   // The experiment fan-out is the textbook source-driven export: every
   // experiment sees the route's original attributes with only the next-hop
   // re-mapped to the local virtual identity of the advertising neighbor.

@@ -48,9 +48,8 @@ struct VRouterConfig {
   Ipv4Address router_id;
   /// Seed for virtual-MAC derivation; must differ between routers.
   std::uint32_t router_seed = 1;
-  /// Concurrency shape of the embedded speaker. The default (1 partition,
-  /// 0 workers) is fully serial and deterministic; differential-reference
-  /// runs (the fault-injection soak) must keep it that way.
+  /// Export-path shape of the embedded speaker (export grouping, delta-log
+  /// bound).
   bgp::PipelineConfig pipeline;
 };
 

@@ -60,12 +60,7 @@ struct EdgeHost {
 
   EdgeHost(sim::EventLoop* loop, const std::string& name, bgp::Asn asn,
            Ipv4Address router_id)
-      // Explicit deterministic pipeline (1 partition, 0 workers): the
-      // differential-reference comparisons below require byte-identical
-      // same-seed replays, which only the serial mode guarantees.
-      : host(loop, name),
-        speaker(loop, name, asn, router_id,
-                bgp::PipelineConfig{.partitions = 1, .workers = 0}) {
+      : host(loop, name), speaker(loop, name, asn, router_id) {
     host.on_packet([this](const ip::Ipv4Packet& pkt, int,
                           const ether::EthernetFrame&) {
       received.push_back(pkt);
@@ -104,15 +99,10 @@ struct Harness {
   bgp::PeerId n1a_side = 0, n1b_side = 0, n2_side = 0, x1_side = 0;
 
   explicit Harness(std::uint64_t seed)
-      // .pipeline pinned to the deterministic serial configuration: the
-      // InvariantChecker's differential reference depends on replays being
-      // byte-identical, not merely convergent.
       : e1(&loop, {.name = "e1", .pop_id = "pop1", .asn = kPeeringAsn,
-                   .router_id = Ipv4Address(10, 255, 1, 1), .router_seed = 1,
-                   .pipeline = {.partitions = 1, .workers = 0}}),
+                   .router_id = Ipv4Address(10, 255, 1, 1), .router_seed = 1}),
         e2(&loop, {.name = "e2", .pop_id = "pop2", .asn = kPeeringAsn,
-                   .router_id = Ipv4Address(10, 255, 2, 1), .router_seed = 2,
-                   .pipeline = {.partitions = 1, .workers = 0}}),
+                   .router_id = Ipv4Address(10, 255, 2, 1), .router_seed = 2}),
         n1a(&loop, "n1a", 65001, Ipv4Address(1, 1, 1, 1)),
         n1b(&loop, "n1b", 65002, Ipv4Address(1, 1, 1, 2)),
         n2(&loop, "n2", 65003, Ipv4Address(2, 2, 2, 2)),

@@ -1,15 +1,10 @@
 // ISSUE 10: soak determinism and closure at test scale. The internet-scale
 // soak harness (src/inet/soak.h) must be a deterministic world: the same
-// feed + churn schedule replayed at pipeline shapes {1,0} (serial) and
-// {4,4} (partitioned RIB + worker pool) ends in byte-identical Loc-RIB
+// feed + churn schedule replayed twice ends in byte-identical Loc-RIB
 // fingerprints at every PoP, byte-identical monitor streams, and identical
 // fault/churn schedules. And the closed churn schedule really closes: a
 // churned world settles to exactly the state of a fresh-converged
 // reference world (diff_locrib, attribute content included).
-//
-// ci/run.sh runs this test under TSan as well: the {4,4} world drives the
-// decode/decision/encode fan-out across the worker pool, so a data race in
-// the parallel speaker shows up here with a small, fast reproducer.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -25,64 +20,58 @@ namespace {
 /// 50k routes x 3 PoPs with all churn ingredients active inside a short
 /// simulated window: two beacon waves, storms, background noise, and two
 /// backbone session flaps.
-soak::SoakConfig test_config(bgp::PipelineConfig pipeline) {
+soak::SoakConfig test_config() {
   soak::SoakConfig config;
   config.pops = {"amsterdam01", "seattle01", "phoenix01"};
   config.table.route_count = 50'000;
   config.churn.duration = Duration::seconds(60);
   config.churn.beacon_interval = Duration::seconds(20);
-  config.pipeline = pipeline;
   config.session_flaps = 2;
   return config;
 }
 
-TEST(InternetSoak, PipelineShapesProduceByteIdenticalWorlds) {
-  const auto& config = test_config(bgp::PipelineConfig{});
+TEST(InternetSoak, SameSeedReplayProducesByteIdenticalWorlds) {
+  const soak::SoakConfig config = test_config();
   std::vector<inet::FeedRoute> feed = inet::generate_full_table(config.table);
   inet::ChurnSchedule schedule =
       inet::generate_churn_schedule(feed.size(), config.churn);
   ASSERT_GT(schedule.withdraws, 0u);
 
-  auto serial = std::make_unique<soak::SoakHarness>(
-      test_config(bgp::PipelineConfig{.partitions = 1, .workers = 0}), &feed,
-      &schedule);
-  serial->run();
-  auto parallel = std::make_unique<soak::SoakHarness>(
-      test_config(bgp::PipelineConfig{.partitions = 4, .workers = 4}), &feed,
-      &schedule);
-  parallel->run();
+  auto first = std::make_unique<soak::SoakHarness>(config, &feed, &schedule);
+  first->run();
+  auto second = std::make_unique<soak::SoakHarness>(config, &feed, &schedule);
+  second->run();
 
-  const soak::SoakReport serial_report = serial->report();
-  const soak::SoakReport parallel_report = parallel->report();
-  ASSERT_TRUE(serial_report.converged_initial);
-  ASSERT_TRUE(serial_report.converged_post_churn);
-  ASSERT_TRUE(parallel_report.converged_initial);
-  ASSERT_TRUE(parallel_report.converged_post_churn);
+  const soak::SoakReport first_report = first->report();
+  const soak::SoakReport second_report = second->report();
+  ASSERT_TRUE(first_report.converged_initial);
+  ASSERT_TRUE(first_report.converged_post_churn);
+  ASSERT_TRUE(second_report.converged_initial);
+  ASSERT_TRUE(second_report.converged_post_churn);
 
   // Byte-identical end state at every PoP, and identical replay artifacts.
-  ASSERT_EQ(serial->pop_count(), parallel->pop_count());
-  for (std::size_t pop = 0; pop < serial->pop_count(); ++pop)
-    EXPECT_EQ(serial->locrib_fingerprint(pop),
-              parallel->locrib_fingerprint(pop))
-        << "pop " << serial->config().pops[pop];
-  EXPECT_EQ(serial->locrib_fingerprint(), parallel->locrib_fingerprint());
-  EXPECT_EQ(serial->monitor_fingerprint(), parallel->monitor_fingerprint());
-  EXPECT_EQ(serial->fault_log(), parallel->fault_log());
-  EXPECT_EQ(serial->schedule().log(), parallel->schedule().log());
+  ASSERT_EQ(first->pop_count(), second->pop_count());
+  for (std::size_t pop = 0; pop < first->pop_count(); ++pop)
+    EXPECT_EQ(first->locrib_fingerprint(pop),
+              second->locrib_fingerprint(pop))
+        << "pop " << first->config().pops[pop];
+  EXPECT_EQ(first->locrib_fingerprint(), second->locrib_fingerprint());
+  EXPECT_EQ(first->monitor_fingerprint(), second->monitor_fingerprint());
+  EXPECT_EQ(first->fault_log(), second->fault_log());
+  EXPECT_EQ(first->schedule().log(), second->schedule().log());
 
   // The worlds did the same work, not just reached the same place.
-  EXPECT_EQ(serial_report.churn_events, parallel_report.churn_events);
-  EXPECT_EQ(serial_report.faults_scheduled, parallel_report.faults_scheduled);
-  EXPECT_EQ(serial_report.updates_out, parallel_report.updates_out);
-  EXPECT_EQ(serial_report.locrib_samples, parallel_report.locrib_samples);
-  EXPECT_EQ(serial_report.fib_samples, parallel_report.fib_samples);
-  EXPECT_EQ(serial_report.ttl_p99_ns, parallel_report.ttl_p99_ns);
-  EXPECT_GT(serial_report.locrib_samples, 0u);
+  EXPECT_EQ(first_report.churn_events, second_report.churn_events);
+  EXPECT_EQ(first_report.faults_scheduled, second_report.faults_scheduled);
+  EXPECT_EQ(first_report.updates_out, second_report.updates_out);
+  EXPECT_EQ(first_report.locrib_samples, second_report.locrib_samples);
+  EXPECT_EQ(first_report.fib_samples, second_report.fib_samples);
+  EXPECT_EQ(first_report.ttl_p99_ns, second_report.ttl_p99_ns);
+  EXPECT_GT(first_report.locrib_samples, 0u);
 }
 
 TEST(InternetSoak, ChurnedWorldSettlesToFreshConvergedReference) {
-  soak::SoakConfig config =
-      test_config(bgp::PipelineConfig{.partitions = 2, .workers = 2});
+  soak::SoakConfig config = test_config();
   config.table.route_count = 8'000;
   std::vector<inet::FeedRoute> feed = inet::generate_full_table(config.table);
   inet::ChurnSchedule schedule =

@@ -1,5 +1,5 @@
 // Monitoring-plane tests: the BMP-style MonitorSession's determinism
-// contract (same-seed streams byte-identical across pipeline shapes), the
+// contract (same-seed streams byte-identical across replays), the
 // canonical record ordering on session teardown, stats reports, the
 // looking glass, propagation tracing, the collector archive bound, and
 // the obs-side failure modes a monitoring feed can trigger (label
@@ -46,8 +46,8 @@ struct Replay {
   PropagationTracer tracer;
   std::unique_ptr<MonitorSession> monitor;
 
-  explicit Replay(bgp::PipelineConfig pipeline)
-      : dut(&loop, "dut", 47065, Ipv4Address(1, 1, 1, 1), pipeline),
+  Replay()
+      : dut(&loop, "dut", 47065, Ipv4Address(1, 1, 1, 1)),
         f1(&loop, "f1", 65001, Ipv4Address(2, 2, 2, 1)),
         f2(&loop, "f2", 65002, Ipv4Address(2, 2, 2, 2)),
         sink(&loop, "sink", 65099, Ipv4Address(9, 9, 9, 9)) {
@@ -144,27 +144,22 @@ struct Replay {
   }
 };
 
-TEST(MonitorStream, ByteIdenticalAcrossPipelineShapes) {
-  Replay serial({.partitions = 1, .workers = 0});
-  serial.run();
-  std::string reference = serial.monitoring_fingerprint();
+TEST(MonitorStream, SameSeedReplayIsByteIdentical) {
+  Replay first;
+  first.run();
+  std::string reference = first.monitoring_fingerprint();
   ASSERT_FALSE(reference.empty());
-  EXPECT_GT(serial.station.record_count(), 0u);
-  EXPECT_EQ(serial.monitor->dropped(), 0u);
+  EXPECT_GT(first.station.record_count(), 0u);
+  EXPECT_EQ(first.monitor->dropped(), 0u);
 
-  Replay sharded({.partitions = 4, .workers = 0});
-  sharded.run();
-  EXPECT_EQ(sharded.monitoring_fingerprint(), reference)
-      << "4-way partitioned replay diverged from serial monitor stream";
-
-  Replay threaded({.partitions = 4, .workers = 4});
-  threaded.run();
-  EXPECT_EQ(threaded.monitoring_fingerprint(), reference)
-      << "4-worker pipeline diverged from serial monitor stream";
+  Replay second;
+  second.run();
+  EXPECT_EQ(second.monitoring_fingerprint(), reference)
+      << "same-seed replay diverged from the first monitor stream";
 }
 
 TEST(MonitorStream, SessionDownEmitsWithdrawsBeforePeerDown) {
-  Replay replay({.partitions = 2, .workers = 0});
+  Replay replay;
   replay.run();  // ends with f2 torn down
 
   // Find the f2 peer-down record; every f2-originated route must have a
@@ -191,7 +186,7 @@ TEST(MonitorStream, SessionDownEmitsWithdrawsBeforePeerDown) {
 }
 
 TEST(MonitorStream, StatsReportsRenderSpeakerMetrics) {
-  Replay replay({.partitions = 1, .workers = 0});
+  Replay replay;
   replay.run();
   std::size_t reports = 0;
   for (const auto& record : replay.monitor->records()) {
@@ -204,7 +199,7 @@ TEST(MonitorStream, StatsReportsRenderSpeakerMetrics) {
 }
 
 TEST(MonitorStream, PreAndPostPolicyMirrorAdjRibIn) {
-  Replay replay({.partitions = 2, .workers = 0});
+  Replay replay;
   replay.run();
   std::size_t pre = 0, post = 0;
   for (const auto& record : replay.monitor->records()) {
@@ -243,7 +238,7 @@ TEST(MonitorStream, CapacityBoundDropsNewRecordsLoudly) {
 }
 
 TEST(LookingGlassTest, QueriesRenderRoutesAndDecisions) {
-  Replay replay({.partitions = 1, .workers = 0});
+  Replay replay;
   replay.run();
   LookingGlass glass(&replay.dut);
 
@@ -338,7 +333,7 @@ TEST(LookingGlassTest, ExplainNarratesDecisionRules) {
 }
 
 TEST(PropagationTracerTest, MeasuresTimeToLocRibOncePerWave) {
-  Replay replay({.partitions = 1, .workers = 0});
+  Replay replay;
   replay.run();
   // 96 stamped prefixes, each measured once at the dut (re-announcements
   // of the same wave do not re-measure).
@@ -390,7 +385,7 @@ TEST(ObsUnderMonitoring, LabelCardinalityOverflowCollapses) {
 TEST(ObsUnderMonitoring, TraceRingWraparoundStaysDeterministic) {
   auto run_with_small_ring = [](std::string* jsonl, std::uint64_t* emitted,
                                 std::uint64_t* dropped) {
-    Replay replay({.partitions = 2, .workers = 0});
+    Replay replay;
     // Smaller than the run's session_up/session_down event count (6 + 2),
     // so the ring must wrap.
     replay.registry.trace().set_capacity(4);

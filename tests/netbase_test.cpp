@@ -182,6 +182,15 @@ TEST(Rng, RangeBounds) {
   }
 }
 
+TEST(Rng, StepsAreMix64OfTheState) {
+  // splitmix64's published first output for seed 0 pins the constants the
+  // export-group fingerprint hashes with.
+  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafull);
+  Rng rng(42);
+  EXPECT_EQ(rng.next(), mix64(42));
+  EXPECT_EQ(rng.next(), mix64(42 + 0x9e3779b97f4a7c15ull));
+}
+
 TEST(Hex, Rendering) {
   Bytes data{0xde, 0xad, 0xbe, 0xef};
   EXPECT_EQ(to_hex(data), "deadbeef");

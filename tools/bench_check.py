@@ -21,12 +21,6 @@ anywhere at or below it, but exceeding it fails regardless of tolerance —
 for peak-RSS and p99-convergence budgets, where the committed number is a
 promise ("never more than this"), not a measurement to drift around.
 
---min gates a fresh metric against an absolute floor instead of the
-committed baseline — used for hardware-conditional thresholds (e.g. the
-parallel-convergence speedup gate, armed by CI only on multicore hosts):
-
-    --min parallel_convergence:speedup_n2:1.6
-
 Usage:
     tools/bench_check.py --fresh-dir build/bench \\
         --metric fig6a_memory:with_dataplane_bytes_per_route:lower \\
@@ -101,15 +95,6 @@ def main():
         help="metric to check; repeatable (direction: higher|lower is better)",
     )
     parser.add_argument(
-        "--min",
-        action="append",
-        default=[],
-        dest="minimums",
-        metavar="BENCH:METRIC:FLOOR",
-        help="absolute floor for a fresh metric (no baseline involved); "
-        "repeatable",
-    )
-    parser.add_argument(
         "--require-all-baselines",
         action="store_true",
         help="fail when any committed baseline BENCH_<name>.json has no "
@@ -119,8 +104,8 @@ def main():
     )
     args = parser.parse_args()
 
-    if not args.metric and not args.minimums and not args.require_all_baselines:
-        sys.exit("bench_check: no --metric or --min specs given")
+    if not args.metric and not args.require_all_baselines:
+        sys.exit("bench_check: no --metric specs given")
 
     failures = []
     checked = 0
@@ -141,41 +126,6 @@ def main():
                 checked += 1
                 print(f"  ok   {name} present in {args.fresh_dir}")
 
-    for spec in args.minimums:
-        parts = spec.split(":")
-        try:
-            bench, metric, floor = parts[0], parts[1], float(parts[2])
-        except (IndexError, ValueError):
-            sys.exit(
-                f"bench_check: bad --min spec '{spec}' "
-                "(want <bench>:<metric>:<floor>)"
-            )
-        fname = f"BENCH_{bench}.json"
-        fresh = load_report(os.path.join(args.fresh_dir, fname))
-        if fresh is None:
-            failures.append(f"{bench}: fresh {fname} not found in {args.fresh_dir}")
-            continue
-        if metric not in fresh:
-            failures.append(
-                f"{bench}: metric '{metric}' not in fresh run; "
-                + describe_available("fresh", fresh)
-            )
-            continue
-        try:
-            fresh_val = float(fresh[metric])
-        except (TypeError, ValueError):
-            failures.append(
-                f"{bench}: metric '{metric}' is not numeric "
-                f"(fresh={fresh[metric]!r})"
-            )
-            continue
-        checked += 1
-        status = "ok" if fresh_val >= floor else "FAIL"
-        print(f"  {status:4s} {bench}:{metric} fresh={fresh_val:g} floor={floor:g}")
-        if status == "FAIL":
-            failures.append(
-                f"{bench}:{metric} below floor: fresh={fresh_val:g} < {floor:g}"
-            )
     for spec in args.metric:
         bench, metric, direction = parse_spec(spec)
         fname = f"BENCH_{bench}.json"
