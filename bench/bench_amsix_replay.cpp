@@ -95,7 +95,6 @@ int main() {
   auto feed = inet::generate_feed(config);
 
   bgp::AttrPool pool;
-  std::vector<bgp::AdjRibIn> adj_in(kFeeds);
   bgp::LocRib loc_rib([](bgp::PeerId) { return bgp::PeerDecisionInfo{}; });
   // Per-neighbor FIBs share one deduplicated store (§4.3's per-neighbor
   // routing tables, as vBGP actually keeps them).
@@ -118,7 +117,6 @@ int main() {
     route.prefix = feed[i].prefix;
     route.peer = peer;
     route.attrs = pool.intern(feed[i].attrs);
-    adj_in[f].update(route);
     loc_rib.update(route);
     fibs[f].insert(ip::Route{feed[i].prefix, feed[i].attrs.next_hop,
                              static_cast<int>(peer), 0});
@@ -130,7 +128,6 @@ int main() {
                         {{"attr_sets", std::to_string(pool.size())}});
 
   std::size_t rib_bytes = pool.memory_bytes() + loc_rib.memory_bytes();
-  for (const auto& rib : adj_in) rib_bytes += rib.memory_bytes();
   std::size_t fib_shared = fib_set.memory_bytes();
   std::size_t fib_flat = fib_set.flat_equivalent_bytes();
 
@@ -154,7 +151,6 @@ int main() {
     std::size_t f = i % kFeeds;
     bgp::PeerId peer = static_cast<bgp::PeerId>(1 + f);
     if (churn[i].withdraw) {
-      adj_in[f].withdraw(churn[i].prefix, 0);
       loc_rib.withdraw(churn[i].prefix, peer, 0);
       fibs[f].remove(churn[i].prefix);
     } else {
@@ -162,7 +158,6 @@ int main() {
       route.prefix = churn[i].prefix;
       route.peer = peer;
       route.attrs = pool.intern(churn[i].attrs);
-      adj_in[f].update(route);
       loc_rib.update(route);
       fibs[f].insert(ip::Route{churn[i].prefix, churn[i].attrs.next_hop,
                                static_cast<int>(peer), 0});

@@ -2,7 +2,8 @@
 // the three vBGP configurations the paper measures on BIRD:
 //
 //   control plane          — a single global RIB (attribute pool +
-//                            per-peer Adj-RIB-In + Loc-RIB), no FIB;
+//                            Loc-RIB, whose candidates are also the
+//                            per-peer Adj-RIB-In views), no FIB;
 //   per-interconnection    — adds one kernel-FIB (LPM trie) entry per known
 //   data plane               route, spread across per-neighbor tables, so
 //                            experiments can pick any neighbor per packet;
@@ -63,7 +64,6 @@ MemoryPoint measure(std::size_t route_count) {
   auto feed = inet::generate_feed(config);
 
   bgp::AttrPool pool;
-  std::vector<bgp::AdjRibIn> adj_in(kNeighbors);
   bgp::LocRib loc_rib([](bgp::PeerId) { return bgp::PeerDecisionInfo{}; });
   ip::FibSet fib_set;
   std::vector<ip::FibView> fibs;
@@ -78,7 +78,6 @@ MemoryPoint measure(std::size_t route_count) {
     rib_route.path_id = 0;
     rib_route.peer = peer;
     rib_route.attrs = pool.intern(route.attrs);
-    adj_in[peer - 1].update(rib_route);
     loc_rib.update(rib_route);
     fibs[peer - 1].insert(
         ip::Route{route.prefix, route.attrs.next_hop, static_cast<int>(peer), 0});
@@ -87,7 +86,6 @@ MemoryPoint measure(std::size_t route_count) {
   MemoryPoint point;
   point.routes = route_count;
   std::size_t rib_bytes = pool.memory_bytes() + loc_rib.memory_bytes();
-  for (const auto& rib : adj_in) rib_bytes += rib.memory_bytes();
   point.control_plane = rib_bytes;
   point.fib_shared = fib_set.memory_bytes();
   point.fib_flat = fib_set.flat_equivalent_bytes();

@@ -57,6 +57,9 @@ double wall_seconds_since(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Line-buffered even into a pipe or file: a run that dies (say, of
+  // std::bad_alloc at full scale) keeps every phase line it printed.
+  std::setvbuf(stdout, nullptr, _IOLBF, BUFSIZ);
   std::size_t routes = 1'000'000;
   std::size_t pops = 13;
   std::int64_t duration_s = 3600;

@@ -37,38 +37,25 @@ std::optional<RibRoute> AdjRibIn::withdraw(const Ipv4Prefix& prefix,
   return removed;
 }
 
-std::vector<RibRoute> AdjRibIn::paths(const Ipv4Prefix& prefix) const {
-  auto it = routes_.find(prefix);
-  if (it == routes_.end()) return {};
-  return it->second;
-}
-
-void AdjRibIn::visit(const std::function<void(const RibRoute&)>& fn) const {
-  for (const auto& [prefix, paths] : routes_)
-    for (const auto& route : paths) fn(route);
-}
-
-std::vector<RibRoute> AdjRibIn::clear() {
-  std::vector<RibRoute> removed;
-  removed.reserve(size_);
-  // Map order, and paths ordered by path id within a prefix.
-  for (auto& [prefix, paths] : routes_)
-    for (auto& route : paths) removed.push_back(std::move(route));
-  routes_.clear();
-  size_ = 0;
-  return removed;
-}
-
-std::size_t AdjRibIn::memory_bytes() const {
-  // One rb-tree node per prefix (header approximated at 4 pointers) plus
-  // the flat path vector's heap block.
-  constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
-  std::size_t bytes = sizeof(AdjRibIn);
-  for (const auto& [prefix, paths] : routes_) {
-    bytes += kNodeOverhead + sizeof(Ipv4Prefix) + sizeof(paths);
-    bytes += paths.capacity() * sizeof(RibRoute);
-  }
-  return bytes;
+PathVerdict compare_paths(const PathAttributes& c, const PeerDecisionInfo& ci,
+                          const PathAttributes& b, const PeerDecisionInfo& bi) {
+  const std::uint32_t clp = c.local_pref.value_or(100);  // default 100
+  const std::uint32_t blp = b.local_pref.value_or(100);
+  if (clp != blp) return {1, clp > blp};
+  const std::size_t cal = c.as_path.decision_length();
+  const std::size_t bal = b.as_path.decision_length();
+  if (cal != bal) return {2, cal < bal};
+  // IGP < EGP < INCOMPLETE.
+  if (c.origin != b.origin) return {3, c.origin < b.origin};
+  // MED only compares routes from the same neighboring AS (a missing MED
+  // counts as 0, per common practice).
+  const std::uint32_t cmed = c.med.value_or(0);
+  const std::uint32_t bmed = b.med.value_or(0);
+  if (c.as_path.first() == b.as_path.first() && cmed != bmed)
+    return {4, cmed < bmed};
+  if (ci.ibgp != bi.ibgp) return {5, !ci.ibgp};
+  if (ci.router_id != bi.router_id) return {6, ci.router_id < bi.router_id};
+  return {7, ci.peer_address < bi.peer_address};
 }
 
 int select_best_path(
@@ -80,58 +67,11 @@ int select_best_path(
     const RibRoute& cand = candidates[static_cast<std::size_t>(i)];
     if (!cand.valid()) continue;
     PeerDecisionInfo cand_info = peer_info(cand.peer);
-    if (best < 0) {
-      best = i;
-      best_info = cand_info;
-      continue;
-    }
-    const PathAttributes& b = *candidates[static_cast<std::size_t>(best)].attrs;
-    const PathAttributes& c = *cand.attrs;
-
-    // 1. Highest LOCAL_PREF (default 100).
-    std::uint32_t blp = b.local_pref.value_or(100);
-    std::uint32_t clp = c.local_pref.value_or(100);
-    if (clp != blp) {
-      if (clp > blp) { best = i; best_info = cand_info; }
-      continue;
-    }
-    // 2. Shortest AS_PATH.
-    std::size_t bal = b.as_path.decision_length();
-    std::size_t cal = c.as_path.decision_length();
-    if (cal != bal) {
-      if (cal < bal) { best = i; best_info = cand_info; }
-      continue;
-    }
-    // 3. Lowest ORIGIN (IGP < EGP < INCOMPLETE).
-    if (c.origin != b.origin) {
-      if (c.origin < b.origin) { best = i; best_info = cand_info; }
-      continue;
-    }
-    // 4. Lowest MED, only comparable between routes from the same
-    //    neighboring AS (missing MED treated as 0 per common practice).
-    if (c.as_path.first() == b.as_path.first()) {
-      std::uint32_t bmed = b.med.value_or(0);
-      std::uint32_t cmed = c.med.value_or(0);
-      if (cmed != bmed) {
-        if (cmed < bmed) { best = i; best_info = cand_info; }
-        continue;
-      }
-    }
-    // 5. Prefer eBGP over iBGP.
-    if (cand_info.ibgp != best_info.ibgp) {
-      if (!cand_info.ibgp) { best = i; best_info = cand_info; }
-      continue;
-    }
-    // 6. Lowest router id.
-    if (cand_info.router_id != best_info.router_id) {
-      if (cand_info.router_id < best_info.router_id) {
-        best = i;
-        best_info = cand_info;
-      }
-      continue;
-    }
-    // 7. Lowest peer address.
-    if (cand_info.peer_address < best_info.peer_address) {
+    if (best < 0 ||
+        compare_paths(*cand.attrs, cand_info,
+                      *candidates[static_cast<std::size_t>(best)].attrs,
+                      best_info)
+            .wins) {
       best = i;
       best_info = cand_info;
     }
@@ -142,54 +82,83 @@ int select_best_path(
 LocRib::LocRib(std::function<PeerDecisionInfo(PeerId)> peer_info)
     : peer_info_(std::move(peer_info)) {}
 
-bool LocRib::update(const RibRoute& route) {
+LocRib::UpdateResult LocRib::update(const RibRoute& route) {
   auto& state = prefixes_[route.prefix];
-  bool found = false;
-  for (auto& cand : state.candidates) {
-    if (cand.peer == route.peer && cand.path_id == route.path_id) {
-      cand = route;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
+  auto it = std::find_if(state.candidates.begin(), state.candidates.end(),
+                         [&](const RibRoute& r) {
+                           return r.peer == route.peer &&
+                                  r.path_id == route.path_id;
+                         });
+  if (it != state.candidates.end() && it->attrs == route.attrs)
+    return {};  // unchanged re-announcement
+  const BestKey old = best_key(state);
+  UpdateResult result;
+  result.changed = true;
+  if (it == state.candidates.end()) {
     state.candidates.push_back(route);
     ++route_count_;
+    result.added = true;
+  } else {
+    *it = route;
   }
-  return reselect(route.prefix, state);
+  result.best_changed = reselect(state, old);
+  return result;
 }
 
-bool LocRib::withdraw(const Ipv4Prefix& prefix, PeerId peer,
-                      std::uint32_t path_id) {
-  auto it = prefixes_.find(prefix);
-  if (it == prefixes_.end()) return false;
-  auto& cands = it->second.candidates;
-  auto removed = std::remove_if(cands.begin(), cands.end(),
-                                [&](const RibRoute& r) {
-                                  return r.peer == peer && r.path_id == path_id;
-                                });
-  if (removed == cands.end()) return false;
-  route_count_ -= static_cast<std::size_t>(cands.end() - removed);
-  cands.erase(removed, cands.end());
-  if (cands.empty()) {
-    prefixes_.erase(it);
-    return true;  // best existed, now gone
+LocRib::WithdrawResult LocRib::withdraw(const Ipv4Prefix& prefix, PeerId peer,
+                                        std::uint32_t path_id) {
+  WithdrawResult result;
+  auto pit = prefixes_.find(prefix);
+  if (pit == prefixes_.end()) return result;
+  PrefixState& state = pit->second;
+  auto it = std::find_if(state.candidates.begin(), state.candidates.end(),
+                         [&](const RibRoute& r) {
+                           return r.peer == peer && r.path_id == path_id;
+                         });
+  if (it == state.candidates.end()) return result;
+  const BestKey old = best_key(state);
+  result.removed = std::move(*it);
+  state.candidates.erase(it);
+  --route_count_;
+  if (state.candidates.empty()) {
+    prefixes_.erase(pit);
+    result.best_changed = true;  // best existed, now gone
+  } else {
+    result.best_changed = reselect(state, old);
   }
-  return reselect(prefix, it->second);
+  return result;
 }
 
-bool LocRib::reselect(const Ipv4Prefix& prefix, PrefixState& state) {
-  (void)prefix;
-  RibRoute old_best;
-  bool had_best = state.best >= 0 &&
-                  state.best < static_cast<int>(state.candidates.size());
-  if (had_best) old_best = state.candidates[static_cast<std::size_t>(state.best)];
+std::vector<RibRoute> LocRib::withdraw_peer(PeerId peer) {
+  std::vector<RibRoute> routes = peer_routes(peer);
+  for (const RibRoute& route : routes)
+    withdraw(route.prefix, peer, route.path_id);
+  return routes;
+}
+
+std::vector<RibRoute> LocRib::peer_routes(PeerId peer) const {
+  std::vector<RibRoute> routes;
+  for (const auto& [prefix, state] : prefixes_) {
+    const std::size_t first = routes.size();
+    for (const auto& cand : state.candidates)
+      if (cand.peer == peer) routes.push_back(cand);
+    std::sort(routes.begin() + static_cast<std::ptrdiff_t>(first), routes.end(),
+              [](const RibRoute& a, const RibRoute& b) {
+                return a.path_id < b.path_id;
+              });
+  }
+  return routes;
+}
+
+LocRib::BestKey LocRib::best_key(const PrefixState& state) {
+  if (state.best < 0) return {0, 0, nullptr};
+  const RibRoute& best = state.candidates[static_cast<std::size_t>(state.best)];
+  return {best.peer, best.path_id, best.attrs.get()};
+}
+
+bool LocRib::reselect(PrefixState& state, const BestKey& old) {
   state.best = select_best_path(state.candidates, peer_info_);
-  if (!had_best) return state.best >= 0;
-  if (state.best < 0) return true;
-  const RibRoute& now = state.candidates[static_cast<std::size_t>(state.best)];
-  return now.peer != old_best.peer || now.path_id != old_best.path_id ||
-         now.attrs != old_best.attrs;
+  return best_key(state) != old;
 }
 
 std::optional<RibRoute> LocRib::best(const Ipv4Prefix& prefix) const {

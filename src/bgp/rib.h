@@ -1,12 +1,12 @@
-// Routing Information Bases: per-peer Adj-RIB-In and the Loc-RIB with the
-// RFC 4271 decision process. Attribute sharing lives in bgp/attributes.h
-// (AttrPool/AttrsPtr) — RIB entries only hold interned pointers, the reason
-// per-route memory stays in the hundreds of bytes (Figure 6a). vBGP keeps
-// all received paths (not just best) because ADD-PATH re-exports every one
-// of them to experiments.
-//
-// Each RIB is one prefix-ordered map, so whole-table visits and dumps come
-// out in ascending prefix order.
+// Routing Information Bases. The speaker has one route store, the Loc-RIB:
+// per prefix, every accepted (post-import-policy) path from every peer plus
+// the RFC 4271 best. vBGP keeps all paths, not just the best, because
+// ADD-PATH re-exports every one of them to experiments. A peer's Adj-RIB-In
+// is a view of that store (LocRib::peer_routes), and a session reset removes
+// it in one walk (LocRib::withdraw_peer). RIB entries only hold interned
+// attribute pointers (bgp/attributes.h), which keeps per-route memory in
+// the hundreds of bytes (Figure 6a). The Loc-RIB is one prefix-ordered map,
+// so whole-table visits and dumps come out in ascending prefix order.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bgp/attributes.h"
@@ -36,8 +37,10 @@ struct RibRoute {
   bool valid() const { return attrs != nullptr; }
 };
 
-/// Adj-RIB-In: everything a single peer has advertised, keyed by
-/// (prefix, path-id).
+/// A standalone per-peer path table keyed by (prefix, path-id). The speaker
+/// does not use it: its Adj-RIB-In is a view of the Loc-RIB. The only caller
+/// left is perfbench's ledger, which replays this table beside the Loc-RIB;
+/// delete it once that replay uses LocRib alone.
 class AdjRibIn {
  public:
   /// Inserts/replaces a path. Returns true if the stored route changed.
@@ -47,26 +50,10 @@ class AdjRibIn {
   std::optional<RibRoute> withdraw(const Ipv4Prefix& prefix,
                                    std::uint32_t path_id);
 
-  /// All paths for a prefix.
-  std::vector<RibRoute> paths(const Ipv4Prefix& prefix) const;
-
-  /// Visits all routes in ascending (prefix, path_id) order.
-  void visit(const std::function<void(const RibRoute&)>& fn) const;
-
-  /// Removes everything (session reset). Returns the removed routes in
-  /// ascending (prefix, path_id) order.
-  std::vector<RibRoute> clear();
-
   std::size_t size() const { return size_; }
 
-  /// Bytes for route entries (attribute bytes are accounted in AttrPool).
-  std::size_t memory_bytes() const;
-
  private:
-  /// Paths per prefix in a flat vector (ordered by path_id): almost every
-  /// (peer, prefix) carries a single path, so a per-path rb-tree node costs
-  /// ~32 B/route for nothing. The vector keeps Adj-RIB-In at a few dozen
-  /// bytes per route, which Figure 6a's B/route directly reports.
+  /// Paths per prefix, ordered by path_id.
   std::map<Ipv4Prefix, std::vector<RibRoute>> routes_;
   std::size_t size_ = 0;
 };
@@ -79,18 +66,28 @@ struct PeerDecisionInfo {
   Ipv4Address router_id;
 };
 
-/// RFC 4271 §9.1 best-path selection among candidate routes:
+/// One RFC 4271 §9.1 comparison of candidate `c` against the current best
+/// `b`: the rule that decided it and whether `c` wins. Rules, in order:
 /// 1. highest LOCAL_PREF  2. shortest AS_PATH  3. lowest ORIGIN
 /// 4. lowest MED (same neighbor AS)  5. eBGP over iBGP
 /// 6. lowest router id   7. lowest peer address.
-/// Returns index into `candidates`, or -1 if empty.
+struct PathVerdict {
+  int rule = 0;
+  bool wins = false;
+};
+PathVerdict compare_paths(const PathAttributes& c, const PeerDecisionInfo& ci,
+                          const PathAttributes& b, const PeerDecisionInfo& bi);
+
+/// Best-path selection among candidate routes: a pairwise tournament of
+/// compare_paths in candidate order. Returns index into `candidates`, or
+/// -1 if empty.
 int select_best_path(
     const std::vector<RibRoute>& candidates,
     const std::function<PeerDecisionInfo(PeerId)>& peer_info);
 
 /// Loc-RIB: per-prefix candidate set with an incrementally maintained best
-/// path. Candidates are the union of all peers' Adj-RIB-In entries after
-/// import policy.
+/// path. Candidates are every peer's accepted paths after import policy,
+/// identified by (prefix, peer, path id).
 class LocRib {
  public:
   explicit LocRib(std::function<PeerDecisionInfo(PeerId)> peer_info);
@@ -100,12 +97,34 @@ class LocRib {
     int best = -1;
   };
 
-  /// Adds/replaces the candidate identified by (route.peer, route.path_id).
-  /// Returns true if the best path for the prefix changed.
-  bool update(const RibRoute& route);
+  /// `changed` is false for an unchanged re-announcement (same peer, path
+  /// id and interned attrs pointer), which does nothing else. `added`: the
+  /// (peer, path id) is new for the prefix. `best_changed`: the prefix's
+  /// best path changed.
+  struct UpdateResult {
+    bool changed = false;
+    bool added = false;
+    bool best_changed = false;
+  };
+  /// `removed` is empty when there was no such candidate.
+  struct WithdrawResult {
+    std::optional<RibRoute> removed;
+    bool best_changed = false;
+  };
 
-  /// Removes the candidate. Returns true if the best path changed.
-  bool withdraw(const Ipv4Prefix& prefix, PeerId peer, std::uint32_t path_id);
+  /// Adds/replaces the candidate identified by (route.peer, route.path_id).
+  UpdateResult update(const RibRoute& route);
+
+  /// Removes the candidate.
+  WithdrawResult withdraw(const Ipv4Prefix& prefix, PeerId peer,
+                          std::uint32_t path_id);
+
+  /// Removes every candidate sourced by `peer` (session reset): one
+  /// ascending walk finds them. Returns them in (prefix, path id) order.
+  std::vector<RibRoute> withdraw_peer(PeerId peer);
+
+  /// The peer's Adj-RIB-In view: its candidates in (prefix, path id) order.
+  std::vector<RibRoute> peer_routes(PeerId peer) const;
 
   /// Current best path, if any.
   std::optional<RibRoute> best(const Ipv4Prefix& prefix) const;
@@ -129,7 +148,12 @@ class LocRib {
   std::size_t memory_bytes() const;
 
  private:
-  bool reselect(const Ipv4Prefix& prefix, PrefixState& state);
+  /// (peer, path id, attrs) of the prefix's best path; null attrs: none.
+  using BestKey = std::tuple<PeerId, std::uint32_t, const PathAttributes*>;
+  static BestKey best_key(const PrefixState& state);
+
+  /// Re-runs the decision process. True if the best moved off `old`.
+  bool reselect(PrefixState& state, const BestKey& old);
 
   std::function<PeerDecisionInfo(PeerId)> peer_info_;
   std::map<Ipv4Prefix, PrefixState> prefixes_;

@@ -128,7 +128,9 @@ struct BgpSpeaker::Session {
   bool open_received = false;
   Ipv4Address peer_router_id;
   std::uint16_t negotiated_hold = 90;
-  AdjRibIn adj_in;
+  /// Loc-RIB candidates sourced by this peer: the size of its Adj-RIB-In
+  /// view.
+  std::size_t rib_routes = 0;
 
   /// Adj-RIB-Out toward this peer, shared with the other members of its
   /// export subgroup (see OutTable).
@@ -327,8 +329,8 @@ std::vector<PeerId> BgpSpeaker::peer_ids() const {
   return ids;
 }
 
-const AdjRibIn& BgpSpeaker::adj_rib_in(PeerId peer) const {
-  return sessions_.at(peer)->adj_in;
+std::vector<RibRoute> BgpSpeaker::adj_rib_in(PeerId peer) const {
+  return loc_rib_.peer_routes(peer);
 }
 
 std::vector<AttrsPtr> BgpSpeaker::adj_rib_out_attrs(
@@ -714,17 +716,17 @@ void BgpSpeaker::decide_import(RouteWork& work) {
   route.peer = from;
   route.attrs = std::move(working);
 
-  if (!s.adj_in.update(route)) return;  // no change
-  loc_rib_.update(route);
+  const LocRib::UpdateResult result = loc_rib_.update(route);
+  if (!result.changed) return;  // unchanged re-announcement
+  if (result.added) ++s.rib_routes;
   stage_out_.effects.push_back(
       RouteEffect{std::move(route), /*withdrawn=*/false});
 }
 
 void BgpSpeaker::decide_withdraw(PeerId from, const NlriEntry& entry) {
-  Session& s = *sessions_.at(from);
-  auto removed = s.adj_in.withdraw(entry.prefix, entry.path_id);
+  auto removed = loc_rib_.withdraw(entry.prefix, from, entry.path_id).removed;
   if (!removed) return;
-  loc_rib_.withdraw(entry.prefix, from, entry.path_id);
+  --sessions_.at(from)->rib_routes;
   stage_out_.effects.push_back(
       RouteEffect{std::move(*removed), /*withdrawn=*/true});
 }
@@ -1794,14 +1796,16 @@ void BgpSpeaker::session_down(PeerId peer, const std::string& reason) {
   s.flush_scheduled = false;
   leave_group(peer);
 
-  // Withdraw everything learned from this peer.
-  auto removed = s.adj_in.clear();
-  std::set<Ipv4Prefix> affected;
+  // Withdraw everything learned from this peer, in (prefix, path id)
+  // order.
+  std::vector<RibRoute> removed;
+  if (s.rib_routes > 0) removed = loc_rib_.withdraw_peer(peer);
+  s.rib_routes = 0;
+  std::vector<Ipv4Prefix> affected;
   for (const RibRoute& route : removed) {
-    loc_rib_.withdraw(route.prefix, peer, route.path_id);
-    affected.insert(route.prefix);
+    if (affected.empty() || affected.back() != route.prefix)
+      affected.push_back(route.prefix);
     if (route_event_) route_event_(route, /*withdrawn=*/true);
-    // adj_in.clear() returns routes in (prefix, path id) order.
     if (monitor_) monitor_->on_route_post_policy(route, /*withdrawn=*/true);
   }
   for (const auto& prefix : affected) fan_out_export(prefix, peer);
@@ -1821,8 +1825,6 @@ void BgpSpeaker::session_down(PeerId peer, const std::string& reason) {
 
 std::size_t BgpSpeaker::memory_bytes() const {
   std::size_t bytes = attr_pool_.memory_bytes() + loc_rib_.memory_bytes();
-  for (const auto& [id, session] : sessions_)
-    bytes += session->adj_in.memory_bytes();
   bytes += originated_.size() * (sizeof(Ipv4Prefix) + sizeof(AttrsPtr) +
                                  4 * sizeof(void*));
   return bytes;
@@ -1887,7 +1889,7 @@ void BgpSpeaker::publish_metrics(obs::Registry& registry) const {
     registry.gauge("bgp_peer_encode_cache_misses", peer_labels)
         ->set(i64(s.stats.attr_encode_cache_misses));
     registry.gauge("bgp_peer_adj_rib_in_routes", peer_labels)
-        ->set(i64(s.adj_in.size()));
+        ->set(i64(s.rib_routes));
   }
 }
 

@@ -1,8 +1,9 @@
 // BgpSpeaker: a complete BGP-4 speaker — session FSMs over simulated TCP
-// streams, OPEN capability negotiation (4-byte ASN, ADD-PATH), per-peer
-// Adj-RIB-In, Loc-RIB with the standard decision process, policy-driven
-// export with MRAI batching, and hook points at import/export where vBGP
-// interposes (next-hop rewriting, security enforcement).
+// streams, OPEN capability negotiation (4-byte ASN, ADD-PATH), one Loc-RIB
+// route store (each peer's Adj-RIB-In is a view of it) with the standard
+// decision process, policy-driven export with MRAI batching, and hook
+// points at import/export where vBGP interposes (next-hop rewriting,
+// security enforcement).
 //
 // This is the role BIRD plays in the authors' deployment, and like BIRD the
 // speaker is single-threaded. Route processing is split into serial stages
@@ -11,7 +12,7 @@
 //   decode        — the message path parses UPDATEs, interns attributes
 //       once per UPDATE and stages one RouteWork item per NLRI;
 //   decision      — loop check, import policy, import hook, interning,
-//       Adj-RIB-In + Loc-RIB update, one staged item at a time;
+//       Loc-RIB update, one staged item at a time;
 //   effect apply  — route events, export fan-out into the group delta logs;
 //   group eval    — peers due for an MRAI flush at the same instant drain
 //       as one batch: transform + policy + export hook once per (export
@@ -313,7 +314,9 @@ class BgpSpeaker {
   MonitorTap* monitor() const { return monitor_; }
 
   const LocRib& loc_rib() const { return loc_rib_; }
-  const AdjRibIn& adj_rib_in(PeerId peer) const;
+  /// The peer's Adj-RIB-In: a view of its Loc-RIB candidates, in
+  /// (prefix, path id) order.
+  std::vector<RibRoute> adj_rib_in(PeerId peer) const;
   AttrPool& attr_pool() { return attr_pool_; }
   const AttrPool& attr_pool() const { return attr_pool_; }
 

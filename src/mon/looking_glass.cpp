@@ -68,12 +68,9 @@ std::string LookingGlass::lpm(Ipv4Address addr) const {
 std::string LookingGlass::dump_adj_rib_in(bgp::PeerId peer) const {
   std::ostringstream os;
   os << "adj-rib-in " << speaker_->peer_config(peer).name << ":\n";
-  std::size_t n = 0;
-  speaker_->adj_rib_in(peer).visit([&](const bgp::RibRoute& route) {
-    os << "  " << render_route(route) << "\n";
-    ++n;
-  });
-  os << "  (" << n << " routes)\n";
+  const auto routes = speaker_->adj_rib_in(peer);
+  for (const auto& route : routes) os << "  " << render_route(route) << "\n";
+  os << "  (" << routes.size() << " routes)\n";
   return os.str();
 }
 
@@ -106,8 +103,12 @@ std::string LookingGlass::explain_best(const Ipv4Prefix& prefix) const {
   for (std::size_t i = 0; i < candidates.size(); ++i)
     os << "  [" << i << "] " << render_route(candidates[i]) << "\n";
 
-  // Replay the RFC 4271 §9.1 pairwise tournament select_best_path runs,
-  // narrating the rule that decided each comparison.
+  // Replay select_best_path's pairwise tournament, narrating the rule that
+  // decided each comparison.
+  static constexpr const char* kRules[] = {
+      "1:local_pref",      "2:as_path_length", "3:origin",
+      "4:med",             "5:ebgp_over_ibgp", "6:router_id",
+      "7:peer_address"};
   int best = -1;
   bgp::PeerDecisionInfo best_info;
   for (int i = 0; i < static_cast<int>(candidates.size()); ++i) {
@@ -119,41 +120,13 @@ std::string LookingGlass::explain_best(const Ipv4Prefix& prefix) const {
       best_info = cand_info;
       continue;
     }
-    const bgp::PathAttributes& b =
-        *candidates[static_cast<std::size_t>(best)].attrs;
-    const bgp::PathAttributes& c = *cand.attrs;
-    const char* rule = nullptr;
-    bool wins = false;
-    std::uint32_t blp = b.local_pref.value_or(100);
-    std::uint32_t clp = c.local_pref.value_or(100);
-    std::size_t bal = b.as_path.decision_length();
-    std::size_t cal = c.as_path.decision_length();
-    if (clp != blp) {
-      rule = "1:local_pref";
-      wins = clp > blp;
-    } else if (cal != bal) {
-      rule = "2:as_path_length";
-      wins = cal < bal;
-    } else if (c.origin != b.origin) {
-      rule = "3:origin";
-      wins = c.origin < b.origin;
-    } else if (c.as_path.first() == b.as_path.first() &&
-               c.med.value_or(0) != b.med.value_or(0)) {
-      rule = "4:med";
-      wins = c.med.value_or(0) < b.med.value_or(0);
-    } else if (cand_info.ibgp != best_info.ibgp) {
-      rule = "5:ebgp_over_ibgp";
-      wins = !cand_info.ibgp;
-    } else if (cand_info.router_id != best_info.router_id) {
-      rule = "6:router_id";
-      wins = cand_info.router_id < best_info.router_id;
-    } else {
-      rule = "7:peer_address";
-      wins = cand_info.peer_address < best_info.peer_address;
-    }
-    os << "  [" << i << "] vs [" << best << "]: rule " << rule << " -> "
-       << (wins ? "replaces" : "keeps") << " best\n";
-    if (wins) {
+    const bgp::PathVerdict verdict = bgp::compare_paths(
+        *cand.attrs, cand_info,
+        *candidates[static_cast<std::size_t>(best)].attrs, best_info);
+    os << "  [" << i << "] vs [" << best << "]: rule "
+       << kRules[verdict.rule - 1] << " -> "
+       << (verdict.wins ? "replaces" : "keeps") << " best\n";
+    if (verdict.wins) {
       best = i;
       best_info = cand_info;
     }

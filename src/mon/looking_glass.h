@@ -25,7 +25,8 @@ class LookingGlass {
   /// Longest-prefix match for an address against the Loc-RIB best paths.
   std::string lpm(Ipv4Address addr) const;
 
-  /// Everything `peer` advertised to us, ascending (prefix, path_id).
+  /// Every path accepted from `peer` (its Loc-RIB candidates), ascending
+  /// (prefix, path_id).
   std::string dump_adj_rib_in(bgp::PeerId peer) const;
 
   /// Everything we advertised to `peer` (post-splice next-hops),

@@ -1,9 +1,14 @@
 // End-to-end BGP session tests over simulated streams: establishment,
 // route propagation, best-path advertisement, ADD-PATH fan-out, implicit
-// withdraws, hold-timer expiry, MRAI batching, session teardown.
+// withdraws, hold-timer expiry, MRAI batching, session teardown, and the
+// effects a scripted raw-wire neighbor's UPDATEs have on route events,
+// exports, post-policy monitoring and the per-peer Adj-RIB-In view.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "bgp/speaker.h"
+#include "obs/metrics.h"
 #include "sim/event_loop.h"
 #include "sim/stream.h"
 
@@ -415,6 +420,241 @@ TEST(Session, ExportPolicyFiltersPrefixes) {
   net.settle();
   EXPECT_TRUE(b.loc_rib().best(pfx("203.0.113.0/24")).has_value());
   EXPECT_FALSE(b.loc_rib().best(pfx("198.51.100.0/24")).has_value());
+}
+
+/// A scripted neighbor on a raw stream: answers the speaker's OPEN
+/// (optionally offering ADD-PATH) and then sends exactly the UPDATEs a test
+/// hands it, so a test picks the path ids and can repeat a message verbatim.
+class RawPeer {
+ public:
+  RawPeer(std::shared_ptr<sim::StreamEndpoint> stream, Asn asn, bool addpath)
+      : stream_(std::move(stream)) {
+    stream_->on_data([this, asn, addpath](const Bytes& data) {
+      decoder_.feed(data);
+      while (true) {
+        auto result = decoder_.poll();
+        if (!result.ok() || !result->has_value()) return;
+        if (!std::holds_alternative<OpenMessage>(**result)) continue;
+        const auto& remote = std::get<OpenMessage>(**result);
+        OpenMessage open;
+        open.asn = asn;
+        open.router_id = Ipv4Address(10, 9, 9, static_cast<std::uint8_t>(asn));
+        open.add_four_byte_asn(asn);
+        if (addpath) open.add_addpath_ipv4(AddPathMode::kBoth);
+        stream_->send(encode_message(open, UpdateCodecOptions{}));
+        stream_->send(encode_message(KeepaliveMessage{}, UpdateCodecOptions{}));
+        tx_.add_path = addpath && remote.addpath_ipv4() != AddPathMode::kNone;
+        // UPDATEs the speaker sends back are not needed; stop decoding.
+        return;
+      }
+    });
+  }
+
+  /// Sends one UPDATE announcing (prefix, path id) entries with `attrs`.
+  void announce(const std::vector<NlriEntry>& nlri, PathAttributes attrs) {
+    UpdateMessage update;
+    update.attributes = std::move(attrs);
+    update.nlri = nlri;
+    stream_->send(encode_message(update, tx_));
+  }
+
+ private:
+  std::shared_ptr<sim::StreamEndpoint> stream_;
+  MessageDecoder decoder_;
+  UpdateCodecOptions tx_;
+};
+
+PathAttributes raw_attrs(Asn asn) {
+  PathAttributes attrs;
+  attrs.origin = Origin::kIgp;
+  attrs.as_path = AsPath({asn});
+  attrs.next_hop = Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(asn));
+  return attrs;
+}
+
+/// A speaker fed by two raw neighbors (x offers ADD-PATH, n does not) and
+/// exporting to a speaker sink, with its route events and post-policy
+/// monitor records captured in order.
+struct RawFeed : MonitorTap {
+  using Event = std::tuple<Ipv4Prefix, std::uint32_t, PeerId, bool>;
+
+  Net net;
+  BgpSpeaker dut{&net.loop, "dut", 47065, Ipv4Address(1, 1, 1, 1)};
+  BgpSpeaker sink{&net.loop, "sink", 65099, Ipv4Address(9, 9, 9, 9)};
+  PeerId dut_x = 0, dut_n = 0, dut_sink = 0;
+  std::unique_ptr<RawPeer> x, n;
+  std::vector<Event> route_events;
+  std::vector<Event> post_policy;
+
+  RawFeed() {
+    dut_x = dut.add_peer(
+        {.name = "x", .peer_asn = 65010, .addpath = AddPathMode::kBoth});
+    dut_n = dut.add_peer({.name = "n", .peer_asn = 65020});
+    x = connect_raw(dut_x, 65010, /*addpath=*/true);
+    n = connect_raw(dut_n, 65020, /*addpath=*/false);
+    dut_sink = net.connect(dut, sink, {.name = "sink", .peer_asn = 65099},
+                           {.name = "dut", .peer_asn = 47065})
+                   .first;
+    dut.on_route_event([this](const RibRoute& route, bool withdrawn) {
+      route_events.emplace_back(route.prefix, route.path_id, route.peer,
+                                withdrawn);
+    });
+    dut.set_monitor(this);
+    net.settle();
+  }
+
+  std::unique_ptr<RawPeer> connect_raw(PeerId peer, Asn asn, bool addpath) {
+    auto pair = sim::StreamChannel::make(&net.loop, Duration::millis(1));
+    dut.connect_peer(peer, pair.a);
+    return std::make_unique<RawPeer>(pair.b, asn, addpath);
+  }
+
+  std::uint64_t exports() { return dut.peer_stats(dut_sink).updates_sent; }
+
+  void on_peer_state(PeerId, SessionState) override {}
+  void on_route_pre_policy(PeerId, const NlriEntry&,
+                           const AttrsPtr&) override {}
+  void on_route_post_policy(const RibRoute& route, bool withdrawn) override {
+    post_policy.emplace_back(route.prefix, route.path_id, route.peer,
+                             withdrawn);
+  }
+};
+
+TEST(RawSession, IdenticalReannouncementHasNoEffect) {
+  RawFeed feed;
+  ASSERT_EQ(feed.dut.session_state(feed.dut_n), SessionState::kEstablished);
+  feed.n->announce({{0, pfx("203.0.113.0/24")}}, raw_attrs(65020));
+  feed.net.settle();
+  ASSERT_EQ(feed.route_events.size(), 1u);
+  ASSERT_EQ(feed.post_policy.size(), 1u);
+  ASSERT_TRUE(feed.sink.loc_rib().best(pfx("203.0.113.0/24")).has_value());
+  const std::uint64_t exports = feed.exports();
+  const AttrsPtr stored = feed.dut.loc_rib().best(pfx("203.0.113.0/24"))->attrs;
+
+  feed.n->announce({{0, pfx("203.0.113.0/24")}}, raw_attrs(65020));
+  feed.net.settle();
+  EXPECT_EQ(feed.dut.peer_stats(feed.dut_n).updates_received, 2u);
+  EXPECT_EQ(feed.route_events.size(), 1u);
+  EXPECT_EQ(feed.post_policy.size(), 1u);
+  EXPECT_EQ(feed.exports(), exports);
+  EXPECT_EQ(feed.dut.loc_rib().best(pfx("203.0.113.0/24"))->attrs, stored);
+}
+
+TEST(RawSession, ImportPolicyRejectWithdrawsAcceptedPath) {
+  RawFeed feed;
+  feed.n->announce({{0, pfx("203.0.113.0/24")}}, raw_attrs(65020));
+  feed.net.settle();
+  ASSERT_TRUE(feed.sink.loc_rib().best(pfx("203.0.113.0/24")).has_value());
+  const std::uint64_t exports = feed.exports();
+
+  PolicyTerm reject;
+  reject.match.prefix = pfx("203.0.113.0/24");
+  reject.actions.deny = true;
+  feed.dut.peer_config(feed.dut_n).import_policy.add_term(reject);
+  feed.n->announce({{0, pfx("203.0.113.0/24")}}, raw_attrs(65020));
+  feed.net.settle();
+
+  const RawFeed::Event withdrawn{pfx("203.0.113.0/24"), 0, feed.dut_n, true};
+  ASSERT_EQ(feed.route_events.size(), 2u);
+  EXPECT_EQ(feed.route_events.back(), withdrawn);
+  ASSERT_EQ(feed.post_policy.size(), 2u);
+  EXPECT_EQ(feed.post_policy.back(), withdrawn);
+  EXPECT_EQ(feed.dut.peer_stats(feed.dut_n).routes_rejected_import, 1u);
+  EXPECT_TRUE(feed.dut.loc_rib().candidates(pfx("203.0.113.0/24")).empty());
+  EXPECT_EQ(feed.dut.adj_rib_in(feed.dut_n).size(), 0u);
+  EXPECT_GT(feed.exports(), exports);
+  EXPECT_FALSE(feed.sink.loc_rib().best(pfx("203.0.113.0/24")).has_value());
+}
+
+TEST(RawSession, AddPathResetWithdrawsInPrefixPathIdOrder) {
+  RawFeed feed;
+  const Ipv4Prefix a = pfx("198.51.100.0/24");
+  const Ipv4Prefix b = pfx("203.0.113.0/24");
+  // x's path ids arrive out of (prefix, path id) order; n holds a
+  // candidate on both prefixes.
+  feed.x->announce({{7, b}, {9, a}}, raw_attrs(65010));
+  feed.n->announce({{0, a}, {0, b}}, raw_attrs(65020));
+  feed.x->announce({{3, b}, {2, a}}, raw_attrs(65010));
+  feed.net.settle();
+  ASSERT_EQ(feed.dut.loc_rib().candidates(a).size(), 3u);
+  ASSERT_EQ(feed.dut.loc_rib().candidates(b).size(), 3u);
+
+  EXPECT_EQ(feed.dut.adj_rib_in(feed.dut_x).size(), 4u);
+
+  feed.route_events.clear();
+  feed.post_policy.clear();
+  feed.dut.disconnect_peer(feed.dut_x);
+  feed.net.settle();
+
+  const std::vector<RawFeed::Event> want{{a, 2, feed.dut_x, true},
+                                         {a, 9, feed.dut_x, true},
+                                         {b, 3, feed.dut_x, true},
+                                         {b, 7, feed.dut_x, true}};
+  EXPECT_EQ(feed.post_policy, want);
+  EXPECT_EQ(feed.route_events, want);
+  // n's candidates survive and are now the best paths.
+  EXPECT_EQ(feed.dut.loc_rib().route_count(), 2u);
+  EXPECT_EQ(feed.dut.loc_rib().best(a)->peer, feed.dut_n);
+  EXPECT_EQ(feed.dut.loc_rib().best(b)->peer, feed.dut_n);
+  EXPECT_EQ(feed.dut.adj_rib_in(feed.dut_x).size(), 0u);
+  EXPECT_EQ(feed.dut.adj_rib_in(feed.dut_n).size(), 2u);
+}
+
+TEST(Session, PeerRouteGaugeTracksLocRibCandidates) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  Net net;
+  BgpSpeaker a(&net.loop, "a", 65001, Ipv4Address(1, 1, 1, 1));
+  BgpSpeaker b(&net.loop, "b", 65002, Ipv4Address(2, 2, 2, 2));
+  BgpSpeaker c(&net.loop, "c", 65003, Ipv4Address(3, 3, 3, 3));
+  auto [ab, ba] = net.connect(a, b, {.name = "to-b", .peer_asn = 65002},
+                              {.name = "to-a", .peer_asn = 65001});
+  auto [cb, bc] = net.connect(c, b, {.name = "to-b", .peer_asn = 65002},
+                              {.name = "to-c", .peer_asn = 65003});
+  (void)cb;
+  net.settle();
+  for (int i = 0; i < 3; ++i)
+    a.originate(
+        Ipv4Prefix(Ipv4Address(198, 51, static_cast<std::uint8_t>(i), 0), 24),
+        originate_attrs());
+  c.originate(pfx("198.51.0.0/24"), originate_attrs());
+  net.settle();
+
+  auto check = [&](std::size_t want_a, std::size_t want_c) {
+    obs::Registry registry;
+    b.publish_metrics(registry);
+    std::size_t from_a = 0, from_c = 0;
+    b.loc_rib().visit_all([&](const RibRoute& route) {
+      if (route.peer == ba) ++from_a;
+      if (route.peer == bc) ++from_c;
+    });
+    EXPECT_EQ(from_a, want_a);
+    EXPECT_EQ(from_c, want_c);
+    auto gauge = [&](const char* peer) {
+      return registry
+          .gauge("bgp_peer_adj_rib_in_routes",
+                 {{"speaker", "b"}, {"peer", peer}})
+          ->value();
+    };
+    EXPECT_EQ(gauge("to-a"), static_cast<std::int64_t>(from_a));
+    EXPECT_EQ(gauge("to-c"), static_cast<std::int64_t>(from_c));
+    EXPECT_EQ(b.adj_rib_in(ba).size(), from_a);
+    EXPECT_EQ(b.adj_rib_in(bc).size(), from_c);
+  };
+  check(3, 1);  // announce
+
+  a.withdraw_originated(pfx("198.51.1.0/24"));
+  net.settle();
+  check(2, 1);  // withdraw
+
+  a.disconnect_peer(ab);
+  net.settle();
+  check(0, 1);  // flap: down
+  auto pair = sim::StreamChannel::make(&net.loop, Duration::millis(1));
+  a.connect_peer(ab, pair.a);
+  b.connect_peer(ba, pair.b);
+  net.settle();
+  ASSERT_EQ(b.session_state(ba), SessionState::kEstablished);
+  check(2, 1);  // flap: back up
 }
 
 }  // namespace
