@@ -4,18 +4,16 @@
 //      with the shared AttrPool vs. one private PathAttributes per route —
 //      the difference is why per-route cost stays in the hundreds of bytes
 //      (Figure 6a's premise);
-//   2. ADD-PATH fan-out: per-update processing cost as the number of
-//      all-paths experiment sessions grows (the multiplexing overhead vBGP
-//      pays for parallel experiments);
-//   3. MRAI batching: updates emitted downstream for a flapping prefix at
+//   2. MRAI batching: updates emitted downstream for a flapping prefix at
 //      different minimum route advertisement intervals (why vBGP's
-//      re-export does not amplify churn).
-#include <chrono>
+//      re-export does not amplify churn). Deterministic: CI gates the
+//      counts exactly.
+//
+// The ADD-PATH fan-out cost curve is bench_attr_flow's.
 #include <cstdio>
 
 #include "bench_util.h"
-#include "bgp/rib.h"
-#include "vbgp/vrouter.h"
+#include "bgp/speaker.h"
 
 using namespace peering;
 
@@ -63,66 +61,7 @@ void ablate_attr_interning() {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation 2: ADD-PATH fan-out.
-// ---------------------------------------------------------------------------
-double per_update_cost_with_experiments(int experiment_count,
-                                        bool encode_cache = true) {
-  sim::EventLoop loop;
-  vbgp::VRouterConfig config;
-  config.name = "ablate";
-  config.pop_id = "ablate01";
-  config.asn = 47065;
-  config.router_id = Ipv4Address(10, 255, 9, 1);
-  config.router_seed = 9;
-  vbgp::VRouter router(&loop, config);
-  router.speaker().attr_pool().set_encode_cache_enabled(encode_cache);
-
-  bgp::PeerId neighbor = router.add_neighbor(
-      {.name = "n1", .asn = 65001, .local_address = Ipv4Address(10, 9, 1, 1),
-       .remote_address = Ipv4Address(10, 9, 1, 2), .interface = 0,
-       .global_id = 1});
-
-  std::vector<std::unique_ptr<benchutil::WirePeer>> experiments;
-  for (int i = 0; i < experiment_count; ++i) {
-    std::string exp_id = "x";
-    exp_id += std::to_string(i);
-    auto peer = router.add_experiment(
-        {.experiment_id = exp_id,
-         .asn = 61574u + static_cast<bgp::Asn>(i),
-         .local_address = Ipv4Address(100, 70, static_cast<std::uint8_t>(i), 1),
-         .remote_address = Ipv4Address(100, 70, static_cast<std::uint8_t>(i), 2),
-         .interface = 10 + i});
-    auto streams = sim::StreamChannel::make(&loop, Duration::micros(10));
-    router.speaker().connect_peer(peer, streams.a);
-    experiments.push_back(std::make_unique<benchutil::WirePeer>(
-        &loop, streams.b, 61574u + static_cast<bgp::Asn>(i),
-        Ipv4Address(9, 9, 9, static_cast<std::uint8_t>(i)), true));
-  }
-
-  auto streams = sim::StreamChannel::make(&loop, Duration::micros(10));
-  router.speaker().connect_peer(neighbor, streams.a);
-  benchutil::WirePeer source(&loop, streams.b, 65001, Ipv4Address(2, 2, 2, 2),
-                             false);
-  loop.run_for(Duration::seconds(2));
-
-  constexpr std::size_t kUpdates = 20'000;
-  inet::RouteFeedConfig feed_config;
-  feed_config.route_count = kUpdates;
-  feed_config.seed = 6;
-  auto feed = inet::generate_feed(feed_config);
-  auto wires = benchutil::encode_feed(feed, source.tx_options());
-
-  auto start = std::chrono::steady_clock::now();
-  for (const auto& wire : wires) source.send_raw(wire);
-  loop.run();
-  double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return elapsed / kUpdates;
-}
-
-// ---------------------------------------------------------------------------
-// Ablation 3: MRAI batching.
+// Ablation 2: MRAI batching.
 // ---------------------------------------------------------------------------
 std::uint64_t updates_sent_with_mrai(Duration mrai) {
   sim::EventLoop loop;
@@ -157,38 +96,7 @@ int main() {
   std::printf("=== Ablation 1: attribute interning (500k-route table) ===\n");
   ablate_attr_interning();
 
-  std::printf("\n=== Ablation 2: ADD-PATH fan-out (cost per inbound update) ===\n");
-  std::printf("%16s %20s\n", "experiments", "us per update");
-  double base = 0;
-  for (int n : {0, 1, 2, 4, 8}) {
-    double cost = per_update_cost_with_experiments(n);
-    if (n == 0) base = cost;
-    std::printf("%16d %20.1f%s\n", n, cost * 1e6,
-                n == 0 ? "  (no fan-out baseline)" : "");
-    report.metric("fanout_" + std::to_string(n) + "_us_per_update",
-                  cost * 1e6);
-  }
-  std::printf("  -> marginal cost per additional all-paths session stays "
-              "modest (baseline %.1f us)\n", base * 1e6);
-
-  // Ablation 2b: the per-session encode cache. With the cache every
-  // fan-out session reuses one canonical attribute encoding; without it
-  // each session re-serializes the attribute set per transmitted UPDATE.
-  std::printf("\n=== Ablation 2b: attribute encode cache (per fan-out) ===\n");
-  std::printf("%16s %16s %16s\n", "experiments", "cache on (us)",
-              "cache off (us)");
-  for (int n : {2, 8}) {
-    double on = per_update_cost_with_experiments(n, true);
-    double off = per_update_cost_with_experiments(n, false);
-    std::printf("%16d %16.1f %16.1f\n", n, on * 1e6, off * 1e6);
-    report.metric("encode_cache_on_" + std::to_string(n) + "_us", on * 1e6);
-    report.metric("encode_cache_off_" + std::to_string(n) + "_us", off * 1e6);
-    if (n == 8)
-      std::printf("  -> at 8 sessions the cache %s (%.1f vs %.1f us)\n",
-                  on < off ? "wins" : "LOSES", on * 1e6, off * 1e6);
-  }
-
-  std::printf("\n=== Ablation 3: MRAI batching (300 flaps over 10 min) ===\n");
+  std::printf("\n=== Ablation 2: MRAI batching (300 flaps over 10 min) ===\n");
   std::printf("%16s %20s\n", "MRAI", "updates emitted");
   for (int seconds : {0, 5, 30, 120}) {
     std::uint64_t sent = updates_sent_with_mrai(Duration::seconds(seconds));

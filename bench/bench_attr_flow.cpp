@@ -6,8 +6,9 @@
 // Reported:
 //   - per-update cost of the single-router vBGP pipeline (the Figure 6b
 //     quantity the tentpole optimizes; seed baseline 15.6 us/update);
-//   - encode cache on vs off as the experiment fan-out grows (at 8
-//     all-paths sessions the cache must win);
+//   - per-update cost as the ADD-PATH experiment fan-out grows over
+//     {0, 1, 2, 4, 8} all-paths sessions (the multiplexing overhead vBGP
+//     pays for parallel experiments);
 //   - pool occupancy and hit rates after the run, showing how many
 //     attribute sets the whole pipeline actually materializes.
 //
@@ -35,7 +36,7 @@ struct FlowResult {
   double encode_cache_kib = 0;
 };
 
-FlowResult measure(int experiment_count, bool encode_cache) {
+FlowResult measure(int experiment_count) {
   sim::EventLoop loop;
   vbgp::VRouterConfig config;
   config.name = "flow";
@@ -44,7 +45,6 @@ FlowResult measure(int experiment_count, bool encode_cache) {
   config.router_id = Ipv4Address(10, 255, 7, 1);
   config.router_seed = 3;
   vbgp::VRouter router(&loop, config);
-  router.speaker().attr_pool().set_encode_cache_enabled(encode_cache);
 
   enforce::ControlPlaneEnforcer control;
   control.install_default_rules({47065, 47064});
@@ -124,7 +124,7 @@ int main() {
               "per update");
 
   // The Figure 6b single-router configuration (2 experiment sessions).
-  FlowResult single = measure(2, true);
+  FlowResult single = measure(2);
   std::printf("single-router vBGP (2 experiments): %.1f us/update "
               "(seed baseline 15.6)\n", single.us_per_update);
   std::printf("  pool %zu sets / %.0f KiB, intern hit %.1f%%, encode cache "
@@ -139,21 +139,14 @@ int main() {
   report.metric("encode_hit_rate", single.encode_hit_rate);
   report.metric("encode_cache_kib", single.encode_cache_kib);
 
-  // Encode cache on/off across fan-out widths.
-  std::printf("%16s %16s %16s %10s\n", "experiments", "cache on (us)",
-              "cache off (us)", "speedup");
-  for (int n : {2, 4, 8}) {
-    FlowResult on = measure(n, true);
-    FlowResult off = measure(n, false);
-    std::printf("%16d %16.1f %16.1f %9.2fx\n", n, on.us_per_update,
-                off.us_per_update, off.us_per_update / on.us_per_update);
+  // Fan-out cost curve (key names as in bench/baselines/BENCH_attr_flow.json).
+  std::printf("%16s %20s\n", "experiments", "us per update");
+  for (int n : {0, 1, 2, 4, 8}) {
+    FlowResult r = measure(n);
+    std::printf("%16d %20.1f%s\n", n, r.us_per_update,
+                n == 0 ? "  (no fan-out baseline)" : "");
     report.metric("encode_cache_on_" + std::to_string(n) + "_us",
-                  on.us_per_update);
-    report.metric("encode_cache_off_" + std::to_string(n) + "_us",
-                  off.us_per_update);
-    if (n == 8)
-      std::printf("  -> at 8 all-paths sessions the encode cache %s\n",
-                  on.us_per_update < off.us_per_update ? "wins" : "LOSES");
+                  r.us_per_update);
   }
 
   std::printf("wrote %s\n", report.write().c_str());

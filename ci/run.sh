@@ -64,6 +64,16 @@ python3 tools/bench_check.py --fresh-dir build/bench \
   --metric attr_flow:intern_hit_rate:exact \
   --metric attr_flow:encode_hit_rate:exact
 
+echo "=== bench regression gate: MRAI batching ablation ==="
+# Updates emitted for 300 flaps of one prefix at MRAI 0/5/30/120 s: sim-clock
+# counts, gated exactly (EXPERIMENTS.md's Ablations table quotes them).
+(cd build/bench && ./bench_ablations)
+python3 tools/bench_check.py --fresh-dir build/bench \
+  --metric ablations:mrai_0s_updates:exact \
+  --metric ablations:mrai_5s_updates:exact \
+  --metric ablations:mrai_30s_updates:exact \
+  --metric ablations:mrai_120s_updates:exact
+
 echo "=== bench regression gate: update-group fan-out ==="
 # The binary self-checks that grouping reduces per-session export cost at
 # 1000 sessions and that grouped/ungrouped send identical update counts

@@ -435,27 +435,23 @@ AttrsPtr AttrPool::adopt(const AttrsPtr& attrs) {
 }
 
 const Bytes& AttrPool::encoded(const AttrsPtr& attrs,
-                               const AttrCodecOptions& options, bool* hit,
+                               const AttrCodecOptions& options,
                                std::size_t* nh_offset) {
   const std::size_t slot = options.four_byte_asn ? 1 : 0;
-  if (hit) *hit = false;
-  if (encode_cache_enabled_) {
-    auto it = by_ptr_.find(attrs.get());
-    if (it != by_ptr_.end()) {
-      auto& wire = it->second->wire[slot];
-      if (wire) {
-        ++stats_.encode_hits;
-        if (hit) *hit = true;
-        if (nh_offset) *nh_offset = it->second->nh_offset[slot];
-        return *wire;
-      }
-      ++stats_.encode_misses;
-      wire = encode_attributes(*attrs, options);
-      wire_bytes_ += wire->size();
-      it->second->nh_offset[slot] = next_hop_value_offset(*wire);
+  auto it = by_ptr_.find(attrs.get());
+  if (it != by_ptr_.end()) {
+    auto& wire = it->second->wire[slot];
+    if (wire) {
+      ++stats_.encode_hits;
       if (nh_offset) *nh_offset = it->second->nh_offset[slot];
       return *wire;
     }
+    ++stats_.encode_misses;
+    wire = encode_attributes(*attrs, options);
+    wire_bytes_ += wire->size();
+    it->second->nh_offset[slot] = next_hop_value_offset(*wire);
+    if (nh_offset) *nh_offset = it->second->nh_offset[slot];
+    return *wire;
   }
   ++stats_.encode_misses;
   scratch_ = encode_attributes(*attrs, options);

@@ -220,17 +220,10 @@ class AttrPool {
   /// Encoded at most once per (set, options); all sessions with identical
   /// negotiated options share the bytes. Foreign (non-pool) pointers fall
   /// back to a direct encode into a scratch buffer. The reference is valid
-  /// until the next encoded() call or sweep(). When `hit` is non-null it
-  /// reports whether this call was served from the cache.
+  /// until the next encoded() call or sweep(). When `nh_offset` is
+  /// non-null it receives the NEXT_HOP value's offset in the bytes.
   const Bytes& encoded(const AttrsPtr& attrs, const AttrCodecOptions& options,
-                       bool* hit = nullptr, std::size_t* nh_offset = nullptr);
-
-  /// Ablation toggle: with the cache disabled every encoded() call
-  /// serializes from scratch (the pre-refactor behaviour).
-  void set_encode_cache_enabled(bool enabled) {
-    encode_cache_enabled_ = enabled;
-  }
-  bool encode_cache_enabled() const { return encode_cache_enabled_; }
+                       std::size_t* nh_offset = nullptr);
 
   std::size_t size() const { return pool_.size(); }
   /// Approximate bytes held by pooled attribute objects.
@@ -283,7 +276,6 @@ class AttrPool {
   std::unordered_map<const PathAttributes*, Entry*> by_ptr_;
   std::size_t attr_bytes_ = 0;
   std::size_t wire_bytes_ = 0;
-  bool encode_cache_enabled_ = true;
   Stats stats_;
   Bytes scratch_;
 };

@@ -143,8 +143,6 @@ struct BgpSpeaker::Session {
   std::uint64_t group = 0;
   std::uint64_t group_cursor = 0;
   bool needs_full = false;
-  /// Export-hook class registered via set_peer_export_class (0 = opaque).
-  std::uint64_t export_class = 0;
   bool flush_scheduled = false;
   SimTime flush_at;
   SimTime next_flush_allowed;
@@ -187,11 +185,11 @@ struct BgpSpeaker::ExportGroup {
 
   std::uint64_t log_end() const { return log_base + log.size(); }
 
-  /// Per-(source attrs, origin) transform memo: the group-level export
-  /// chain is a pure function of those once the policy is
-  /// prefix-independent and no export hook is installed. A null result
-  /// records suppression. Values pin pool entries, so the speaker clears
-  /// every memo before sweeping the pool.
+  /// Per-(source attrs, origin) transform memo: under the export contract
+  /// the group-level export chain is a pure function of those once the
+  /// policy is prefix-independent. A null result records suppression.
+  /// Values pin pool entries, so the speaker clears every memo before
+  /// sweeping the pool.
   struct MemoKey {
     const PathAttributes* attrs = nullptr;
     PeerId origin = 0;
@@ -211,10 +209,6 @@ struct BgpSpeaker::ExportGroup {
   };
   std::unordered_map<MemoKey, MemoValue, MemoKeyHash> memo;
   bool memo_enabled = false;
-  /// Whether eBGP templates may carry the next-hop placeholder. False only
-  /// for singleton groups pinned by an opaque (unregistered) export hook,
-  /// which must keep seeing the real per-peer next-hop.
-  bool spliceable = true;
   /// Source-driven class (set_source_export_hook): the source attribute
   /// set is the template and `source_hook` picks the spliced next-hop;
   /// transform/policy/general-hook are bypassed.
@@ -780,7 +774,6 @@ bool BgpSpeaker::export_eligible(PeerId to, const RibRoute& route) const {
 
 bool BgpSpeaker::standard_export_transform(PeerId to, const RibRoute& route,
                                            AttrBuilder& attrs,
-                                           bool use_placeholder,
                                            bool* splice) const {
   if (!export_eligible(to, route)) return false;
   const Session& s = *sessions_.at(to);
@@ -804,14 +797,10 @@ bool BgpSpeaker::standard_export_transform(PeerId to, const RibRoute& route,
     // MED is non-transitive across ASes: drop it when re-advertising a
     // route learned via eBGP, keep it for routes this AS originates.
     if (route.peer != kLocalRoutes && !from_ibgp) m.med.reset();
-    if (use_placeholder) {
-      // Group template: one attribute set serves every member; each splices
-      // its own local address over the placeholder at send time.
-      m.next_hop = kNhPlaceholder;
-      if (splice) *splice = true;
-    } else {
-      m.next_hop = s.config.local_address;
-    }
+    // Group template: one attribute set serves every member; each splices
+    // its own local address over the placeholder at send time.
+    m.next_hop = kNhPlaceholder;
+    if (splice) *splice = true;
   }
   return true;
 }
@@ -823,17 +812,7 @@ std::uint64_t BgpSpeaker::export_fingerprint(PeerId peer) const {
   // Grouping off: every session fingerprints to itself (singleton groups
   // running the identical machinery — the differential's escape hatch).
   if (!pipeline_.group_exports) mix(peer);
-  // Export-hook class. An installed hook with no registered class is
-  // opaque: its results may depend on the member, so the peer never shares.
-  // A source-driven class keys the group even without a general hook.
-  if (s.export_class != 0 && source_export_hooks_.count(s.export_class)) {
-    mix(s.export_class);
-  } else if (export_hook_) {
-    mix(s.export_class != 0 ? s.export_class
-                            : (0x8000000000000000ull | peer));
-  } else {
-    mix(0);
-  }
+  mix(s.config.export_class);                      // export-hook class
   mix(s.config.peer_asn == asn_ ? 1 : 0);          // iBGP vs eBGP transform
   mix(s.config.transparent ? 1 : 0);               // RFC 7947 transparency
   mix(s.config.export_all_paths ? 1 : 0);
@@ -858,7 +837,7 @@ bool BgpSpeaker::fingerprint_matches(PeerId peer,
          a.tx_options.attrs.four_byte_asn ==
              b.tx_options.attrs.four_byte_asn &&
          a.config.mrai == b.config.mrai &&
-         a.export_class == b.export_class &&
+         a.config.export_class == b.config.export_class &&
          a.config.export_policy == b.config.export_policy;
 }
 
@@ -891,21 +870,14 @@ void BgpSpeaker::join_group(PeerId peer) {
       std::lower_bound(group->members.begin(), group->members.end(), peer),
       peer);
   // The memo caches group-level evaluation results keyed only on (source
-  // attrs, origin): valid when nothing else feeds the evaluation — a
-  // prefix-independent policy and either no hook or one that declared
-  // itself memo-safe (and invalidates on external-state changes). Grouping
-  // itself (hook/policy once per group) does not require the memo.
-  auto shit = s.export_class != 0 ? source_export_hooks_.find(s.export_class)
-                                  : source_export_hooks_.end();
+  // attrs, origin): the export contract makes the hooks pure in those, so
+  // only a prefix-dependent policy rules it out. A source-driven class
+  // bypasses the policy.
+  auto shit = source_export_hooks_.find(s.config.export_class);
   group->source_driven = shit != source_export_hooks_.end();
   group->source_hook = group->source_driven ? shit->second : nullptr;
-  // A source-driven hook is memo-safe by contract (and bypasses the
-  // policy, so prefix independence is moot for it).
-  group->memo_enabled =
-      group->source_driven ||
-      ((!export_hook_ || export_hook_memo_safe_) &&
-       s.config.export_policy.prefix_independent());
-  group->spliceable = !export_hook_ || s.export_class != 0;
+  group->memo_enabled = group->source_driven ||
+                        s.config.export_policy.prefix_independent();
   s.group = group->id;
   s.group_cursor = group->log_end();
   s.needs_full = true;
@@ -970,18 +942,17 @@ void BgpSpeaker::trim_group_log(ExportGroup& group) {
   }
 }
 
-void BgpSpeaker::set_export_hook(ExportHook hook, bool memo_safe) {
+void BgpSpeaker::set_export_hook(ExportHook hook) {
   export_hook_ = std::move(hook);
-  export_hook_memo_safe_ = memo_safe;
-  // Hook presence changes fingerprints (opaque peers become singletons)
-  // and memo eligibility; memoized results may embed old hook output.
+  // Memoized results may embed old hook output; rejoining marks every
+  // member for a full resync under the new hook.
   clear_group_memos();
   refingerprint_established();
 }
 
 void BgpSpeaker::set_source_export_hook(std::uint64_t export_class,
                                         SourceExportHook hook) {
-  if (export_class == 0) return;  // class 0 = opaque, never source-driven
+  if (export_class == 0) return;  // class 0 always takes the general path
   if (hook) {
     source_export_hooks_[export_class] = std::move(hook);
   } else {
@@ -994,17 +965,6 @@ void BgpSpeaker::set_source_export_hook(std::uint64_t export_class,
 }
 
 void BgpSpeaker::invalidate_export_memos() { clear_group_memos(); }
-
-void BgpSpeaker::set_peer_export_class(PeerId peer,
-                                       std::uint64_t export_class) {
-  Session& s = *sessions_.at(peer);
-  if (s.export_class == export_class) return;
-  s.export_class = export_class;
-  if (s.state == SessionState::kEstablished) {
-    clear_group_memos();
-    refingerprint_peer(peer);
-  }
-}
 
 void BgpSpeaker::set_peer_mrai(PeerId peer, Duration mrai) {
   Session& s = *sessions_.at(peer);
@@ -1121,13 +1081,11 @@ void BgpSpeaker::evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
       }
     } else {
       AttrBuilder builder(route.attrs);
-      if (standard_export_transform(rep, route, builder,
-                                    /*use_placeholder=*/group.spliceable,
-                                    &splice) &&
+      if (standard_export_transform(rep, route, builder, &splice) &&
           s.config.export_policy.apply(prefix, builder)) {
         // As on import: intern only the post-hook set, so a hook that
-        // replaces the candidate (vBGP's experiment fan-out) never inserts
-        // the discarded intermediate into the pool.
+        // replaces the candidate (vBGP's control-community strip) never
+        // inserts the discarded intermediate into the pool.
         if (export_hook_) {
           auto hooked = export_hook_(rep, route, builder.release());
           if (hooked) result = attr_pool_.adopt(*hooked);
@@ -1361,14 +1319,12 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   // hit by construction once its template is warm, whichever class sends
   // first. Adverts always carry pool-interned sets (adopt/commit guarantee
   // it), so encoded() never falls back to its scratch buffer here.
-  if (attr_pool_.encode_cache_enabled()) {
-    for (std::size_t i = 0; i < gids.size(); ++i) {
-      ExportGroup& group = *groups_.at(gids[i]);
-      const Session& rep = *sessions_.at(group.members.front());
-      for (GroupAdvert& advert : gevals[i].adverts) {
-        advert.wire = &attr_pool_.encoded(advert.attrs, rep.tx_options.attrs,
-                                          nullptr, &advert.nh_offset);
-      }
+  for (std::size_t i = 0; i < gids.size(); ++i) {
+    ExportGroup& group = *groups_.at(gids[i]);
+    const Session& rep = *sessions_.at(group.members.front());
+    for (GroupAdvert& advert : gevals[i].adverts) {
+      advert.wire = &attr_pool_.encoded(advert.attrs, rep.tx_options.attrs,
+                                        &advert.nh_offset);
     }
   }
 
@@ -1452,7 +1408,6 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
     if (!s.stream || !s.stream->open()) continue;
     if (!r.wire.empty()) s.stream->send(r.wire);
     s.stats.attr_encode_cache_hits += r.cache_hits;
-    s.stats.attr_encode_cache_misses += r.cache_misses;
     if (r.splices > 0) obs_group_splices_->add(r.splices);
   }
 }
@@ -1483,7 +1438,7 @@ std::vector<BgpSpeaker::EncodeClass> BgpSpeaker::classify_members(
           own_origin = true;  // split horizon
         } else {
           include = !export_filter_ ||
-                    export_filter_(to, advert.origin, *advert.source_attrs);
+                    export_filter_(to, *advert.source_attrs);
         }
         if (include && advert.splice && !advert.splice_nh) own_next_hop = true;
         keep.push_back(include ? 1 : 0);
@@ -1552,7 +1507,7 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
           keep ? (*keep)[next_keep++] != 0
                : ap->origin != to &&  // split horizon
                      (!export_filter_ ||
-                      export_filter_(to, ap->origin, *ap->source_attrs));
+                      export_filter_(to, *ap->source_attrs));
       if (include) chosen.push_back(ap);
     }
     auto poit = table->prefixes.find(prefix);
@@ -1649,28 +1604,13 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
                            advert->attrs, final_nh};
       if (stream_open) {
         nlri.assign(1, {id, prefix});
-        if (advert->wire != nullptr) {
-          // Pre-encoded by the warm-up pass: this member's send is
-          // a cache hit by construction.
-          ++r.cache_hits;
-          encode_update_spliced_into(
-              r.wire, *advert->wire,
-              advert->splice ? advert->nh_offset : kNoNextHopOffset,
-              final_nh, nlri, s.tx_options);
-        } else {
-          bool hit = false;
-          std::size_t nh_offset = kNoNextHopOffset;
-          const Bytes& attr_bytes = attr_pool_.encoded(
-              advert->attrs, s.tx_options.attrs, &hit, &nh_offset);
-          if (hit)
-            ++r.cache_hits;
-          else
-            ++r.cache_misses;
-          encode_update_spliced_into(
-              r.wire, attr_bytes,
-              advert->splice ? nh_offset : kNoNextHopOffset, final_nh, nlri,
-              s.tx_options);
-        }
+        // Pre-encoded by the warm-up pass: this member's send is a cache
+        // hit by construction.
+        ++r.cache_hits;
+        encode_update_spliced_into(
+            r.wire, *advert->wire,
+            advert->splice ? advert->nh_offset : kNoNextHopOffset, final_nh,
+            nlri, s.tx_options);
         if (advert->splice) ++r.splices;
       }
       ++r.updates;

@@ -127,6 +127,11 @@ struct PeerConfig {
   /// peered directly. This is how IXP route servers deliver most of
   /// PEERING's 900+ peers.
   bool transparent = false;
+  /// Export class: the export hooks' view of this peer (see BgpSpeaker::
+  /// ExportHook). Peers that share a class and the rest of their export
+  /// identity share one update group and one hook evaluation per advert.
+  /// A class with a registered source hook exports source-driven.
+  std::uint64_t export_class = 0;
 };
 
 /// Per-session statistics.
@@ -154,39 +159,39 @@ class BgpSpeaker {
   using ImportHook = std::function<std::optional<AttrsPtr>(
       PeerId from, const NlriEntry& entry, const AttrsPtr& attrs)>;
 
-  /// Export hook: runs after the peer's export policy, before transmission.
-  /// Return nullopt to suppress, the input pointer to pass through
-  /// untouched, or a transformed AttrsPtr. vBGP enforces announcement
-  /// controls here. Under export grouping the hook runs once per group with
-  /// `to` = the group's representative member; a hook registered via
-  /// set_peer_export_class promises its result depends only on
-  /// (route.attrs, route.peer, class) — an unregistered hook keeps its peer
-  /// in a singleton group and old per-peer semantics.
+  /// The export contract. Every export hook below is a pure function of
+  /// (source attrs, origin peer, the receiving peer's export class), given
+  /// external state that the owner invalidates through
+  /// invalidate_export_memos(). The speaker relies on it twice: it runs a
+  /// hook once per update group, for the group's representative member,
+  /// and memoizes the result per (source attrs, origin).
+  ///
+  /// General export hook: runs after the standard export transform and the
+  /// export policy, before transmission. Return nullopt to suppress, the
+  /// input pointer to pass through untouched, or a transformed AttrsPtr.
+  /// On non-transparent eBGP sessions `attrs.next_hop` is the splice
+  /// placeholder, which each member replaces with its own address at send
+  /// time; a hook that sets a concrete next-hop disables the splice.
   using ExportHook = std::function<std::optional<AttrsPtr>(
       PeerId to, const RibRoute& route, const AttrsPtr& attrs)>;
 
   /// Source-driven export hook, registered per export class: the class
-  /// exports each route's *source* attribute set verbatim — no transform
-  /// clone, no re-intern, no pool growth — and the hook only decides
-  /// suppression and the next-hop, which is spliced over the template's
-  /// cached wire bytes at send time (the full-fidelity fan-out pattern:
-  /// vBGP's experiment exports). Eligibility gates still apply (iBGP
-  /// split, NO_ADVERTISE/NO_EXPORT); the standard attribute transform and
-  /// the per-peer export policy are bypassed by definition of the class.
-  /// Same purity contract as a memo-safe ExportHook: a function of
-  /// (route.attrs, route.peer) given external state, with
-  /// invalidate_export_memos() on changes to that state.
+  /// exports each route's *source* attribute set verbatim (no transform
+  /// clone, no re-intern, no pool growth) and the hook only decides
+  /// suppression and the next-hop, spliced over the template's cached wire
+  /// bytes at send time. This is vBGP's experiment fan-out. Eligibility
+  /// gates still apply (iBGP split, NO_ADVERTISE/NO_EXPORT); the standard
+  /// transform, the export policy and the general hook do not.
   using SourceExportHook =
       std::function<std::optional<Ipv4Address>(const RibRoute& route)>;
 
   /// Per-member export filter: runs for every group member at send time,
-  /// after the group-level policy/hook evaluation, with the advert's
-  /// originating peer and its *pre-transform* source attribute set. Return
-  /// false to suppress this member's copy of the advertisement.
-  /// Member-dependent export decisions live here under grouping (vBGP's
-  /// per-neighbor community gate).
-  using ExportFilterHook = std::function<bool(
-      PeerId to, PeerId origin, const PathAttributes& source_attrs)>;
+  /// after group evaluation, with the advert's *pre-transform* source
+  /// attribute set. Return false to suppress this member's copy. Decisions
+  /// that depend on the member itself live here (vBGP's per-neighbor
+  /// community gate).
+  using ExportFilterHook =
+      std::function<bool(PeerId to, const PathAttributes& source_attrs)>;
 
   /// Route event: fired when the post-import route set changes (install or
   /// withdraw). vBGP synchronizes per-neighbor FIBs from this, in the order
@@ -258,31 +263,20 @@ class BgpSpeaker {
   void drain_pipeline();
 
   void set_import_hook(ImportHook hook) { import_hook_ = std::move(hook); }
-  /// `memo_safe` declares the hook a pure function of (route.attrs,
-  /// route.peer, export class) *given* the external state it reads — the
-  /// owner must call invalidate_export_memos() whenever that state changes
-  /// (vBGP does on neighbor-registry mutations). Memo-safe hooks keep the
-  /// per-group evaluation memo enabled; opaque hooks disable it.
-  void set_export_hook(ExportHook hook, bool memo_safe = false);
-  /// Installs a source-driven hook for one export class (must be nonzero);
-  /// groups of that class use it instead of the general export hook. Pass
-  /// an empty function to unregister.
+  /// Installs the general export hook (see ExportHook for the contract).
+  void set_export_hook(ExportHook hook);
+  /// Installs a source-driven hook for one export class (must be nonzero:
+  /// class 0 always takes the general path); groups of that class use it
+  /// instead of the general export hook. Pass an empty function to
+  /// unregister.
   void set_source_export_hook(std::uint64_t export_class,
                               SourceExportHook hook);
   void set_export_filter(ExportFilterHook hook) {
     export_filter_ = std::move(hook);
   }
-  /// Drops every group's export-evaluation memo. Required from owners of
-  /// memo-safe export hooks when hook-visible external state changes.
+  /// Drops every group's export-evaluation memo. Hook owners call it when
+  /// hook-visible external state changes.
   void invalidate_export_memos();
-  /// Declares that the installed export hook behaves as a pure function of
-  /// (route.attrs, route.peer, export_class) for this peer, so peers
-  /// sharing a class can share one hook invocation per advert. The hook
-  /// must not read attrs.next_hop on non-transparent eBGP sessions (it may
-  /// carry the splice placeholder); overriding it disables the splice.
-  /// 0 (the default) = unregistered: the hook is treated as opaque and the
-  /// peer never shares a group while a hook is installed.
-  void set_peer_export_class(PeerId peer, std::uint64_t export_class);
 
   /// Adjusts the peer's MRAI after registration (the backbone fabric
   /// registers iBGP peers itself; the internet-scale soak then arms MRAI
@@ -420,7 +414,6 @@ class BgpSpeaker {
     Bytes wire;
     std::uint64_t updates = 0;
     std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
     std::uint64_t splices = 0;
   };
 
@@ -525,12 +518,10 @@ class BgpSpeaker {
   /// Default per-session transforms applied on export before policy: AS
   /// prepend + next-hop handling for eBGP, LOCAL_PREF for iBGP. Mutates the
   /// builder copy-on-write; returns false to suppress the advertisement.
-  /// With `use_placeholder` the eBGP next-hop rewrite installs the splice
-  /// placeholder (sets *splice) instead of the representative's address,
-  /// so one template serves every member.
+  /// The eBGP next-hop rewrite installs the splice placeholder (sets
+  /// *splice), so one template serves every member.
   bool standard_export_transform(PeerId to, const RibRoute& route,
-                                 AttrBuilder& attrs, bool use_placeholder,
-                                 bool* splice) const;
+                                 AttrBuilder& attrs, bool* splice) const;
   /// The transform's pure reject gates (iBGP split, NO_ADVERTISE /
   /// NO_EXPORT) without any attribute mutation — the eligibility check
   /// source-driven groups run before handing the route to their hook.
@@ -569,7 +560,6 @@ class BgpSpeaker {
   ExportHook export_hook_;
   std::unordered_map<std::uint64_t, SourceExportHook> source_export_hooks_;
   ExportFilterHook export_filter_;
-  bool export_hook_memo_safe_ = false;
   RouteEventHandler route_event_;
   SessionEventHandler session_event_;
   MonitorTap* monitor_ = nullptr;

@@ -163,7 +163,6 @@ void MonitorSession::on_peer_state(bgp::PeerId peer,
 void MonitorSession::on_route_pre_policy(bgp::PeerId from,
                                          const bgp::NlriEntry& entry,
                                          const bgp::AttrsPtr& attrs) {
-  if (!options_.pre_policy) return;
   // Built in place (no temporary): this runs once per staged route, so the
   // record cost is part of the speaker's measured per-update budget.
   MonitorRecord* r = append();
@@ -182,7 +181,6 @@ void MonitorSession::on_route_post_policy(const bgp::RibRoute& route,
                                           bool withdrawn) {
   if (tracer_ != nullptr && !withdrawn)
     tracer_->note_locrib(name_, route.prefix, loop_->now());
-  if (!options_.post_policy) return;
   MonitorRecord* r = append();
   if (r == nullptr) return;
   r->type = RecordType::kRouteMonitoring;

@@ -64,10 +64,6 @@ class MonitorSession : public bgp::MonitorTap {
   struct Options {
     /// Record buffer bound; past it new records are dropped (and counted).
     std::size_t capacity = 1 << 16;
-    /// Mirror the pre-policy Adj-RIB-In feed (BMP L=0 route monitoring).
-    bool pre_policy = true;
-    /// Mirror post-policy route-set changes (BMP L=1 route monitoring).
-    bool post_policy = true;
   };
 
   /// Attaches to `speaker` (one monitor per speaker; a later session

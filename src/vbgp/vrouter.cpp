@@ -84,29 +84,25 @@ void VRouter::install_hooks() {
     }
     return std::optional<bgp::AttrsPtr>(attrs);
   });
-  // The export hook is class-pure: each branch of export_route depends only
-  // on the route and the peer's kind, so the speaker runs it once per update
-  // group (peers of one kind cluster together via the registered classes
-  // below). It is also memo-safe — a pure function of (source attrs, origin)
-  // given the neighbor registry and peer kinds, and every mutation of those
-  // calls invalidate_export_memos(). Member-dependent decisions live in the
-  // export filter.
-  speaker_.set_export_hook(
-      [this](bgp::PeerId to, const bgp::RibRoute& route,
-             const bgp::AttrsPtr& attrs) {
-        return export_route(to, route, attrs);
-      },
-      /*memo_safe=*/true);
+  // Every peer's export class is its kind (export_class_of), and both
+  // export hooks meet the speaker's export contract: each is a pure
+  // function of (source attrs, origin, kind) given the neighbor registry,
+  // and every registry mutation calls invalidate_export_memos(). The
+  // speaker runs them once per update group; member-dependent decisions
+  // live in the export filter. Neighbors and backbone peers take the
+  // general hook.
+  speaker_.set_export_hook([this](bgp::PeerId to, const bgp::RibRoute& route,
+                                  const bgp::AttrsPtr& attrs) {
+    return export_route(to, route, attrs);
+  });
   // The experiment fan-out is the textbook source-driven export: every
   // experiment sees the route's original attributes with only the next-hop
   // re-mapped to the local virtual identity of the advertising neighbor.
-  // Registering it as a source hook lets the speaker export the interned
-  // source set verbatim (no clone, no second pool entry per route) and
-  // splice the virtual next-hop into the cached wire template at send
-  // time. Same purity contract as the general hook: reads the neighbor
-  // registry, whose mutations call invalidate_export_memos().
+  // As a source hook the speaker exports the interned source set verbatim
+  // (no clone, no second pool entry per route) and splices the virtual
+  // next-hop into the cached wire template at send time.
   speaker_.set_source_export_hook(
-      static_cast<std::uint64_t>(PeerKind::kExperiment) + 1,
+      export_class_of(PeerKind::kExperiment),
       [this](const bgp::RibRoute& route) -> std::optional<Ipv4Address> {
         // Experiments never see each other's routes (isolation).
         const bool experiment_route =
@@ -125,9 +121,7 @@ void VRouter::install_hooks() {
         return nh;
       });
   speaker_.set_export_filter(
-      [this](bgp::PeerId to, bgp::PeerId origin,
-             const bgp::PathAttributes& source_attrs) {
-        (void)origin;
+      [this](bgp::PeerId to, const bgp::PathAttributes& source_attrs) {
         switch (peer_kind(to)) {
           case PeerKind::kExperiment:
             // Figure-6b quantity: one counted export per experiment session
@@ -169,10 +163,9 @@ bgp::PeerId VRouter::add_neighbor(const NeighborSpec& spec) {
   config.local_address = spec.local_address;
   config.peer_address = spec.remote_address;
   config.hold_time = spec.hold_time;
+  config.export_class = export_class_of(PeerKind::kNeighbor);
   bgp::PeerId peer = speaker_.add_peer(config);
   set_peer_kind(peer, PeerKind::kNeighbor);
-  speaker_.set_peer_export_class(
-      peer, static_cast<std::uint64_t>(PeerKind::kNeighbor) + 1);
   registry_.add_local(spec.name, peer, spec.remote_address, spec.interface,
                       spec.global_id);
   // The export hook's next-hop mapping reads the registry; memoized
@@ -190,14 +183,14 @@ bgp::PeerId VRouter::add_experiment(const ExperimentSpec& spec) {
   config.hold_time = spec.hold_time;
   config.addpath = bgp::AddPathMode::kBoth;
   config.export_all_paths = true;
-  // Experiments see routes with full fidelity (export_route rebuilds from
-  // the Loc-RIB attributes); transparent mode keeps the standard export
-  // transform from cloning a prepended set that would only be discarded.
+  // Experiments see routes with full fidelity: their class is
+  // source-driven, so each export is the Loc-RIB attribute set itself with
+  // only the next-hop spliced (install_hooks). No local-AS prepend, as on
+  // an RFC 7947 transparent session.
   config.transparent = true;
+  config.export_class = export_class_of(PeerKind::kExperiment);
   bgp::PeerId peer = speaker_.add_peer(config);
   set_peer_kind(peer, PeerKind::kExperiment);
-  speaker_.set_peer_export_class(
-      peer, static_cast<std::uint64_t>(PeerKind::kExperiment) + 1);
   experiments_by_peer_[peer] = spec.experiment_id;
   experiments_by_interface_[spec.interface] = spec.experiment_id;
   return peer;
@@ -212,10 +205,9 @@ bgp::PeerId VRouter::add_backbone_peer(const BackboneSpec& spec) {
   config.hold_time = spec.hold_time;
   config.addpath = bgp::AddPathMode::kBoth;
   config.export_all_paths = true;
+  config.export_class = export_class_of(PeerKind::kBackbone);
   bgp::PeerId peer = speaker_.add_peer(config);
   set_peer_kind(peer, PeerKind::kBackbone);
-  speaker_.set_peer_export_class(
-      peer, static_cast<std::uint64_t>(PeerKind::kBackbone) + 1);
   backbone_interfaces_[peer] = spec.interface;
   return peer;
 }
@@ -366,7 +358,6 @@ bgp::AttrsPtr VRouter::remap_next_hop(const bgp::AttrsPtr& attrs,
 std::optional<bgp::AttrsPtr> VRouter::export_route(bgp::PeerId to,
                                                    const bgp::RibRoute& route,
                                                    const bgp::AttrsPtr& attrs) {
-  const PeerKind to_kind = peer_kind(to);
   const PeerKind from_kind =
       route.peer == bgp::kLocalRoutes ? PeerKind::kNeighbor  // local routes
                                       : peer_kind(route.peer);
@@ -374,24 +365,7 @@ std::optional<bgp::AttrsPtr> VRouter::export_route(bgp::PeerId to,
       has_experiment_marker(*route.attrs, config_.asn) ||
       from_kind == PeerKind::kExperiment;
 
-  switch (to_kind) {
-    case PeerKind::kExperiment: {
-      // Experiments never see each other's routes (isolation), but see
-      // every Internet route with full fidelity: original attributes, no
-      // local prepend, next-hop re-mapped to the local virtual IP. Building
-      // from route.attrs (not the post-transform `attrs`) means every
-      // experiment session produces the same attribute set, which interns
-      // to a single shared pointer across the whole fan-out.
-      if (experiment_route) return std::nullopt;
-      Ipv4Address nh = route.attrs->next_hop;
-      if (VirtualNeighbor* nb = registry_.local_by_global_ip(nh)) {
-        nh = nb->virtual_ip;
-      } else if (VirtualNeighbor* rnb = registry_.remote_by_global_ip(nh)) {
-        nh = rnb->virtual_ip;
-      }
-      // else: already a virtual IP (off-backbone PoP) or locally originated.
-      return remap_next_hop(route.attrs, nh);
-    }
+  switch (peer_kind(to)) {
     case PeerKind::kNeighbor: {
       // Only experiment-originated (or platform-originated) announcements
       // reach the Internet; PEERING never transits third-party routes. The
@@ -405,15 +379,17 @@ std::optional<bgp::AttrsPtr> VRouter::export_route(bgp::PeerId to,
       strip_control(b.mutate(), config_.asn);
       return b.commit(speaker_.attr_pool());
     }
-    case PeerKind::kBackbone: {
+    case PeerKind::kBackbone:
       // Everything (neighbor routes with global next-hops, experiment
       // routes with markers) crosses the backbone; the speaker's iBGP rules
       // already prevent iBGP-learned routes from echoing back. Pure
       // pass-through: the interned pointer flows to the wire unchanged.
       return attrs;
-    }
+    case PeerKind::kExperiment:
+      // Source-driven class: the source hook exports to experiments.
+      break;
   }
-  return attrs;
+  return std::nullopt;
 }
 
 void VRouter::sync_fib(const bgp::RibRoute& route, bool withdrawn) {
@@ -721,9 +697,10 @@ void VRouter::egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
   ++stats_.frames_demuxed;
   obs_frames_demuxed_->inc();
   if (trace_) {
-    trace_->record(loop_->now(), "demux",
-                   exp.value_or("?") + " -> " + neighbor.name + " dst=" +
-                       packet.dst.str());
+    trace_->emit(loop_->now(), "vbgp", "demux",
+                 {{"experiment", exp.value_or("?")},
+                  {"neighbor", neighbor.name},
+                  {"dst", packet.dst.str()}});
   }
   transmit(route->interface, route->next_hop, std::move(packet));
 }
@@ -766,9 +743,10 @@ void VRouter::deliver_toward_experiment(int in_if,
   ++stats_.frames_to_experiments;
   obs_frames_to_exp_->inc();
   if (trace_) {
-    trace_->record(loop_->now(), "deliver",
-                   entry.experiment_id + " <- " + src_mac.str() + " dst=" +
-                       packet.dst.str());
+    trace_->emit(loop_->now(), "vbgp", "deliver",
+                 {{"experiment", entry.experiment_id},
+                  {"src_mac", src_mac.str()},
+                  {"dst", packet.dst.str()}});
   }
   send_frame(entry.interface,
              ether::make_frame(*exp_mac, src_mac, ether::EtherType::kIpv4,

@@ -35,7 +35,7 @@
 #include "enforce/data_enforcer.h"
 #include "ip/host.h"
 #include "obs/metrics.h"
-#include "sim/trace.h"
+#include "obs/trace.h"
 #include "vbgp/communities.h"
 #include "vbgp/neighbor_registry.h"
 
@@ -179,9 +179,11 @@ class VRouter : public ip::Host {
     return accounting_;
   }
 
-  /// Optional data-plane trace: demux decisions and deliveries are
-  /// recorded for offline analysis (nullptr disables).
-  void set_trace(sim::TraceRecorder* trace) { trace_ = trace; }
+  /// Optional data-plane trace: each demux decision and each attributed
+  /// delivery emits a `vbgp` event (`demux`, `deliver`) into `trace`.
+  /// Null (the default) disables it, so forwarding pays one pointer check
+  /// and never touches the registry's ring.
+  void set_trace(obs::EventTrace* trace) { trace_ = trace; }
 
   /// Called after every per-neighbor FIB insert/remove with the affected
   /// prefix. Generic hook (vbgp stays independent of the monitoring
@@ -241,7 +243,7 @@ class VRouter : public ip::Host {
 
   /// `attrs` with its next-hop replaced by `nh`, interned. Memoized by
   /// source pointer: next-hop rewriting is the hot per-update transform
-  /// (every import, every experiment export), and for a pool-owned source
+  /// (every neighbor import), and for a pool-owned source
   /// the result is a pure function of the pointer, so the steady state is
   /// one hash-map probe instead of clone + content-hash + intern.
   bgp::AttrsPtr remap_next_hop(const bgp::AttrsPtr& attrs, Ipv4Address nh);
@@ -257,6 +259,11 @@ class VRouter : public ip::Host {
                                  ip::Ipv4Packet packet);
 
   enum class PeerKind { kNeighbor, kExperiment, kBackbone };
+  /// A peer's export class (bgp::PeerConfig::export_class) is its kind,
+  /// offset past the speaker's default class 0.
+  static std::uint64_t export_class_of(PeerKind kind) {
+    return static_cast<std::uint64_t>(kind) + 1;
+  }
   /// Export filters ask once per (member, advert), so this is a vector
   /// index: PeerIds are dense, starting at 1. Unknown peers are neighbors.
   PeerKind peer_kind(bgp::PeerId peer) const;
@@ -293,7 +300,7 @@ class VRouter : public ip::Host {
   bool default_table_enabled_ = false;
   FibObserver fib_observer_;
   std::map<std::string, TrafficAccount> accounting_;
-  sim::TraceRecorder* trace_ = nullptr;
+  obs::EventTrace* trace_ = nullptr;
 
   /// Original (pre-rewrite) next-hop per imported route: the gateway the
   /// per-neighbor FIB forwards to. For a direct neighbor this equals the

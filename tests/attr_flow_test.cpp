@@ -131,15 +131,6 @@ TEST(AttrPool, EncodeCacheReturnsOneEncodingPerOptionSet) {
   const Bytes& w3 = pool.encoded(p, two);
   EXPECT_NE(w3, w1);
   EXPECT_GT(pool.encode_cache_bytes(), 0u);
-
-  // Disabled: every call re-serializes into scratch; nothing is retained.
-  AttrPool cold;
-  cold.set_encode_cache_enabled(false);
-  AttrsPtr q = cold.intern(a);
-  cold.encoded(q, four);
-  cold.encoded(q, four);
-  EXPECT_EQ(cold.stats().encode_hits, 0u);
-  EXPECT_EQ(cold.encode_cache_bytes(), 0u);
 }
 
 TEST(AttrPool, SweepReleasesUnreferencedEntriesAndEncodings) {

@@ -593,7 +593,7 @@ ScenarioResult run_scenario(PipelineConfig pipeline, std::uint64_t seed) {
                /*peer_addpath=*/true);
   const PeerId rs4 = hub.peers[rs1 + 3];
   hub.speaker.set_export_filter(
-      [&filter_calls, rs4](PeerId to, PeerId, const PathAttributes& source) {
+      [&filter_calls, rs4](PeerId to, const PathAttributes& source) {
         ++filter_calls[to];
         return to != rs4 || !source.has_community(Community(65000, 2));
       });
@@ -906,22 +906,21 @@ ScenarioResult run_hook_scenario(bool source_driven) {
           PathAttributes rewritten = *attrs;
           rewritten.next_hop = vnh;
           return hub.speaker.attr_pool().intern(std::move(rewritten));
-        },
-        /*memo_safe=*/true);
+        });
   }
   for (int i = 0; i < 2; ++i) {
     std::string peer_name = "x";
     peer_name += std::to_string(i);
-    PeerId peer = hub.attach(
+    hub.attach(
         {.name = peer_name,
          .peer_asn = static_cast<Asn>(64071 + i),
          .local_address = Ipv4Address(10, static_cast<std::uint8_t>(i + 1), 0,
                                       1),
          .addpath = AddPathMode::kBoth,
          .export_all_paths = true,
-         .transparent = true},
+         .transparent = true,
+         .export_class = kClass},
         /*peer_addpath=*/true);
-    hub.speaker.set_peer_export_class(peer, kClass);
   }
   hub.settle();
 
@@ -954,6 +953,40 @@ TEST(UpdateGroup, SourceDrivenHookMatchesGeneralHookOnWire) {
         << "session " << i << " received different bytes";
   // The source-driven class shares one group across both sessions.
   EXPECT_EQ(with_source.groups, 1u);
+}
+
+/// Under the export contract a hook never pins its peer: class-0 eBGP
+/// peers with equal export identity share one group and one template
+/// whose placeholder next-hop each member splices at send time.
+TEST(UpdateGroup, ClassZeroPeersShareAGroupUnderAHook) {
+  obs::Registry registry;
+  obs::Scope scope(&registry);
+  Hub hub;
+  hub.speaker.set_export_hook(
+      [](PeerId, const RibRoute&,
+         const AttrsPtr& attrs) -> std::optional<AttrsPtr> { return attrs; });
+  PeerId a = hub.attach({.name = "a", .peer_asn = 64011,
+                         .local_address = Ipv4Address(10, 1, 0, 1)});
+  PeerId b = hub.attach({.name = "b", .peer_asn = 64012,
+                         .local_address = Ipv4Address(10, 2, 0, 1)});
+  hub.settle();
+  hub.speaker.originate(pfx("10.80.0.0/16"), attrs_with(1));
+  hub.settle();
+
+  ASSERT_NE(hub.speaker.export_group_of(a), 0u);
+  EXPECT_EQ(hub.speaker.export_group_of(a), hub.speaker.export_group_of(b));
+  EXPECT_EQ(hub.speaker.export_group_count(), 1u);
+  if (obs::kCompiledIn) {
+    EXPECT_GT(registry.snapshot(hub.loop.now())
+                  .total("bgp_export_group_splices_total"),
+              0);
+  }
+  // Each member still sees its own address as the next-hop.
+  for (PeerId peer : {a, b}) {
+    auto out = hub.speaker.adj_rib_out(peer);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].next_hop, hub.speaker.peer_config(peer).local_address);
+  }
 }
 
 // ---------------------------------------------------------------------------

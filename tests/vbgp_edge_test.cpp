@@ -3,6 +3,7 @@
 // shaping experiment traffic, and the operational "show" surface.
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
 #include "platform/peering.h"
 #include "toolkit/client.h"
 
@@ -221,7 +222,7 @@ TEST_F(EdgeTest, DefaultTableTracksBestPath) {
 }
 
 TEST_F(EdgeTest, DataPlaneTraceRecordsDemuxAndDelivery) {
-  sim::TraceRecorder trace;
+  obs::EventTrace trace;
   auto* router = peering_.pop("capped01")->router.get();
   router->set_trace(&trace);
 
@@ -239,9 +240,17 @@ TEST_F(EdgeTest, DataPlaneTraceRecordsDemuxAndDelivery) {
   client.host().ping(Ipv4Address(192, 168, 0, 1), 1, 2);
   peering_.settle(Duration::seconds(3));
 
-  EXPECT_GE(trace.by_category("demux").size(), 2u);
-  EXPECT_GE(trace.count_containing("exp1"), 2u);
-  EXPECT_GE(trace.by_category("deliver").size(), 1u);
+  std::size_t demux = 0, deliver = 0, exp1 = 0;
+  trace.for_each([&](const obs::TraceEvent& event) {
+    if (event.category != "vbgp") return;
+    if (event.name == "demux") ++demux;
+    if (event.name == "deliver") ++deliver;
+    for (const auto& [key, value] : event.fields)
+      if (key == "experiment" && value == "exp1") ++exp1;
+  });
+  EXPECT_GE(demux, 2u);
+  EXPECT_GE(exp1, 2u);
+  EXPECT_GE(deliver, 1u);
   router->set_trace(nullptr);
 }
 
