@@ -3,7 +3,8 @@
 //   1. attribute interning (the BIRD-style attribute cache): table memory
 //      with the shared AttrPool vs. one private PathAttributes per route —
 //      the difference is why per-route cost stays in the hundreds of bytes
-//      (Figure 6a's premise);
+//      (Figure 6a's premise). Deterministic byte accounting: CI gates the
+//      MB figures and their ratio exactly;
 //   2. MRAI batching: updates emitted downstream for a flapping prefix at
 //      different minimum route advertisement intervals (why vBGP's
 //      re-export does not amplify churn). Deterministic: CI gates the
@@ -22,7 +23,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Ablation 1: attribute interning.
 // ---------------------------------------------------------------------------
-void ablate_attr_interning() {
+void ablate_attr_interning(benchutil::JsonReport& report) {
   constexpr std::size_t kRoutes = 500'000;
   inet::RouteFeedConfig config;
   config.route_count = kRoutes;
@@ -55,9 +56,12 @@ void ablate_attr_interning() {
     std::printf("  without interning: %7.1f MB for %zu routes\n",
                 private_pool.memory_bytes() / 1e6, kRoutes);
   }
-  std::printf("  -> interning saves %.1fx\n",
-              static_cast<double>(private_pool.memory_bytes()) /
-                  static_cast<double>(pool.memory_bytes()));
+  const double ratio = static_cast<double>(private_pool.memory_bytes()) /
+                      static_cast<double>(pool.memory_bytes());
+  std::printf("  -> interning saves %.1fx\n", ratio);
+  report.metric("interning_with_mb", pool.memory_bytes() / 1e6);
+  report.metric("interning_without_mb", private_pool.memory_bytes() / 1e6);
+  report.metric("interning_ratio", ratio);
 }
 
 // ---------------------------------------------------------------------------
@@ -94,7 +98,7 @@ int main() {
   benchutil::JsonReport report("ablations");
 
   std::printf("=== Ablation 1: attribute interning (500k-route table) ===\n");
-  ablate_attr_interning();
+  ablate_attr_interning(report);
 
   std::printf("\n=== Ablation 2: MRAI batching (300 flaps over 10 min) ===\n");
   std::printf("%16s %20s\n", "MRAI", "updates emitted");

@@ -64,11 +64,16 @@ python3 tools/bench_check.py --fresh-dir build/bench \
   --metric attr_flow:intern_hit_rate:exact \
   --metric attr_flow:encode_hit_rate:exact
 
-echo "=== bench regression gate: MRAI batching ablation ==="
-# Updates emitted for 300 flaps of one prefix at MRAI 0/5/30/120 s: sim-clock
-# counts, gated exactly (EXPERIMENTS.md's Ablations table quotes them).
+echo "=== bench regression gate: interning + MRAI batching ablations ==="
+# Attribute-pool bytes with and without interning (and their ratio: the
+# "~20x" EXPERIMENTS.md quotes) are byte accounting over a seeded feed;
+# updates emitted for 300 flaps of one prefix at MRAI 0/5/30/120 s are
+# sim-clock counts. All are deterministic and gated exactly.
 (cd build/bench && ./bench_ablations)
 python3 tools/bench_check.py --fresh-dir build/bench \
+  --metric ablations:interning_with_mb:exact \
+  --metric ablations:interning_without_mb:exact \
+  --metric ablations:interning_ratio:exact \
   --metric ablations:mrai_0s_updates:exact \
   --metric ablations:mrai_5s_updates:exact \
   --metric ablations:mrai_30s_updates:exact \

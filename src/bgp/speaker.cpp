@@ -1826,8 +1826,6 @@ void BgpSpeaker::publish_metrics(obs::Registry& registry) const {
         ->set(i64(s.stats.notifications_sent));
     registry.gauge("bgp_peer_encode_cache_hits", peer_labels)
         ->set(i64(s.stats.attr_encode_cache_hits));
-    registry.gauge("bgp_peer_encode_cache_misses", peer_labels)
-        ->set(i64(s.stats.attr_encode_cache_misses));
     registry.gauge("bgp_peer_adj_rib_in_routes", peer_labels)
         ->set(i64(s.rib_routes));
   }

@@ -143,9 +143,8 @@ struct PeerStats {
   std::uint64_t notifications_received = 0;
   std::uint64_t keepalives_received = 0;
   /// Transmit-side attribute serializations served from the AttrPool encode
-  /// cache vs. computed fresh for this session.
+  /// cache (every member send splices a pre-encoded template).
   std::uint64_t attr_encode_cache_hits = 0;
-  std::uint64_t attr_encode_cache_misses = 0;
 };
 
 class BgpSpeaker {

@@ -1,9 +1,77 @@
 #include "ether/frame.h"
 
 #include <algorithm>
-#include <array>
 
 namespace peering::ether {
+
+const char* drop_reason_name(DropReason reason) {
+  switch (reason) {
+    case DropReason::kTruncated:
+      return "truncated";
+    case DropReason::kBadChecksum:
+      return "bad_checksum";
+    case DropReason::kBadVersion:
+      return "bad_version";
+    case DropReason::kOptions:
+      return "options";
+    case DropReason::kBadLength:
+      return "bad_length";
+  }
+  return "unknown";
+}
+
+DropCounters::DropCounters() {
+  obs::Registry* registry = obs::Registry::global();
+  for (int i = 0; i < kDropReasonCount; ++i) {
+    by_reason_[static_cast<std::size_t>(i)] = registry->counter(
+        "ether_frames_dropped_total",
+        {{"reason", drop_reason_name(static_cast<DropReason>(i + 1))}});
+  }
+}
+
+namespace {
+Error truncated(const char* what) {
+  return Error(what, static_cast<int>(DropReason::kTruncated));
+}
+
+std::uint16_t u16_at(std::span<const std::uint8_t> wire, std::size_t at) {
+  return static_cast<std::uint16_t>((wire[at] << 8) | wire[at + 1]);
+}
+}  // namespace
+
+Result<FrameView> FrameView::parse(std::span<const std::uint8_t> wire) {
+  if (wire.size() < 6) return truncated("ether: truncated dst");
+  if (wire.size() < 12) return truncated("ether: truncated src");
+  if (wire.size() < kHeaderLength) return truncated("ether: truncated ethertype");
+  FrameView view;
+  view.wire_ = wire;
+  view.ethertype_ = u16_at(wire, 12);
+  if (view.ethertype_ == static_cast<std::uint16_t>(EtherType::kVlan)) {
+    if (wire.size() < 16) return truncated("ether: truncated vlan tag");
+    if (wire.size() < kHeaderLength + kVlanTagLength)
+      return truncated("ether: truncated inner ethertype");
+    view.vlan_id_ = u16_at(wire, 14) & 0x0fff;
+    view.ethertype_ = u16_at(wire, 16);
+    view.header_length_ = kHeaderLength + kVlanTagLength;
+  }
+  return view;
+}
+
+void rewrite_macs(Bytes& wire, MacAddress dst, MacAddress src) {
+  std::copy(dst.bytes().begin(), dst.bytes().end(), wire.begin());
+  std::copy(src.bytes().begin(), src.bytes().end(), wire.begin() + 6);
+}
+
+void untag_and_trim(Bytes& wire, const FrameView& view,
+                    std::size_t payload_length) {
+  const std::size_t header = view.header_length();
+  wire.resize(header + payload_length);
+  if (view.has_vlan()) {
+    // Drop the 4-byte tag; the inner ethertype moves up into its place.
+    wire.erase(wire.begin() + 12,
+               wire.begin() + 12 + FrameView::kVlanTagLength);
+  }
+}
 
 Bytes EthernetFrame::encode() const {
   ByteWriter w(18 + payload.size());
@@ -20,32 +88,15 @@ Bytes EthernetFrame::encode() const {
 
 Result<EthernetFrame> EthernetFrame::decode(
     std::span<const std::uint8_t> data) {
-  ByteReader r(data);
+  auto view = FrameView::parse(data);
+  if (!view) return view.error();
   EthernetFrame frame;
-  auto dst = r.bytes(6);
-  if (!dst) return Error("ether: truncated dst");
-  auto src = r.bytes(6);
-  if (!src) return Error("ether: truncated src");
-  std::array<std::uint8_t, 6> mac{};
-  std::copy(dst->begin(), dst->end(), mac.begin());
-  frame.dst = MacAddress(mac);
-  std::copy(src->begin(), src->end(), mac.begin());
-  frame.src = MacAddress(mac);
-  auto type = r.u16();
-  if (!type) return Error("ether: truncated ethertype");
-  std::uint16_t ethertype = *type;
-  if (ethertype == static_cast<std::uint16_t>(EtherType::kVlan)) {
-    auto tci = r.u16();
-    if (!tci) return Error("ether: truncated vlan tag");
-    frame.has_vlan = true;
-    frame.vlan_id = *tci & 0x0fff;
-    auto inner = r.u16();
-    if (!inner) return Error("ether: truncated inner ethertype");
-    ethertype = *inner;
-  }
-  frame.ethertype = ethertype;
-  auto payload = r.bytes(r.remaining());
-  frame.payload = std::move(*payload);
+  frame.dst = view->dst();
+  frame.src = view->src();
+  frame.ethertype = view->ethertype();
+  frame.has_vlan = view->has_vlan();
+  frame.vlan_id = view->vlan_id();
+  frame.payload.assign(view->payload().begin(), view->payload().end());
   return frame;
 }
 

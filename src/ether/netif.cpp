@@ -21,7 +21,7 @@ bool NetIf::owns_address(Ipv4Address addr) const {
 void NetIf::attach(sim::Link& link, bool side_a) {
   tx_ = side_a ? &link.a_to_b() : &link.b_to_a();
   auto& rx = side_a ? link.b_to_a() : link.a_to_b();
-  rx.set_receiver([this](const Bytes& wire) { receive(wire); });
+  rx.set_receiver([this](Bytes& wire) { receive(wire); });
 }
 
 bool NetIf::send(const EthernetFrame& frame) {
@@ -29,19 +29,26 @@ bool NetIf::send(const EthernetFrame& frame) {
   return tx_->send(frame.encode());
 }
 
-void NetIf::receive(const Bytes& wire) {
-  auto frame = EthernetFrame::decode(wire);
+bool NetIf::send(Bytes&& wire) {
+  if (!tx_) return false;
+  return tx_->send(std::move(wire));
+}
+
+void NetIf::receive(Bytes& wire) {
+  auto frame = FrameView::parse(wire);
   if (!frame) {
+    drops_.count(frame.error());
     LOG_WARN("netif", name_ << ": dropping malformed frame: "
                             << frame.error().message);
     return;
   }
-  if (!promiscuous_ && frame->dst != mac_ && !frame->dst.is_broadcast()) {
+  const MacAddress dst = frame->dst();
+  if (!promiscuous_ && dst != mac_ && !dst.is_broadcast()) {
     ++frames_filtered_;
     return;
   }
   ++frames_received_;
-  if (handler_) handler_(*frame);
+  if (handler_) handler_(wire, *frame);
 }
 
 }  // namespace peering::ether

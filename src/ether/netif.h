@@ -25,7 +25,9 @@ struct InterfaceAddress {
 
 class NetIf {
  public:
-  using Handler = std::function<void(const EthernetFrame&)>;
+  /// Receives each accepted frame: the wire buffer (the handler may move it
+  /// away, e.g. to forward it) and its header, validated in place.
+  using Handler = std::function<void(Bytes& wire, const FrameView& frame)>;
 
   NetIf(std::string name, MacAddress mac) : name_(std::move(name)), mac_(mac) {}
 
@@ -58,12 +60,14 @@ class NetIf {
 
   /// Transmits a frame. Returns false if unattached or dropped by the link.
   bool send(const EthernetFrame& frame);
+  /// Transmits a ready wire frame, handing the buffer to the link.
+  bool send(Bytes&& wire);
 
   std::uint64_t frames_received() const { return frames_received_; }
   std::uint64_t frames_filtered() const { return frames_filtered_; }
 
  private:
-  void receive(const Bytes& wire);
+  void receive(Bytes& wire);
 
   std::string name_;
   MacAddress mac_;
@@ -71,6 +75,7 @@ class NetIf {
   bool promiscuous_ = false;
   sim::LinkDirection* tx_ = nullptr;
   Handler handler_;
+  DropCounters drops_;
   std::uint64_t frames_received_ = 0;
   std::uint64_t frames_filtered_ = 0;
 };

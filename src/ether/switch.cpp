@@ -1,8 +1,5 @@
 #include "ether/switch.h"
 
-#include <algorithm>
-#include <array>
-
 namespace peering::ether {
 
 std::size_t Switch::attach(sim::Link& link, bool side_a) {
@@ -12,32 +9,27 @@ std::size_t Switch::attach(sim::Link& link, bool side_a) {
   sim::LinkDirection* rx = side_a ? &link.b_to_a() : &link.a_to_b();
   std::size_t port = ports_.size();
   ports_.push_back(tx);
-  rx->set_receiver([this, port](const Bytes& wire) { receive(port, wire); });
+  rx->set_receiver([this, port](Bytes& wire) { receive(port, wire); });
   return port;
 }
 
-void Switch::receive(std::size_t in_port, const Bytes& wire) {
-  // Peek at the source/destination MACs without a full decode.
-  if (wire.size() < 14) return;
-  std::array<std::uint8_t, 6> raw{};
-  std::copy(wire.begin(), wire.begin() + 6, raw.begin());
-  MacAddress dst(raw);
-  std::copy(wire.begin() + 6, wire.begin() + 12, raw.begin());
-  MacAddress src(raw);
-
-  mac_table_[src] = in_port;
+void Switch::receive(std::size_t in_port, Bytes& wire) {
+  auto frame = FrameView::parse(wire);
+  if (!frame) return;
+  const MacAddress dst = frame->dst();
+  mac_table_[frame->src()] = in_port;
 
   if (!dst.is_broadcast()) {
     auto it = mac_table_.find(dst);
     if (it != mac_table_.end()) {
       if (it->second != in_port) {
-        ports_[it->second]->send(wire);
+        ports_[it->second]->send(std::move(wire));
         ++frames_forwarded_;
       }
       return;
     }
   }
-  // Flood to every port except the ingress.
+  // Flood a copy to every port except the ingress.
   for (std::size_t p = 0; p < ports_.size(); ++p) {
     if (p == in_port) continue;
     ports_[p]->send(wire);

@@ -29,7 +29,7 @@ class Switch {
   }
 
  private:
-  void receive(std::size_t in_port, const Bytes& wire);
+  void receive(std::size_t in_port, Bytes& wire);
 
   std::string name_;
   std::vector<sim::LinkDirection*> ports_;

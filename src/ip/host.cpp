@@ -10,8 +10,8 @@ Host::Host(sim::EventLoop* loop, std::string name)
 ether::NetIf& Host::add_interface(const std::string& if_name, MacAddress mac) {
   auto nif = std::make_unique<ether::NetIf>(name_ + "/" + if_name, mac);
   int index = static_cast<int>(interfaces_.size());
-  nif->on_frame([this, index](const ether::EthernetFrame& frame) {
-    handle_frame(index, frame);
+  nif->on_frame([this, index](Bytes& wire, const ether::FrameView& frame) {
+    handle_frame(index, wire, frame);
   });
   interfaces_.push_back(std::move(nif));
   arp_caches_.emplace_back();
@@ -56,7 +56,7 @@ bool Host::send_packet(Ipv4Packet packet) {
     packet.src = interface(route->interface).primary_address();
   Ipv4Address gateway =
       route->next_hop.is_zero() ? packet.dst : route->next_hop;
-  transmit(route->interface, gateway, std::move(packet));
+  transmit(route->interface, gateway, packet);
   return true;
 }
 
@@ -68,20 +68,29 @@ bool Host::ping(Ipv4Address dst, std::uint16_t id, std::uint16_t seq) {
   return send_packet(std::move(pkt));
 }
 
-void Host::handle_frame(int if_index, const ether::EthernetFrame& frame) {
-  if (frame.ethertype == static_cast<std::uint16_t>(ether::EtherType::kArp)) {
-    auto msg = ether::ArpMessage::decode(frame.payload);
+void Host::handle_frame(int if_index, Bytes& wire,
+                        const ether::FrameView& frame) {
+  if (frame.is(ether::EtherType::kArp)) {
+    auto msg = ether::ArpMessage::decode(frame.payload());
     if (msg) handle_arp(if_index, *msg);
     return;
   }
-  if (frame.ethertype == static_cast<std::uint16_t>(ether::EtherType::kIpv4)) {
-    auto packet = Ipv4Packet::decode(frame.payload);
-    if (packet) {
-      handle_ipv4(if_index, *packet, frame);
-    } else {
-      LOG_WARN("host", name_ << ": malformed IPv4: " << packet.error().message);
-    }
+  if (!frame.is(ether::EtherType::kIpv4)) return;
+  auto header = parse_ipv4(frame);
+  if (!header) return;
+  if (owns_address(header->dst())) {
+    deliver_local(if_index, wire);
+    return;
   }
+  if (forwarding_) forward(if_index, wire, frame, *header);
+}
+
+std::optional<Ipv4Header> Host::parse_ipv4(const ether::FrameView& frame) {
+  auto header = Ipv4Header::parse(frame.payload());
+  if (header) return *header;
+  drops_.count(header.error());
+  LOG_WARN("host", name_ << ": malformed IPv4: " << header.error().message);
+  return std::nullopt;
 }
 
 void Host::handle_arp(int if_index, const ether::ArpMessage& msg) {
@@ -99,18 +108,16 @@ void Host::handle_arp(int if_index, const ether::ArpMessage& msg) {
   }
 }
 
-void Host::handle_ipv4(int if_index, const Ipv4Packet& packet,
-                       const ether::EthernetFrame& frame) {
-  if (owns_address(packet.dst)) {
-    ++packets_delivered_;
-    if (packet.protocol == static_cast<std::uint8_t>(IpProto::kIcmp)) {
-      respond_echo(if_index, packet);
-    }
-    if (packet_handler_) packet_handler_(packet, if_index, frame);
-    return;
+void Host::deliver_local(int if_index, const Bytes& wire) {
+  auto frame = ether::EthernetFrame::decode(wire);
+  if (!frame) return;
+  auto packet = Ipv4Packet::decode(frame->payload);
+  if (!packet) return;
+  ++packets_delivered_;
+  if (packet->protocol == static_cast<std::uint8_t>(IpProto::kIcmp)) {
+    respond_echo(if_index, *packet);
   }
-  if (!forwarding_) return;
-  forward(if_index, packet);
+  if (packet_handler_) packet_handler_(*packet, if_index, *frame);
 }
 
 void Host::respond_echo(int if_index, const Ipv4Packet& packet) {
@@ -121,53 +128,75 @@ void Host::respond_echo(int if_index, const Ipv4Packet& packet) {
   send_packet(std::move(reply));
 }
 
-void Host::forward(int in_if, Ipv4Packet packet) {
-  if (packet.ttl <= 1) {
+std::span<std::uint8_t> Host::forward_in_place(
+    Bytes& wire, const ether::FrameView& frame, const Ipv4Header& header) {
+  ether::untag_and_trim(wire, frame, header.total_length());
+  auto datagram =
+      std::span<std::uint8_t>(wire).subspan(ether::FrameView::kHeaderLength);
+  decrement_ttl(datagram);
+  return datagram;
+}
+
+void Host::forward(int in_if, Bytes& wire, const ether::FrameView& frame,
+                   const Ipv4Header& header) {
+  if (header.ttl() <= 1) {
     ++ttl_exceeded_sent_;
-    send_icmp_error(in_if, packet, make_time_exceeded(packet));
+    send_icmp_error(in_if, header.src(),
+                    make_time_exceeded(header.datagram()));
     return;
   }
-  packet.ttl -= 1;
-  auto route = routes_.lookup(packet.dst);
+  const Ipv4Address src = header.src();
+  const Ipv4Address dst = header.dst();
+  auto datagram = forward_in_place(wire, frame, header);
+  auto route = routes_.lookup(dst);
   if (!route || route->interface < 0 ||
       route->interface >= interface_count()) {
     ++no_route_drops_;
-    send_icmp_error(in_if, packet, make_unreachable(packet, 0));
+    send_icmp_error(in_if, src, make_unreachable(datagram, 0));
     return;
   }
   ++packets_forwarded_;
-  Ipv4Address gateway =
-      route->next_hop.is_zero() ? packet.dst : route->next_hop;
-  transmit(route->interface, gateway, std::move(packet));
+  Ipv4Address gateway = route->next_hop.is_zero() ? dst : route->next_hop;
+  transmit_frame(route->interface, gateway, std::move(wire));
 }
 
-void Host::send_icmp_error(int in_if, const Ipv4Packet& offending,
+void Host::send_icmp_error(int in_if, Ipv4Address to,
                            const IcmpMessage& error) {
   // RFC 1812: source the error from the interface the offending packet
   // arrived on — its primary address. PEERING's network controller exists
   // in part to keep this address correct (§5).
   Ipv4Address src = interface(in_if).primary_address();
   if (src.is_zero()) return;
-  Ipv4Packet pkt = wrap_icmp(error, src, offending.src);
-  send_packet(std::move(pkt));
+  send_packet(wrap_icmp(error, src, to));
 }
 
-void Host::transmit(int if_index, Ipv4Address gateway, Ipv4Packet packet) {
+void Host::transmit(int if_index, Ipv4Address gateway,
+                    const Ipv4Packet& packet) {
+  // An untagged IPv4 frame; transmit_frame writes the MACs.
+  Bytes wire = loop_->buffers().acquire();
+  wire.assign(ether::FrameView::kHeaderLength, 0);
+  wire[12] = static_cast<std::uint8_t>(
+      static_cast<std::uint16_t>(ether::EtherType::kIpv4) >> 8);
+  wire[13] = static_cast<std::uint8_t>(ether::EtherType::kIpv4);
+  packet.encode_append(wire);
+  transmit_frame(if_index, gateway, std::move(wire));
+}
+
+void Host::transmit_frame(int if_index, Ipv4Address gateway, Bytes&& wire) {
   auto mac = arp_caches_[if_index].lookup(gateway, loop_->now());
-  if (mac) {
-    auto& nif = interface(if_index);
-    send_frame(if_index,
-               ether::make_frame(*mac, nif.mac(), ether::EtherType::kIpv4,
-                                 packet.encode()));
+  if (!mac) {
+    arp_resolve(if_index, gateway, std::move(wire));
     return;
   }
-  arp_resolve(if_index, gateway, std::move(packet));
+  auto& nif = interface(if_index);
+  ether::rewrite_macs(wire, *mac, nif.mac());
+  nif.send(std::move(wire));
 }
 
-void Host::arp_resolve(int if_index, Ipv4Address target, Ipv4Packet packet) {
+void Host::arp_resolve(int if_index, Ipv4Address target, Bytes&& wire) {
   auto key = std::make_pair(if_index, target);
   bool first = pending_[key].empty();
-  pending_[key].push_back({std::move(packet), loop_->now()});
+  pending_[key].push_back({std::move(wire), loop_->now()});
   if (!first) return;  // a request is already in flight
 
   auto& nif = interface(if_index);
@@ -196,9 +225,8 @@ void Host::flush_pending(int if_index, Ipv4Address resolved, MacAddress mac) {
   pending_.erase(it);
   auto& nif = interface(if_index);
   for (auto& entry : queue) {
-    send_frame(if_index,
-               ether::make_frame(mac, nif.mac(), ether::EtherType::kIpv4,
-                                 entry.packet.encode()));
+    ether::rewrite_macs(entry.wire, mac, nif.mac());
+    nif.send(std::move(entry.wire));
   }
 }
 

@@ -3,12 +3,19 @@
 // handling and ICMP error generation. Experiments, neighbor routers, and
 // backbone compute nodes in the simulation are all Hosts; the vBGP router
 // builds its specialized demultiplexing data plane from the same parts.
+//
+// Forwarding never copies a frame: the headers are validated in place
+// (ether::FrameView, Ipv4Header), the TTL and MACs are rewritten in the
+// received buffer, and that buffer moves on to the egress link. Only the
+// slow paths build owned structs: ARP, ICMP errors and local delivery.
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,30 +86,40 @@ class Host {
 
  protected:
   /// Frame dispatch; subclasses (the vBGP router) override to interpose on
-  /// the data plane before standard processing.
-  virtual void handle_frame(int if_index, const ether::EthernetFrame& frame);
+  /// the data plane before standard processing. `wire` may be moved away
+  /// (forwarded); `frame` is its header, validated in place.
+  virtual void handle_frame(int if_index, Bytes& wire,
+                            const ether::FrameView& frame);
 
   /// ARP input processing: answer requests for owned addresses, learn
   /// bindings, flush pending queues. Subclasses extend to answer for
   /// virtual next-hop addresses.
   virtual void handle_arp(int if_index, const ether::ArpMessage& msg);
 
-  /// IPv4 input processing: local delivery or forwarding.
-  virtual void handle_ipv4(int if_index, const Ipv4Packet& packet,
-                           const ether::EthernetFrame& frame);
+  /// Validates the IPv4 header of an IPv4 frame in place. A malformed one
+  /// is counted in `ether_frames_dropped_total{reason}` and yields nullopt.
+  std::optional<Ipv4Header> parse_ipv4(const ether::FrameView& frame);
 
-  /// Forwards using the main table. Subclasses substitute per-neighbor
-  /// tables here.
-  virtual void forward(int in_if, Ipv4Packet packet);
+  /// Local delivery of an IPv4 frame addressed to this host (slow path:
+  /// decodes owned structs for the packet handler).
+  void deliver_local(int if_index, const Bytes& wire);
 
-  /// Emits `packet` out of `if_index` toward `gateway` (ARP-resolving it,
-  /// queueing the packet while resolution is in flight).
-  void transmit(int if_index, Ipv4Address gateway, Ipv4Packet packet);
+  /// Forwarding's in-place rewrite: reshapes `wire` into an untagged frame
+  /// carrying exactly the datagram, and decrements its TTL (incremental
+  /// checksum). Returns the datagram. Invalidates `frame` and `header`.
+  /// Precondition: header.ttl() > 1.
+  static std::span<std::uint8_t> forward_in_place(
+      Bytes& wire, const ether::FrameView& frame, const Ipv4Header& header);
 
-  /// Sends an ICMP error about `offending`, sourced from the primary
-  /// address of interface `in_if`.
-  void send_icmp_error(int in_if, const Ipv4Packet& offending,
-                       const IcmpMessage& error);
+  /// Emits the IPv4 frame in `wire` (an untagged frame, as left by
+  /// forward_in_place) out of `if_index` toward `gateway`: rewrites its
+  /// MACs in place and moves the buffer to the link, or parks it while ARP
+  /// resolution is in flight.
+  void transmit_frame(int if_index, Ipv4Address gateway, Bytes&& wire);
+
+  /// Sends ICMP `error` to `to`, sourced from the primary address of
+  /// interface `in_if`.
+  void send_icmp_error(int in_if, Ipv4Address to, const IcmpMessage& error);
 
   /// Emits a raw frame out of `if_index`.
   void send_frame(int if_index, const ether::EthernetFrame& frame);
@@ -111,7 +128,13 @@ class Host {
   std::string name_;
 
  private:
-  void arp_resolve(int if_index, Ipv4Address target, Ipv4Packet packet);
+  /// Emits `packet` out of `if_index` toward `gateway` (transmit_frame on a
+  /// freshly encoded frame).
+  void transmit(int if_index, Ipv4Address gateway, const Ipv4Packet& packet);
+  /// Forwards a transit frame using the main table.
+  void forward(int in_if, Bytes& wire, const ether::FrameView& frame,
+               const Ipv4Header& header);
+  void arp_resolve(int if_index, Ipv4Address target, Bytes&& wire);
   void flush_pending(int if_index, Ipv4Address resolved, MacAddress mac);
   void respond_echo(int if_index, const Ipv4Packet& packet);
 
@@ -120,9 +143,11 @@ class Host {
   RoutingTable routes_;
   bool forwarding_ = false;
   PacketHandler packet_handler_;
+  /// `ether_frames_dropped_total{reason}` for malformed IPv4 headers.
+  ether::DropCounters drops_;
 
   struct Pending {
-    Ipv4Packet packet;
+    Bytes wire;  // the whole frame; its MACs are written at flush
     SimTime queued_at;
   };
   std::map<std::pair<int, Ipv4Address>, std::deque<Pending>> pending_;

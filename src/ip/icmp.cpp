@@ -47,14 +47,13 @@ IcmpMessage make_echo_reply(const IcmpMessage& request) {
 }
 
 namespace {
-Bytes quote_offending(const Ipv4Packet& offending) {
-  Bytes wire = offending.encode();
-  std::size_t quote_len = std::min<std::size_t>(wire.size(), 28);
-  return Bytes(wire.begin(), wire.begin() + quote_len);
+Bytes quote_offending(std::span<const std::uint8_t> wire) {
+  return Bytes(wire.begin(),
+               wire.begin() + std::min<std::size_t>(wire.size(), 28));
 }
 }  // namespace
 
-IcmpMessage make_time_exceeded(const Ipv4Packet& offending) {
+IcmpMessage make_time_exceeded(std::span<const std::uint8_t> offending) {
   IcmpMessage msg;
   msg.type = IcmpType::kTimeExceeded;
   msg.code = 0;  // TTL exceeded in transit
@@ -62,13 +61,15 @@ IcmpMessage make_time_exceeded(const Ipv4Packet& offending) {
   return msg;
 }
 
-IcmpMessage make_unreachable(const Ipv4Packet& offending, std::uint8_t code) {
+IcmpMessage make_unreachable(std::span<const std::uint8_t> offending,
+                             std::uint8_t code) {
   IcmpMessage msg;
   msg.type = IcmpType::kDestUnreachable;
   msg.code = code;
   msg.body = quote_offending(offending);
   return msg;
 }
+
 
 Ipv4Packet wrap_icmp(const IcmpMessage& msg, Ipv4Address src, Ipv4Address dst,
                      std::uint8_t ttl) {

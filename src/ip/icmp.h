@@ -41,11 +41,13 @@ IcmpMessage make_echo_request(std::uint16_t id, std::uint16_t seq, Bytes data);
 /// Builds the reply matching `request`.
 IcmpMessage make_echo_reply(const IcmpMessage& request);
 
-/// Builds a time-exceeded (TTL) error quoting the offending packet.
-IcmpMessage make_time_exceeded(const Ipv4Packet& offending);
+/// Builds a time-exceeded (TTL) error quoting the offending datagram's
+/// wire bytes (header + first 8 payload bytes).
+IcmpMessage make_time_exceeded(std::span<const std::uint8_t> offending);
 
 /// Builds a destination-unreachable error (code 0 net, 1 host, 3 port).
-IcmpMessage make_unreachable(const Ipv4Packet& offending, std::uint8_t code);
+IcmpMessage make_unreachable(std::span<const std::uint8_t> offending,
+                             std::uint8_t code);
 
 /// Wraps an ICMP message in an IPv4 packet from src to dst.
 Ipv4Packet wrap_icmp(const IcmpMessage& msg, Ipv4Address src, Ipv4Address dst,

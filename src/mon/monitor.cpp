@@ -236,8 +236,7 @@ void MonitorSession::emit_stats_reports() {
              " keepalives=" + v("bgp_peer_keepalives_in") +
              " notif_in=" + v("bgp_peer_notifications_in") +
              " notif_out=" + v("bgp_peer_notifications_out") +
-             " encode_hits=" + v("bgp_peer_encode_cache_hits") +
-             " encode_misses=" + v("bgp_peer_encode_cache_misses");
+             " encode_hits=" + v("bgp_peer_encode_cache_hits");
     push(std::move(r));
   }
 }

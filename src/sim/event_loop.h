@@ -9,9 +9,45 @@
 #include <utility>
 #include <vector>
 
+#include "netbase/bytes.h"
 #include "netbase/time.h"
 
 namespace peering::sim {
+
+/// A bounded free list of wire buffers. Links move frames between hops
+/// without copying; a buffer the last receiver does not keep comes back
+/// here and carries the next frame, so steady-state forwarding allocates
+/// nothing. One pool serves every link of an event loop: a frame that
+/// enters on one link and leaves on another must return to the same list.
+class BufferPool {
+ public:
+  /// Buffers kept at most; a release beyond this frees the buffer.
+  static constexpr std::size_t kMaxBuffers = 64;
+  /// Larger buffers are freed rather than kept.
+  static constexpr std::size_t kMaxBufferBytes = 16 * 1024;
+
+  /// An empty buffer, with recycled capacity when one is free.
+  Bytes acquire() {
+    if (free_.empty()) return Bytes();
+    Bytes buf = std::move(free_.back());
+    free_.pop_back();
+    return buf;
+  }
+
+  void release(Bytes&& buf) {
+    if (buf.capacity() == 0 || buf.capacity() > kMaxBufferBytes ||
+        free_.size() >= kMaxBuffers)
+      return;
+    buf.clear();
+    if (free_.capacity() == 0) free_.reserve(kMaxBuffers);
+    free_.push_back(std::move(buf));
+  }
+
+  std::size_t size() const { return free_.size(); }
+
+ private:
+  std::vector<Bytes> free_;
+};
 
 class EventLoop {
  public:
@@ -61,6 +97,9 @@ class EventLoop {
 
   bool idle() const { return queue_.empty(); }
   std::size_t pending() const { return queue_.size(); }
+
+  /// The wire-buffer free list shared by every link on this loop.
+  BufferPool& buffers() { return buffers_; }
 
  private:
   struct Event {
@@ -142,6 +181,7 @@ class EventLoop {
   SimTime now_;
   std::uint64_t seq_ = 0;
   EventHeap queue_;
+  BufferPool buffers_;
 };
 
 }  // namespace peering::sim

@@ -20,20 +20,44 @@ void LinkDirection::set_impairments(const LinkImpairments& imp) {
 
 void LinkDirection::clear_impairments() { impairments_ = LinkImpairments{}; }
 
-void LinkDirection::count_drop() {
+bool LinkDirection::drop(Bytes&& frame) {
   ++frames_dropped_;
   dropped_counter_->inc();
+  loop_->buffers().release(std::move(frame));
+  return false;
 }
 
-bool LinkDirection::send(Bytes frame) {
-  if (!receiver_) {
-    count_drop();
-    return false;
+std::uint32_t LinkDirection::park(Bytes&& frame) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(frame));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = std::move(frame);
   }
+  return slot;
+}
+
+void LinkDirection::deliver(std::uint32_t slot) {
+  Bytes frame = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  receiver_(frame);
+  loop_->buffers().release(std::move(frame));
+}
+
+bool LinkDirection::send(const Bytes& frame) {
+  Bytes copy = loop_->buffers().acquire();
+  copy.assign(frame.begin(), frame.end());
+  return send(std::move(copy));
+}
+
+bool LinkDirection::send(Bytes&& frame) {
+  if (!receiver_) return drop(std::move(frame));
   if (impairments_.drop_probability > 0.0 &&
       impairment_rng_.chance(impairments_.drop_probability)) {
-    count_drop();
-    return false;
+    return drop(std::move(frame));
   }
   if (!frame.empty() && impairments_.corrupt_probability > 0.0 &&
       impairment_rng_.chance(impairments_.corrupt_probability)) {
@@ -54,8 +78,8 @@ bool LinkDirection::send(Bytes frame) {
     // Infinite bandwidth: only propagation latency applies.
     ++frames_sent_;
     bytes_sent_ += size;
-    loop_->schedule_after(latency,
-                          [this, f = std::move(frame)]() { receiver_(f); });
+    const std::uint32_t slot = park(std::move(frame));
+    loop_->schedule_after(latency, [this, slot]() { deliver(slot); });
     return true;
   }
 
@@ -65,10 +89,8 @@ bool LinkDirection::send(Bytes frame) {
     tx_free_ = now;
     queued_bytes_ = 0;
   }
-  if (queued_bytes_ + size > config_.queue_limit_bytes) {
-    count_drop();
-    return false;
-  }
+  if (queued_bytes_ + size > config_.queue_limit_bytes)
+    return drop(std::move(frame));
 
   const Duration serialization =
       Duration::nanos(static_cast<std::int64_t>(size) * 8 * 1'000'000'000 /
@@ -82,8 +104,8 @@ bool LinkDirection::send(Bytes frame) {
   loop_->schedule_at(tx_free_, [this, size]() {
     if (queued_bytes_ >= size) queued_bytes_ -= size;
   });
-  loop_->schedule_at(tx_free_ + latency,
-                     [this, f = std::move(frame)]() { receiver_(f); });
+  const std::uint32_t slot = park(std::move(frame));
+  loop_->schedule_at(tx_free_ + latency, [this, slot]() { deliver(slot); });
   return true;
 }
 

@@ -7,12 +7,18 @@
 // Each direction additionally accepts a (seeded, deterministic) impairment
 // profile — random loss, byte corruption, latency jitter — so the fault
 // harness (src/faults) can degrade a link mid-run and later restore it.
+//
+// A link owns each frame from send() to delivery. The receiver gets the
+// buffer mutably and may keep it (move from it: a router rewrites the
+// headers in place and sends the same buffer on); a buffer it leaves
+// behind returns to the event loop's BufferPool.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "netbase/bytes.h"
 #include "netbase/rand.h"
@@ -21,8 +27,9 @@
 
 namespace peering::sim {
 
-/// Receives frames delivered by a link endpoint.
-using FrameHandler = std::function<void(const Bytes&)>;
+/// Receives frames delivered by a link endpoint. The handler may move the
+/// buffer away to forward it; otherwise the link recycles it on return.
+using FrameHandler = std::function<void(Bytes&)>;
 
 struct LinkConfig {
   Duration latency = Duration::micros(100);
@@ -57,9 +64,12 @@ class LinkDirection {
 
   void set_receiver(FrameHandler handler) { receiver_ = std::move(handler); }
 
-  /// Offers a frame for transmission. Returns false if the frame was dropped
-  /// because the queue was full (or an installed impairment dropped it).
-  bool send(Bytes frame);
+  /// Offers a frame for transmission, taking ownership of the buffer.
+  /// Returns false if the frame was dropped because the queue was full (or
+  /// an installed impairment dropped it).
+  bool send(Bytes&& frame);
+  /// Copies `frame` into a recycled buffer and sends that.
+  bool send(const Bytes& frame);
 
   /// Installs a degradation profile; replaces any existing one and reseeds
   /// the impairment stream from `imp.seed`.
@@ -78,11 +88,19 @@ class LinkDirection {
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
-  void count_drop();
+  /// Counts a dropped frame and recycles its buffer; returns false.
+  bool drop(Bytes&& frame);
+  /// Parks `frame` until its delivery event; returns its slot.
+  std::uint32_t park(Bytes&& frame);
+  void deliver(std::uint32_t slot);
 
   EventLoop* loop_;
   LinkConfig config_;
   FrameHandler receiver_;
+  /// Frames in flight, by slot. A delivery event captures only its slot,
+  /// so it fits std::function's inline storage and allocates nothing.
+  std::vector<Bytes> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   LinkImpairments impairments_;
   Rng impairment_rng_;
   /// Time at which the transmitter becomes free (serialization horizon).

@@ -192,7 +192,12 @@ bgp::PeerId VRouter::add_experiment(const ExperimentSpec& spec) {
   bgp::PeerId peer = speaker_.add_peer(config);
   set_peer_kind(peer, PeerKind::kExperiment);
   experiments_by_peer_[peer] = spec.experiment_id;
-  experiments_by_interface_[spec.interface] = spec.experiment_id;
+  // The account exists from attachment on, so the data plane never looks
+  // an experiment up by name.
+  auto account = accounting_.try_emplace(spec.experiment_id).first;
+  Port& port = mutable_port(spec.interface);
+  port.experiment = &account->first;
+  port.account = &account->second;
   return peer;
 }
 
@@ -209,6 +214,7 @@ bgp::PeerId VRouter::add_backbone_peer(const BackboneSpec& spec) {
   bgp::PeerId peer = speaker_.add_peer(config);
   set_peer_kind(peer, PeerKind::kBackbone);
   backbone_interfaces_[peer] = spec.interface;
+  mutable_port(spec.interface).backbone = true;
   return peer;
 }
 
@@ -218,6 +224,7 @@ void VRouter::add_experiment_route(const Ipv4Prefix& prefix,
                                    Ipv4Address tunnel_address) {
   MuxEntry entry;
   entry.experiment_id = experiment_id;
+  entry.account = &accounting_[experiment_id];
   entry.remote = false;
   entry.interface = tunnel_interface;
   entry.gateway = tunnel_address;
@@ -240,17 +247,17 @@ void VRouter::add_remote_experiment_route(const Ipv4Prefix& prefix,
   routes().insert(ip::Route{prefix, gateway, backbone_interface, 0});
 }
 
-bool VRouter::is_backbone_interface(int if_index) const {
-  for (const auto& [peer, interface] : backbone_interfaces_)
-    if (interface == if_index) return true;
-  return false;
+const VRouter::Port& VRouter::port(int if_index) const {
+  static const Port kNone;
+  return if_index >= 0 && static_cast<std::size_t>(if_index) < ports_.size()
+             ? ports_[static_cast<std::size_t>(if_index)]
+             : kNone;
 }
 
-std::optional<std::string> VRouter::experiment_for_interface(
-    int if_index) const {
-  auto it = experiments_by_interface_.find(if_index);
-  if (it == experiments_by_interface_.end()) return std::nullopt;
-  return it->second;
+VRouter::Port& VRouter::mutable_port(int if_index) {
+  const auto index = static_cast<std::size_t>(if_index);
+  if (index >= ports_.size()) ports_.resize(index + 1);
+  return ports_[index];
 }
 
 // ---------------------------------------------------------------------------
@@ -493,6 +500,8 @@ void VRouter::publish_metrics(obs::Registry& registry) const {
   registry.gauge("vbgp_arp_virtual_replies", labels)
       ->set(i64(stats_.arp_virtual_replies));
   for (const auto& [experiment, account] : accounting_) {
+    // An attached experiment publishes once it has carried traffic.
+    if (account.egress_bytes == 0 && account.ingress_bytes == 0) continue;
     obs::Labels exp_labels = labels;
     exp_labels.emplace_back("experiment", experiment);
     registry.gauge("vbgp_experiment_egress_bytes", exp_labels)
@@ -630,114 +639,121 @@ void VRouter::handle_arp(int if_index, const ether::ArpMessage& msg) {
   obs_arp_replies_->inc();
 }
 
-void VRouter::handle_frame(int if_index, const ether::EthernetFrame& frame) {
-  if (frame.ethertype == static_cast<std::uint16_t>(ether::EtherType::kArp)) {
-    auto msg = ether::ArpMessage::decode(frame.payload);
+void VRouter::handle_frame(int if_index, Bytes& wire,
+                           const ether::FrameView& frame) {
+  if (frame.is(ether::EtherType::kArp)) {
+    auto msg = ether::ArpMessage::decode(frame.payload());
     if (msg) handle_arp(if_index, *msg);
     return;
   }
-  if (frame.ethertype != static_cast<std::uint16_t>(ether::EtherType::kIpv4))
-    return;
-  auto packet = ip::Ipv4Packet::decode(frame.payload);
-  if (!packet) {
-    LOG_WARN("vbgp", name() << ": malformed IPv4: " << packet.error().message);
-    return;
-  }
+  if (!frame.is(ether::EtherType::kIpv4)) return;
+  auto header = parse_ipv4(frame);
+  if (!header) return;
 
   // Per-packet route delegation: the destination MAC selects the neighbor
   // whose routing table forwards this packet (§3.2.2).
-  if (VirtualNeighbor* nb = registry_.by_mac(frame.dst)) {
+  if (VirtualNeighbor* nb = registry_.by_mac(frame.dst())) {
     obs_demux_mac_hits_->inc();
-    egress_from_experiment(if_index, *nb, std::move(*packet));
+    egress_from_experiment(if_index, *nb, wire, frame, *header);
     return;
   }
 
-  if (owns_address(packet->dst)) {
-    ip::Host::handle_ipv4(if_index, *packet, frame);
+  if (owns_address(header->dst())) {
+    deliver_local(if_index, wire);
     return;
   }
 
   obs_demux_mac_misses_->inc();
-  deliver_toward_experiment(if_index, frame, std::move(*packet));
+  deliver_toward_experiment(if_index, wire, frame, *header);
 }
 
 void VRouter::egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
-                                     ip::Ipv4Packet packet) {
-  auto exp = experiment_for_interface(in_if);
+                                     Bytes& wire,
+                                     const ether::FrameView& frame,
+                                     const ip::Ipv4Header& header) {
+  static const std::string kUnknown = "<unknown>";
+  const Port& in = port(in_if);
   // Data-plane enforcement: source-address verification and rate limiting,
-  // once, at the experiment's own PoP. A frame arriving over the backbone
-  // (an experiment at a far PoP egressing through a neighbor here, §4.4)
-  // was checked and accounted where it entered the platform.
-  const bool from_backbone = !exp && is_backbone_interface(in_if);
+  // once, at the experiment's own PoP, over the datagram in place. A frame
+  // arriving over the backbone (an experiment at a far PoP egressing
+  // through a neighbor here, §4.4) was checked and accounted where it
+  // entered the platform.
+  const bool from_backbone = !in.experiment && in.backbone;
   if (data_enforcer_ && !from_backbone) {
-    Bytes wire = packet.encode();
-    enforce::FilterAction action =
-        data_enforcer_->check(exp.value_or("<unknown>"), wire, loop_->now());
+    enforce::FilterAction action = data_enforcer_->check(
+        in.experiment ? *in.experiment : kUnknown, header.datagram(),
+        loop_->now());
     if (action == enforce::FilterAction::kDrop) {
       ++stats_.packets_enforcement_drop;
       obs_enforcement_drops_->inc();
       return;
     }
   }
-  if (exp) accounting_[*exp].egress_bytes += packet.total_length();
+  if (in.account) in.account->egress_bytes += header.total_length();
 
-  if (packet.ttl <= 1) {
-    send_icmp_error(in_if, packet, ip::make_time_exceeded(packet));
+  if (header.ttl() <= 1) {
+    send_icmp_error(in_if, header.src(),
+                    ip::make_time_exceeded(header.datagram()));
     return;
   }
-  packet.ttl -= 1;
+  const Ipv4Address src = header.src();
+  const Ipv4Address dst = header.dst();
+  auto datagram = forward_in_place(wire, frame, header);
 
-  auto route = neighbor.fib.lookup(packet.dst);
+  auto route = neighbor.fib.lookup(dst);
   if (!route) {
     ++stats_.packets_no_fib_route;
     obs_no_route_->inc();
-    send_icmp_error(in_if, packet, ip::make_unreachable(packet, 0));
+    send_icmp_error(in_if, src, ip::make_unreachable(datagram, 0));
     return;
   }
   ++stats_.frames_demuxed;
   obs_frames_demuxed_->inc();
   if (trace_) {
     trace_->emit(loop_->now(), "vbgp", "demux",
-                 {{"experiment", exp.value_or("?")},
+                 {{"experiment", in.experiment ? *in.experiment : "?"},
                   {"neighbor", neighbor.name},
-                  {"dst", packet.dst.str()}});
+                  {"dst", dst.str()}});
   }
-  transmit(route->interface, route->next_hop, std::move(packet));
+  transmit_frame(route->interface, route->next_hop, std::move(wire));
 }
 
-void VRouter::deliver_toward_experiment(int in_if,
-                                        const ether::EthernetFrame& frame,
-                                        ip::Ipv4Packet packet) {
-  auto route = mux_.lookup(packet.dst);
+void VRouter::deliver_toward_experiment(int in_if, Bytes& wire,
+                                        const ether::FrameView& frame,
+                                        const ip::Ipv4Header& header) {
+  const Ipv4Address dst = header.dst();
+  auto route = mux_.lookup(dst);
   if (!route) return;  // not for any experiment: drop (no transit)
   auto entry_it = mux_entries_.find(route->prefix);
   if (entry_it == mux_entries_.end()) return;
   const MuxEntry& entry = entry_it->second;
 
-  if (packet.ttl <= 1) {
-    send_icmp_error(in_if, packet, ip::make_time_exceeded(packet));
+  if (header.ttl() <= 1) {
+    send_icmp_error(in_if, header.src(),
+                    ip::make_time_exceeded(header.datagram()));
     return;
   }
-  packet.ttl -= 1;
+  const MacAddress from_mac = frame.src();
+  auto datagram = forward_in_place(wire, frame, header);
 
   if (entry.remote) {
     // Hand off across the backbone toward the PoP hosting the experiment.
-    transmit(entry.interface, entry.gateway, std::move(packet));
+    transmit_frame(entry.interface, entry.gateway, std::move(wire));
     return;
   }
-  accounting_[entry.experiment_id].ingress_bytes += packet.total_length();
+  entry.account->ingress_bytes += datagram.size();
 
   // Final hop: rewrite the source MAC to the delivering neighbor's virtual
   // MAC so the experiment can attribute ingress traffic (§3.2.2).
   MacAddress src_mac = interface(entry.interface).mac();
-  if (VirtualNeighbor* nb = registry_.by_real_mac(frame.src)) {
+  if (VirtualNeighbor* nb = registry_.by_real_mac(from_mac)) {
     src_mac = nb->virtual_mac;
   }
   auto exp_mac = arp_cache(entry.interface).lookup(entry.gateway, loop_->now());
   if (!exp_mac) {
     // MAC not resolved yet: fall back to standard transmission (resolves
     // via ARP; this first packet is delivered without attribution).
-    transmit(entry.interface, entry.gateway, std::move(packet));
+    transmit_frame(entry.interface, entry.gateway, std::move(wire));
     return;
   }
   ++stats_.frames_to_experiments;
@@ -746,11 +762,10 @@ void VRouter::deliver_toward_experiment(int in_if,
     trace_->emit(loop_->now(), "vbgp", "deliver",
                  {{"experiment", entry.experiment_id},
                   {"src_mac", src_mac.str()},
-                  {"dst", packet.dst.str()}});
+                  {"dst", dst.str()}});
   }
-  send_frame(entry.interface,
-             ether::make_frame(*exp_mac, src_mac, ether::EtherType::kIpv4,
-                               packet.encode()));
+  ether::rewrite_macs(wire, *exp_mac, src_mac);
+  interface(entry.interface).send(std::move(wire));
 }
 
 }  // namespace peering::vbgp

@@ -144,9 +144,6 @@ class VRouter : public ip::Host {
                                    int backbone_interface,
                                    Ipv4Address gateway);
 
-  /// Experiment id served by the given tunnel interface, if any.
-  std::optional<std::string> experiment_for_interface(int if_index) const;
-
   /// Peer id -> experiment id for every registered experiment session. The
   /// invariant checker uses this to separate experiment sessions (which see
   /// full ADD-PATH fan-out) from neighbor/backbone sessions.
@@ -174,7 +171,8 @@ class VRouter : public ip::Host {
   /// Shared vs per-view-equivalent data-plane accounting.
   FibAccounting fib_accounting() const { return registry_.fib_accounting(); }
 
-  /// Per-experiment traffic attribution record.
+  /// Per-experiment traffic attribution record. Every attached experiment
+  /// has an entry; one that has carried no traffic reads zero.
   const std::map<std::string, TrafficAccount>& traffic_accounting() const {
     return accounting_;
   }
@@ -220,7 +218,8 @@ class VRouter : public ip::Host {
   obs::Snapshot metrics_snapshot() const;
 
  protected:
-  void handle_frame(int if_index, const ether::EthernetFrame& frame) override;
+  void handle_frame(int if_index, Bytes& wire,
+                    const ether::FrameView& frame) override;
   void handle_arp(int if_index, const ether::ArpMessage& msg) override;
 
  private:
@@ -250,13 +249,24 @@ class VRouter : public ip::Host {
 
   void sync_fib(const bgp::RibRoute& route, bool withdrawn);
 
-  /// True when `if_index` carries a backbone circuit.
-  bool is_backbone_interface(int if_index) const;
-  /// Data-plane paths.
+  /// What the data plane needs to know about an interface, resolved when
+  /// the experiment or backbone session is attached (never per packet).
+  struct Port {
+    const std::string* experiment = nullptr;  // tunnel interfaces only
+    TrafficAccount* account = nullptr;        // the experiment's account
+    bool backbone = false;                    // carries a backbone circuit
+  };
+  const Port& port(int if_index) const;
+  Port& mutable_port(int if_index);
+
+  /// Data-plane paths: in place on the received buffer, which moves on to
+  /// the egress link.
   void egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
-                              ip::Ipv4Packet packet);
-  void deliver_toward_experiment(int in_if, const ether::EthernetFrame& frame,
-                                 ip::Ipv4Packet packet);
+                              Bytes& wire, const ether::FrameView& frame,
+                              const ip::Ipv4Header& header);
+  void deliver_toward_experiment(int in_if, Bytes& wire,
+                                 const ether::FrameView& frame,
+                                 const ip::Ipv4Header& header);
 
   enum class PeerKind { kNeighbor, kExperiment, kBackbone };
   /// A peer's export class (bgp::PeerConfig::export_class) is its kind,
@@ -281,11 +291,12 @@ class VRouter : public ip::Host {
 
   std::vector<PeerKind> peer_kinds_;  // indexed by PeerId
   std::map<bgp::PeerId, int> backbone_interfaces_;
-  std::map<int, std::string> experiments_by_interface_;
   std::map<bgp::PeerId, std::string> experiments_by_peer_;
+  std::vector<Port> ports_;  // indexed by interface
 
   struct MuxEntry {
     std::string experiment_id;  // empty for remote (backbone) entries
+    TrafficAccount* account = nullptr;  // null for remote entries
     bool remote = false;
     int interface = -1;
     Ipv4Address gateway;  // experiment tunnel address, or backbone gateway

@@ -76,7 +76,7 @@ TEST(NetIf, FiltersForeignUnicastUnlessPromiscuous) {
   sender.attach(link, true);
   receiver.attach(link, false);
   int received = 0;
-  receiver.on_frame([&](const EthernetFrame&) { ++received; });
+  receiver.on_frame([&](Bytes&, const FrameView&) { ++received; });
 
   sender.send(make_frame(mac(9), mac(1), EtherType::kIpv4, {}));  // foreign
   loop.run();
@@ -97,7 +97,7 @@ TEST(NetIf, AcceptsBroadcastAndOwnMac) {
   sender.attach(link, true);
   receiver.attach(link, false);
   int received = 0;
-  receiver.on_frame([&](const EthernetFrame&) { ++received; });
+  receiver.on_frame([&](Bytes&, const FrameView&) { ++received; });
   sender.send(make_frame(MacAddress::broadcast(), mac(1), EtherType::kArp, {}));
   sender.send(make_frame(mac(2), mac(1), EtherType::kIpv4, {}));
   loop.run();
@@ -131,8 +131,8 @@ TEST(Switch, LearnsAndForwards) {
   sw.attach(l3, false);
 
   int h2_received = 0, h3_received = 0;
-  h2.on_frame([&](const EthernetFrame&) { ++h2_received; });
-  h3.on_frame([&](const EthernetFrame&) { ++h3_received; });
+  h2.on_frame([&](Bytes&, const FrameView&) { ++h2_received; });
+  h3.on_frame([&](Bytes&, const FrameView&) { ++h3_received; });
 
   // First frame to unknown MAC floods (h3's NetIf filters it).
   h1.send(make_frame(mac(2), mac(1), EtherType::kIpv4, {}));
@@ -164,9 +164,9 @@ TEST(Switch, BroadcastReachesAllPortsExceptIngress) {
   h3.attach(l3, true);
   sw.attach(l3, false);
   int h1_received = 0, h2_received = 0, h3_received = 0;
-  h1.on_frame([&](const EthernetFrame&) { ++h1_received; });
-  h2.on_frame([&](const EthernetFrame&) { ++h2_received; });
-  h3.on_frame([&](const EthernetFrame&) { ++h3_received; });
+  h1.on_frame([&](Bytes&, const FrameView&) { ++h1_received; });
+  h2.on_frame([&](Bytes&, const FrameView&) { ++h2_received; });
+  h3.on_frame([&](Bytes&, const FrameView&) { ++h3_received; });
   h1.send(make_frame(MacAddress::broadcast(), mac(1), EtherType::kArp, {}));
   loop.run();
   EXPECT_EQ(h1_received, 0);

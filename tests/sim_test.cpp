@@ -1,7 +1,11 @@
 // Tests for the discrete-event core: ordering, determinism, link latency /
-// bandwidth / drop-tail behaviour, reliable streams.
+// bandwidth / drop-tail behaviour, buffer ownership across hops, reliable
+// streams.
 #include <gtest/gtest.h>
 
+#include "ip/host.h"
+#include "netbase/rand.h"
+#include "obs/metrics.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
 #include "sim/stream.h"
@@ -183,6 +187,156 @@ TEST(Link, DirectionsAreIndependent) {
   loop.run();
   EXPECT_EQ(b_received, 1);
   EXPECT_EQ(a_received, 2);
+}
+
+/// Three links in a row, each receiver handing the frame to the next link:
+/// by move (the buffer travels) or by copy (the pre-zero-copy behaviour).
+/// Returns (delivery time, frame id) at the far end.
+std::vector<std::pair<std::int64_t, int>> run_chain(bool by_move,
+                                                    std::size_t* pooled) {
+  EventLoop loop;
+  Link l1(&loop, LinkConfig{.latency = Duration::micros(10)});
+  Link l2(&loop, LinkConfig{.latency = Duration::micros(5),
+                            .bandwidth_bps = 8'000'000,
+                            .queue_limit_bytes = 6000});
+  Link l3(&loop, LinkConfig{.latency = Duration::micros(1)});
+  std::vector<std::pair<std::int64_t, int>> arrivals;
+  l1.a_to_b().set_receiver([&](Bytes& w) {
+    if (by_move)
+      l2.a_to_b().send(std::move(w));
+    else
+      l2.a_to_b().send(static_cast<const Bytes&>(w));
+  });
+  l2.a_to_b().set_receiver([&](Bytes& w) {
+    if (by_move)
+      l3.a_to_b().send(std::move(w));
+    else
+      l3.a_to_b().send(static_cast<const Bytes&>(w));
+  });
+  l3.a_to_b().set_receiver([&](Bytes& w) {
+    arrivals.emplace_back(loop.now().ns(), (w[0] << 8) | w[1]);
+  });
+  Rng rng(5);
+  for (int id = 0; id < 300; ++id) {
+    Bytes frame(64 + rng.below(1436), 0);
+    frame[0] = static_cast<std::uint8_t>(id >> 8);
+    frame[1] = static_cast<std::uint8_t>(id);
+    l1.a_to_b().send(std::move(frame));
+    // Bursts of ten, then a gap: the bandwidth-limited middle link queues
+    // and drops some of each burst.
+    if (id % 10 == 9) loop.run_for(Duration::millis(5));
+    EXPECT_LE(loop.buffers().size(), BufferPool::kMaxBuffers);
+  }
+  loop.run();
+  *pooled = loop.buffers().size();
+  return arrivals;
+}
+
+TEST(Link, ThreeLinkChainKeepsTimesAndOrderWithBoundedFreeList) {
+  std::size_t pooled_move = 0, pooled_copy = 0;
+  const auto moved = run_chain(true, &pooled_move);
+  const auto copied = run_chain(false, &pooled_copy);
+  EXPECT_EQ(moved, copied);
+  EXPECT_GT(moved.size(), 100u);
+  EXPECT_LT(moved.size(), 300u) << "the middle link should drop some";
+  // Far more buffers than the cap came back (every frame's, delivered or
+  // dropped); the free list kept only up to its cap.
+  EXPECT_EQ(pooled_move, BufferPool::kMaxBuffers);
+  EXPECT_LE(pooled_copy, BufferPool::kMaxBuffers);
+}
+
+TEST(Link, ReceiverKeepsTheBufferOrTheLoopRecyclesIt) {
+  EventLoop loop;
+  Link link(&loop, LinkConfig{});
+  bool keep = true;
+  Bytes kept;
+  const std::uint8_t* delivered = nullptr;
+  link.a_to_b().set_receiver([&](Bytes& w) {
+    delivered = w.data();
+    if (keep) kept = std::move(w);
+  });
+
+  // Kept: the receiver holds the sender's own buffer, never a copy.
+  Bytes frame{1, 2, 3};
+  const std::uint8_t* sent = frame.data();
+  link.a_to_b().send(std::move(frame));
+  loop.run();
+  EXPECT_EQ(kept, (Bytes{1, 2, 3}));
+  EXPECT_EQ(delivered, sent);
+  EXPECT_EQ(loop.buffers().size(), 0u);
+
+  // Left behind: the buffer returns to the loop's free list, and the next
+  // copying send reuses its memory.
+  keep = false;
+  link.a_to_b().send(Bytes{4, 5, 6});
+  loop.run();
+  ASSERT_EQ(loop.buffers().size(), 1u);
+  const std::uint8_t* recycled = delivered;
+  link.a_to_b().send(kept);
+  loop.run();
+  EXPECT_EQ(delivered, recycled);
+  EXPECT_EQ(loop.buffers().size(), 1u);
+}
+
+TEST(Link, CorruptedHeaderDropsAtChecksumCorruptedPayloadForwards) {
+  // sender -> l1 (flips one byte of every frame) -> tap -> l2 -> router
+  // -> l3 -> sink. The tap sees each corrupted frame before the router.
+  obs::Registry registry(true);
+  obs::Scope scope(&registry);
+  EventLoop loop;
+  Link l1(&loop, LinkConfig{}), l2(&loop, LinkConfig{}), l3(&loop, LinkConfig{});
+  ip::Host router(&loop, "r");
+  router.add_attached_interface("in", MacAddress::from_id(2),
+                                {Ipv4Address(10, 0, 1, 1), 24}, l2, false);
+  router.add_attached_interface("out", MacAddress::from_id(3),
+                                {Ipv4Address(10, 0, 2, 1), 24}, l3, true);
+  router.set_forwarding(true);
+  router.routes().insert(ip::Route{Ipv4Prefix(Ipv4Address(), 0),
+                                   Ipv4Address(10, 0, 2, 2), 1, 0});
+  router.arp_cache(1).learn(Ipv4Address(10, 0, 2, 2), MacAddress::from_id(4),
+                            loop.now());
+  l1.a_to_b().set_impairments({.corrupt_probability = 1.0, .seed = 42});
+
+  Bytes corrupted;
+  l1.a_to_b().set_receiver([&](Bytes& w) {
+    corrupted = w;
+    l2.a_to_b().send(std::move(w));
+  });
+  std::vector<Bytes> forwarded;
+  l3.a_to_b().set_receiver([&](Bytes& w) { forwarded.push_back(w); });
+
+  ip::Ipv4Packet packet;
+  packet.src = Ipv4Address(10, 0, 1, 2);
+  packet.dst = Ipv4Address(198, 51, 100, 1);
+  packet.payload = Bytes(30, 0x11);
+  const Bytes sent = ether::make_frame(MacAddress::from_id(2),
+                                       MacAddress::from_id(1),
+                                       ether::EtherType::kIpv4, packet.encode())
+                         .encode();
+  int header_flips = 0, payload_flips = 0;
+  for (int i = 0; i < 200; ++i) {
+    forwarded.clear();
+    l1.a_to_b().send(sent);
+    loop.run();
+    std::size_t at = 0;
+    while (at < sent.size() && sent[at] == corrupted[at]) ++at;
+    ASSERT_LT(at, sent.size());
+    if (at >= 14 && at < 34) {
+      ++header_flips;
+      EXPECT_TRUE(forwarded.empty()) << "header byte " << at;
+    } else if (at >= 34) {
+      ++payload_flips;
+      ASSERT_EQ(forwarded.size(), 1u) << "payload byte " << at;
+      EXPECT_NE(forwarded[0][at], sent[at]) << "the flip travels on";
+    }
+  }
+  EXPECT_GT(header_flips, 0);
+  EXPECT_GT(payload_flips, 0);
+  EXPECT_EQ(registry
+                .counter("ether_frames_dropped_total",
+                         {{"reason", "bad_checksum"}})
+                ->value(),
+            static_cast<std::uint64_t>(header_flips));
 }
 
 TEST(Stream, DeliversInOrderAfterLatency) {

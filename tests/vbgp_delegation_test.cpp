@@ -11,6 +11,7 @@
 #include "bgp/speaker.h"
 #include "enforce/control_policy.h"
 #include "enforce/data_enforcer.h"
+#include "ether/frame.h"
 #include "ip/host.h"
 #include "sim/event_loop.h"
 #include "sim/stream.h"
@@ -408,6 +409,71 @@ TEST_F(DelegationTest, NoFibRouteYieldsUnreachable) {
   x1_.host.send_packet(std::move(probe));
   settle(Duration::seconds(2));
   EXPECT_GE(e1_.stats().packets_no_fib_route, 1u);
+}
+
+/// An ECN-CE, non-DF datagram in a frame, with a valid header checksum:
+/// the platform never generates one, so only forwarding can preserve it.
+Bytes ecn_frame(MacAddress dst_mac, MacAddress src_mac, Ipv4Address src,
+                Ipv4Address dst) {
+  ip::Ipv4Packet packet;
+  packet.src = src;
+  packet.dst = dst;
+  packet.identification = 99;
+  packet.payload = Bytes(40, 0x5a);
+  Bytes datagram = packet.encode();
+  datagram[1] = 0xbb;  // DSCP 46 (EF), ECN-CE
+  datagram[6] = datagram[7] = 0;  // DF clear
+  datagram[10] = datagram[11] = 0;
+  const std::uint16_t sum = ip::internet_checksum(std::span(datagram).first(20));
+  datagram[10] = static_cast<std::uint8_t>(sum >> 8);
+  datagram[11] = static_cast<std::uint8_t>(sum);
+  return ether::make_frame(dst_mac, src_mac, ether::EtherType::kIpv4, datagram)
+      .encode();
+}
+
+/// `frame` as one router hop must emit it: new MACs, TTL one lower, header
+/// checksum updated, every other byte (TOS and flags included) unchanged.
+Bytes forwarded_as(Bytes frame, MacAddress dst, MacAddress src) {
+  ether::rewrite_macs(frame, dst, src);
+  auto ip = std::span(frame).subspan(ether::FrameView::kHeaderLength);
+  ip[8] = static_cast<std::uint8_t>(ip[8] - 1);
+  ip[10] = ip[11] = 0;
+  const std::uint16_t sum = ip::internet_checksum(ip.first(20));
+  ip[10] = static_cast<std::uint8_t>(sum >> 8);
+  ip[11] = static_cast<std::uint8_t>(sum);
+  return frame;
+}
+
+TEST_F(DelegationTest, ForwardingKeepsEcnAndFlagsBothWays) {
+  // Warm the ARP entries on both paths (and N2's real MAC, which ingress
+  // attribution maps to its virtual MAC).
+  select_route(x1_, virtual_ip_of(peer_n2_));
+  x1_.host.ping(kDestHost, 7, 1);
+  settle(Duration::seconds(3));
+  const Ipv4Address x1_host(184, 164, 224, 1);
+
+  // Egress: X1 -> E1, demultiplexed on N2's virtual MAC -> N2.
+  std::vector<Bytes> at_n2;
+  l_n2_.a_to_b().set_receiver([&](Bytes& w) { at_n2.push_back(w); });
+  const Bytes egress =
+      ecn_frame(virtual_mac_of(peer_n2_), mac(21), x1_host, kDestHost);
+  const std::uint64_t egress_before = e1_.traffic_accounting().at("x1").egress_bytes;
+  l_x1_.b_to_a().send(egress);
+  settle(Duration::seconds(1));
+  ASSERT_EQ(at_n2.size(), 1u);
+  EXPECT_EQ(at_n2[0], forwarded_as(egress, mac(13), mac(2)));
+  EXPECT_EQ(e1_.traffic_accounting().at("x1").egress_bytes - egress_before,
+            egress.size() - ether::FrameView::kHeaderLength);
+
+  // Ingress: N2 -> E1 -> X1, source MAC rewritten to N2's virtual MAC.
+  std::vector<Bytes> at_x1;
+  l_x1_.a_to_b().set_receiver([&](Bytes& w) { at_x1.push_back(w); });
+  const Bytes ingress = ecn_frame(mac(2), mac(13), kDestHost, x1_host);
+  l_n2_.b_to_a().send(ingress);
+  settle(Duration::seconds(1));
+  ASSERT_EQ(at_x1.size(), 1u);
+  EXPECT_EQ(at_x1[0],
+            forwarded_as(ingress, mac(21), virtual_mac_of(peer_n2_)));
 }
 
 TEST_F(DelegationTest, WithdrawPropagatesThroughPlatform) {
