@@ -28,6 +28,11 @@ echo "=== faults-soak: chaos scenarios under 3 fixed seeds, both presets ==="
 PEERING_SOAK_SEEDS="11,23,37" ./build/tests/fault_injection_test
 PEERING_SOAK_SEEDS="11,23,37" ./build-asan/tests/fault_injection_test
 
+echo "=== example smoke: controlled hijack + ARTEMIS detection ==="
+# Exits non-zero if the hijack goes undetected or the victim's
+# mitigation more-specifics are not visible at the collector.
+./build/examples/hijack_detection
+
 echo "=== bench: fault recovery (self-checking determinism) ==="
 # Exits non-zero if two same-seed runs diverge, so running it is the check.
 (cd build/bench && ./bench_fault_recovery)

@@ -6,6 +6,8 @@
 // deaggregating.
 //
 // Run: ./build/examples/hijack_detection
+// Exits 1 if the hijack goes undetected or the mitigation prefixes are not
+// visible at the collector with the victim's origin.
 #include <cstdio>
 
 #include "example_util.h"
@@ -128,6 +130,7 @@ int main() {
   }
   std::printf("[artemis] more-specifics visible with the victim origin: %s\n",
               mitigated ? "yes — traffic pulled back via LPM" : "NO");
+  if (!mitigated) return 1;
 
   std::printf("\ndone.\n");
   return 0;

@@ -302,7 +302,6 @@ std::uint64_t SoakHarness::monitor_fingerprint() const {
     f.mix_u64(session->dropped());
   }
   f.mix_u64(station_.record_count());
-  f.mix_u64(station_.dropped());
   return f.h;
 }
 

@@ -157,8 +157,9 @@ class SoakHarness {
   std::uint64_t locrib_fingerprint(std::size_t pop) const;
   /// All PoPs' fingerprints mixed in PoP order.
   std::uint64_t locrib_fingerprint() const;
-  /// FNV-1a over each monitor session's binary stream + drop counters +
-  /// the station's arrival tally, in PoP order.
+  /// FNV-1a over each monitor session's binary stream + drop counter, in
+  /// PoP order, then the station's arrival tally. Only meaningful compared
+  /// against another run's value (no committed constant).
   std::uint64_t monitor_fingerprint() const;
 
   /// Snapshot-derived metrics; call after run().

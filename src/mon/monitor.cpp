@@ -92,10 +92,11 @@ MonitorSession::MonitorSession(sim::EventLoop* loop, bgp::BgpSpeaker* speaker,
   obs::Registry* registry = obs::Registry::global();
   obs_records_ = registry->counter("mon_records_total", labels);
   obs_dropped_ = registry->counter("mon_records_dropped_total", labels);
-  // Reserve the record buffer up front (bounded at 1<<17 entries, ~12MB):
-  // records carry shared_ptr/string members, so letting the vector grow
-  // geometrically would move every buffered record several times over and
-  // the churn shows up in the fig6b telemetry-overhead measurement.
+  // Reserve the record buffer up front (88 B records, at most 1<<17 of
+  // them; the default 65,536 reserves 5.8 MB): records carry
+  // shared_ptr/string members, so letting the vector grow geometrically
+  // would move every buffered record several times over and the churn
+  // shows up in the fig6b telemetry-overhead measurement.
   records_.reserve(std::min(options_.capacity, std::size_t{1} << 17));
   speaker_->set_monitor(this);
 }
@@ -129,6 +130,7 @@ MonitorRecord* MonitorSession::append() {
   record.seq = next_seq_++;
   record.at = loop_->now();
   obs_records_->inc();
+  if (station_ != nullptr) station_->deliver(*this, records_.size() - 1);
   return &record;
 }
 
@@ -140,7 +142,6 @@ void MonitorSession::push(MonitorRecord record) {
   *slot = std::move(record);
   slot->seq = seq;
   slot->at = at;
-  if (station_ != nullptr) station_->deliver(name_, *slot);
 }
 
 void MonitorSession::on_peer_state(bgp::PeerId peer,
@@ -174,7 +175,6 @@ void MonitorSession::on_route_pre_policy(bgp::PeerId from,
   r->path_id = entry.path_id;
   r->prefix = entry.prefix;
   r->attrs = attrs;
-  if (station_ != nullptr) station_->deliver(name_, *r);
 }
 
 void MonitorSession::on_route_post_policy(const bgp::RibRoute& route,
@@ -190,7 +190,6 @@ void MonitorSession::on_route_post_policy(const bgp::RibRoute& route,
   r->path_id = route.path_id;
   r->prefix = route.prefix;
   if (!withdrawn) r->attrs = route.attrs;
-  if (station_ != nullptr) station_->deliver(name_, *r);
 }
 
 void MonitorSession::enable_stats_reports(Duration interval) {
@@ -296,22 +295,14 @@ Bytes MonitorSession::encode() const {
   return w.take();
 }
 
-void MonitoringStation::deliver(const std::string& speaker,
-                                const MonitorRecord& record) {
-  if (feed_.size() >= capacity_) {
-    ++dropped_;
-    return;
-  }
-  feed_.push_back(Entry{speaker, record});
-}
-
 std::string MonitoringStation::to_jsonl() const {
   std::string out;
-  for (const Entry& e : feed_) {
+  for (const Ref& ref : feed_) {
     // Peer ids are speaker-scoped; the merged feed tags the speaker and
     // renders the numeric id (names live in each session's own stream).
-    out += render_record_json(e.record, e.speaker,
-                              std::to_string(e.record.peer));
+    const MonitorRecord& record = ref.session->records()[ref.index];
+    out += render_record_json(record, ref.session->speaker_name(),
+                              std::to_string(record.peer));
     out += "\n";
   }
   return out;

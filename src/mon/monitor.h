@@ -8,9 +8,12 @@
 // across same-seed runs (the speaker emits tap callbacks in a canonical
 // order — see bgp::MonitorTap).
 //
-// A MonitoringStation aggregates streams from many sessions (one per
-// router across a backbone) in arrival order, playing the role RouteViews
-// or RIPE RIS collectors play for the real platform (§8).
+// The session's buffer is the only place a record lives. A
+// MonitoringStation merges streams from many sessions (one per router
+// across a backbone) in arrival order, playing the role RouteViews or RIPE
+// RIS collectors play for the real platform (§8): it indexes the sessions'
+// records rather than copying them. platform::RouteCollector archives
+// through a session of its own.
 #pragma once
 
 #include <cstdint>
@@ -82,8 +85,12 @@ class MonitorSession : public bgp::MonitorTap {
   const std::string& speaker_name() const { return name_; }
   const std::vector<MonitorRecord>& records() const { return records_; }
   std::uint64_t dropped() const { return dropped_; }
+  /// The speaker's name for `peer` (PeerConfig::name; "local" for
+  /// originated routes, the numeric id once detached).
+  std::string peer_name(bgp::PeerId peer) const;
 
-  /// Forward every record to an in-sim monitoring station as it is made.
+  /// Index every record this session keeps in an in-sim monitoring
+  /// station as it is made (see MonitoringStation for the lifetime rule).
   void set_station(MonitoringStation* station) { station_ = station; }
   /// Feed post-policy installs into a propagation tracer (time-to-Loc-RIB).
   void set_tracer(PropagationTracer* tracer) { tracer_ = tracer; }
@@ -110,14 +117,14 @@ class MonitorSession : public bgp::MonitorTap {
                             bool withdrawn) override;
 
  private:
-  /// Appends a blank record (seq/timestamp assigned) or counts a drop and
-  /// returns null when the buffer is at capacity. Hot callbacks fill the
-  /// slot in place; cold paths go through push().
+  /// Appends a blank record (seq/timestamp assigned, indexed in the
+  /// station) or counts a drop and returns null when the buffer is at
+  /// capacity. Hot callbacks fill the slot in place; cold paths go through
+  /// push().
   MonitorRecord* append();
   void push(MonitorRecord record);
   void emit_stats_reports();
   void schedule_stats();
-  std::string peer_name(bgp::PeerId peer) const;
 
   sim::EventLoop* loop_;
   bgp::BgpSpeaker* speaker_;
@@ -137,29 +144,32 @@ class MonitorSession : public bgp::MonitorTap {
 };
 
 /// In-sim monitoring station: the collector end of one or more
-/// MonitorSessions. Records arrive in event-loop order (deterministic) and
-/// keep their originating speaker's name.
+/// MonitorSessions. It is an index, not a store: one (session, record
+/// index) reference per record a session kept, in delivery order
+/// (event-loop order, deterministic). A record its session dropped never
+/// reaches the station, so the station has no bound or drop count of its
+/// own.
+///
+/// Lifetime: the station reads records out of its sessions. Every owner
+/// declares the station before its sessions (so it is destroyed after
+/// them) and reads it only while they live.
 class MonitoringStation {
  public:
-  explicit MonitoringStation(std::size_t capacity = 1 << 20)
-      : capacity_(capacity) {}
-
-  void deliver(const std::string& speaker, const MonitorRecord& record);
+  void deliver(const MonitorSession& session, std::size_t index) {
+    feed_.push_back({&session, index});
+  }
 
   std::size_t record_count() const { return feed_.size(); }
-  std::uint64_t dropped() const { return dropped_; }
 
   /// Merged JSON-lines feed, arrival order, speaker-tagged.
   std::string to_jsonl() const;
 
  private:
-  struct Entry {
-    std::string speaker;
-    MonitorRecord record;
+  struct Ref {
+    const MonitorSession* session;
+    std::size_t index;
   };
-  std::size_t capacity_;
-  std::vector<Entry> feed_;
-  std::uint64_t dropped_ = 0;
+  std::vector<Ref> feed_;
 };
 
 /// Renders one record as a JSON object (no trailing newline). `speaker` is

@@ -2,19 +2,20 @@
 
 namespace peering::platform {
 
-void HijackDetector::observe(const ArchiveRecord& record) {
-  if (record.withdrawn) return;
-  bgp::Asn origin = record.as_path.origin_asn();
+void HijackDetector::observe(const mon::MonitorRecord& record,
+                             const std::string& feed) {
+  if (record.withdrawn || record.attrs == nullptr) return;
+  bgp::Asn origin = record.attrs->as_path.origin_asn();
   if (legitimate_.count(origin)) return;
 
   for (const auto& owned : owned_) {
     if (record.prefix == owned) {
-      alerts_.push_back({record.at, record.prefix, owned, origin, record.feed,
+      alerts_.push_back({record.at, record.prefix, owned, origin, feed,
                          HijackType::kExactMoas});
       return;
     }
     if (owned.covers(record.prefix)) {
-      alerts_.push_back({record.at, record.prefix, owned, origin, record.feed,
+      alerts_.push_back({record.at, record.prefix, owned, origin, feed,
                          HijackType::kSubPrefix});
       return;
     }
@@ -22,9 +23,14 @@ void HijackDetector::observe(const ArchiveRecord& record) {
 }
 
 void HijackDetector::poll(const RouteCollector& collector) {
-  const auto& archive = collector.archive();
-  for (; poll_index_ < archive.size(); ++poll_index_)
-    observe(archive[poll_index_]);
+  const mon::MonitorSession& archive = collector.archive();
+  const auto& records = archive.records();
+  for (; poll_index_ < records.size(); ++poll_index_) {
+    const mon::MonitorRecord& record = records[poll_index_];
+    if (record.type == mon::RecordType::kRouteMonitoring &&
+        record.post_policy)
+      observe(record, archive.peer_name(record.peer));
+  }
 }
 
 std::vector<Ipv4Prefix> HijackDetector::mitigation_prefixes(

@@ -4,6 +4,8 @@
 // and flags announcements of the operator's own space with an unexpected
 // origin (exact-prefix MOAS) or an unexpected more-specific (sub-prefix
 // hijack), within seconds of the offending update reaching a collector.
+// It reads the collector's monitor session: the post-policy
+// route-monitoring records, one per route-set change at the collector.
 #pragma once
 
 #include <set>
@@ -37,10 +39,12 @@ class HijackDetector {
   HijackDetector(std::vector<Ipv4Prefix> owned, std::set<bgp::Asn> legitimate)
       : owned_(std::move(owned)), legitimate_(std::move(legitimate)) {}
 
-  /// Processes one collector record; appends an alert if it conflicts.
-  void observe(const ArchiveRecord& record);
+  /// Processes one route-monitoring record delivered by feed `feed`;
+  /// appends an alert if it conflicts.
+  void observe(const mon::MonitorRecord& record, const std::string& feed);
 
-  /// Catches up on everything a collector archived since the last poll.
+  /// Catches up on the post-policy route-monitoring records a collector
+  /// archived since the last poll.
   void poll(const RouteCollector& collector);
 
   const std::vector<HijackAlert>& alerts() const { return alerts_; }

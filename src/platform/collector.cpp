@@ -3,36 +3,9 @@
 namespace peering::platform {
 
 RouteCollector::RouteCollector(sim::EventLoop* loop, std::string name,
-                               bgp::Asn asn, Ipv4Address router_id,
-                               std::size_t archive_capacity)
-    : loop_(loop),
-      speaker_(std::make_unique<bgp::BgpSpeaker>(loop, name, asn, router_id)),
-      archive_capacity_(archive_capacity),
-      metrics_(obs::Registry::global()),
-      obs_dropped_(metrics_->counter("collector_records_dropped_total",
-                                     {{"collector", name}})) {
-  speaker_->on_route_event([this](const bgp::RibRoute& route, bool withdrawn) {
-    if (archive_.size() >= archive_capacity_) {
-      // Drop-newest: RIB state stays authoritative, only the historical
-      // dump truncates — and loudly, so an experiment can tell.
-      ++records_dropped_;
-      obs_dropped_->inc();
-      metrics_->trace().emit(loop_->now(), "platform", "collector_drop",
-                             {{"collector", speaker_->name()},
-                              {"prefix", route.prefix.str()}});
-      return;
-    }
-    ArchiveRecord record;
-    record.at = loop_->now();
-    auto it = feed_names_.find(route.peer);
-    record.feed = it == feed_names_.end() ? "?" : it->second;
-    record.prefix = route.prefix;
-    record.withdrawn = withdrawn;
-    record.as_path = route.attrs->as_path;
-    record.communities = route.attrs->communities;
-    archive_.push_back(std::move(record));
-  });
-}
+                               bgp::Asn asn, Ipv4Address router_id)
+    : speaker_(loop, std::move(name), asn, router_id),
+      archive_(loop, &speaker_) {}
 
 bgp::PeerId RouteCollector::add_feed(const std::string& feed_name,
                                      bgp::Asn feed_asn) {
@@ -40,24 +13,24 @@ bgp::PeerId RouteCollector::add_feed(const std::string& feed_name,
   config.name = feed_name;
   config.peer_asn = feed_asn;
   config.export_policy = bgp::RoutePolicy::deny_all();  // strictly passive
-  bgp::PeerId peer = speaker_->add_peer(config);
-  feed_names_[peer] = feed_name;
-  return peer;
+  return speaker_.add_peer(config);
 }
 
 std::vector<bgp::AsPath> RouteCollector::visible_paths(
     const Ipv4Prefix& prefix) const {
   std::vector<bgp::AsPath> out;
-  for (const auto& route : speaker_->loc_rib().candidates(prefix))
+  for (const auto& route : speaker_.loc_rib().candidates(prefix))
     out.push_back(route.attrs->as_path);
   return out;
 }
 
-std::vector<ArchiveRecord> RouteCollector::history(
+std::vector<mon::MonitorRecord> RouteCollector::history(
     const Ipv4Prefix& prefix) const {
-  std::vector<ArchiveRecord> out;
-  for (const auto& record : archive_)
-    if (record.prefix == prefix) out.push_back(record);
+  std::vector<mon::MonitorRecord> out;
+  for (const auto& record : archive_.records())
+    if (record.type == mon::RecordType::kRouteMonitoring &&
+        record.post_policy && record.prefix == prefix)
+      out.push_back(record);
   return out;
 }
 

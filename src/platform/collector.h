@@ -2,13 +2,14 @@
 // (§8: the measurement tools PEERING complements). Experiments use
 // collectors to *observe* how their announcements propagate — which is
 // exactly how studies on the real platform validate visibility. The
-// collector accepts every route, never exports anything, and archives a
-// timestamped record of every update and withdrawal.
+// collector accepts every route and never exports anything.
 //
-// The archive is bounded: a long soak feeding a collector must not grow
-// memory without limit. Past `archive_capacity` records the collector
-// drops new records (the in-RIB state stays correct; only the historical
-// dump truncates), counts the drops, and emits one trace event per drop.
+// Its archive is the mon::MonitorSession attached to its speaker: peer-up
+// and peer-down edges, pre-policy records as feeds deliver them, and one
+// post-policy record per route-set change (the update/withdrawal timeline
+// an MRT dump carries). The session's bound applies: past it new records
+// are dropped and counted in `mon_records_dropped_total{speaker}`, while
+// the Loc-RIB stays complete.
 #pragma once
 
 #include <memory>
@@ -16,57 +17,39 @@
 #include <vector>
 
 #include "bgp/speaker.h"
+#include "mon/monitor.h"
 
 namespace peering::platform {
 
-struct ArchiveRecord {
-  SimTime at;
-  std::string feed;  // which peer delivered it
-  Ipv4Prefix prefix;
-  bool withdrawn = false;
-  bgp::AsPath as_path;
-  std::vector<bgp::Community> communities;
-};
-
 class RouteCollector {
  public:
-  /// `archive_capacity` bounds the in-memory archive (drop-newest).
   RouteCollector(sim::EventLoop* loop, std::string name, bgp::Asn asn,
-                 Ipv4Address router_id,
-                 std::size_t archive_capacity = 1 << 16);
+                 Ipv4Address router_id);
 
-  bgp::BgpSpeaker& speaker() { return *speaker_; }
+  bgp::BgpSpeaker& speaker() { return speaker_; }
 
-  /// Registers a feed session (the collector never announces back).
+  /// Registers a feed session (the collector never announces back). The
+  /// feed name is the peer's PeerConfig::name.
   bgp::PeerId add_feed(const std::string& feed_name, bgp::Asn feed_asn);
 
   void connect(bgp::PeerId feed, std::shared_ptr<sim::StreamEndpoint> stream) {
-    speaker_->connect_peer(feed, stream);
+    speaker_.connect_peer(feed, stream);
   }
 
-  /// The archive, in arrival order (an MRT dump, morally), truncated at
-  /// `archive_capacity` records.
-  const std::vector<ArchiveRecord>& archive() const { return archive_; }
-
-  /// Records rejected because the archive was full.
-  std::uint64_t records_dropped() const { return records_dropped_; }
+  /// The archive, in arrival order (an MRT dump, morally).
+  const mon::MonitorSession& archive() const { return archive_; }
 
   /// Current visibility of a prefix: the AS paths present across feeds.
   std::vector<bgp::AsPath> visible_paths(const Ipv4Prefix& prefix) const;
 
-  /// Archive records touching `prefix`, oldest first (a BGPlay-style
-  /// event timeline).
-  std::vector<ArchiveRecord> history(const Ipv4Prefix& prefix) const;
+  /// Post-policy route-monitoring records touching `prefix`, oldest first
+  /// (a BGPlay-style event timeline).
+  std::vector<mon::MonitorRecord> history(const Ipv4Prefix& prefix) const;
 
  private:
-  sim::EventLoop* loop_;
-  std::unique_ptr<bgp::BgpSpeaker> speaker_;
-  std::map<bgp::PeerId, std::string> feed_names_;
-  std::vector<ArchiveRecord> archive_;
-  std::size_t archive_capacity_;
-  std::uint64_t records_dropped_ = 0;
-  obs::Registry* metrics_;
-  obs::Counter* obs_dropped_;
+  bgp::BgpSpeaker speaker_;
+  /// Declared after speaker_, so it detaches before the speaker dies.
+  mon::MonitorSession archive_;
 };
 
 }  // namespace peering::platform

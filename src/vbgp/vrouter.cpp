@@ -53,6 +53,13 @@ VRouter::VRouter(sim::EventLoop* loop, const VRouterConfig& config)
   obs_enforcement_drops_ =
       metrics_->counter("vbgp_enforcement_drops_total", labels);
   obs_no_route_ = metrics_->counter("vbgp_no_fib_route_total", labels);
+  auto drop_counter = [&](const char* reason) {
+    obs::Labels with_reason = labels;
+    with_reason.emplace_back("reason", reason);
+    return metrics_->counter("vbgp_frames_dropped_total", with_reason);
+  };
+  obs_drop_no_transit_ = drop_counter("no_transit");
+  obs_drop_no_mux_entry_ = drop_counter("no_mux_entry");
   obs_arp_replies_ =
       metrics_->counter("vbgp_arp_virtual_replies_total", labels);
   obs_demux_mac_hits_ =
@@ -723,9 +730,15 @@ void VRouter::deliver_toward_experiment(int in_if, Bytes& wire,
                                         const ip::Ipv4Header& header) {
   const Ipv4Address dst = header.dst();
   auto route = mux_.lookup(dst);
-  if (!route) return;  // not for any experiment: drop (no transit)
+  if (!route) {  // not for any experiment: drop (no transit)
+    obs_drop_no_transit_->inc();
+    return;
+  }
   auto entry_it = mux_entries_.find(route->prefix);
-  if (entry_it == mux_entries_.end()) return;
+  if (entry_it == mux_entries_.end()) {  // mux view and entries disagree
+    obs_drop_no_mux_entry_->inc();
+    return;
+  }
   const MuxEntry& entry = entry_it->second;
 
   if (header.ttl() <= 1) {

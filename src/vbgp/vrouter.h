@@ -339,6 +339,9 @@ class VRouter : public ip::Host {
   obs::Counter* obs_frames_to_exp_;
   obs::Counter* obs_enforcement_drops_;
   obs::Counter* obs_no_route_;
+  /// `vbgp_frames_dropped_total{reason}` for frames toward no experiment.
+  obs::Counter* obs_drop_no_transit_;
+  obs::Counter* obs_drop_no_mux_entry_;
   obs::Counter* obs_arp_replies_;
   obs::Counter* obs_demux_mac_hits_;
   obs::Counter* obs_demux_mac_misses_;

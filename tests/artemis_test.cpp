@@ -14,20 +14,27 @@ namespace {
 
 Ipv4Prefix pfx(const std::string& s) { return *Ipv4Prefix::parse(s); }
 
+/// A route-monitoring record announcing `prefix` with `path`.
+mon::MonitorRecord announcement(const std::string& prefix, bgp::AsPath path) {
+  bgp::PathAttributes attrs;
+  attrs.as_path = std::move(path);
+  mon::MonitorRecord record;
+  record.prefix = pfx(prefix);
+  record.attrs = std::make_shared<const bgp::PathAttributes>(std::move(attrs));
+  return record;
+}
+
 TEST(HijackDetectorUnit, ExactMoasDetected) {
   HijackDetector detector({pfx("184.164.224.0/24")}, {61574});
-  ArchiveRecord legit;
-  legit.prefix = pfx("184.164.224.0/24");
-  legit.as_path = bgp::AsPath({47065, 61574});
-  detector.observe(legit);
+  mon::MonitorRecord legit =
+      announcement("184.164.224.0/24", bgp::AsPath({47065, 61574}));
+  detector.observe(legit, "collector-feed");
   EXPECT_TRUE(detector.alerts().empty());
 
-  ArchiveRecord hijack;
+  mon::MonitorRecord hijack =
+      announcement("184.164.224.0/24", bgp::AsPath({666, 64666}));
   hijack.at = SimTime() + Duration::seconds(12);
-  hijack.prefix = pfx("184.164.224.0/24");
-  hijack.as_path = bgp::AsPath({666, 64666});
-  hijack.feed = "collector-feed";
-  detector.observe(hijack);
+  detector.observe(hijack, "collector-feed");
   ASSERT_EQ(detector.alerts().size(), 1u);
   EXPECT_EQ(detector.alerts()[0].type, HijackType::kExactMoas);
   EXPECT_EQ(detector.alerts()[0].offending_origin, 64666u);
@@ -35,10 +42,9 @@ TEST(HijackDetectorUnit, ExactMoasDetected) {
 
 TEST(HijackDetectorUnit, SubPrefixDetected) {
   HijackDetector detector({pfx("184.164.224.0/23")}, {61574});
-  ArchiveRecord hijack;
-  hijack.prefix = pfx("184.164.225.0/24");
-  hijack.as_path = bgp::AsPath({64666});
-  detector.observe(hijack);
+  mon::MonitorRecord hijack =
+      announcement("184.164.225.0/24", bgp::AsPath({64666}));
+  detector.observe(hijack, "collector-feed");
   ASSERT_EQ(detector.alerts().size(), 1u);
   EXPECT_EQ(detector.alerts()[0].type, HijackType::kSubPrefix);
   EXPECT_EQ(detector.alerts()[0].owned, pfx("184.164.224.0/23"));
@@ -46,15 +52,13 @@ TEST(HijackDetectorUnit, SubPrefixDetected) {
 
 TEST(HijackDetectorUnit, WithdrawalsAndForeignPrefixesIgnored) {
   HijackDetector detector({pfx("184.164.224.0/24")}, {61574});
-  ArchiveRecord withdrawal;
-  withdrawal.prefix = pfx("184.164.224.0/24");
+  mon::MonitorRecord withdrawal =
+      announcement("184.164.224.0/24", bgp::AsPath({64666}));
   withdrawal.withdrawn = true;
-  withdrawal.as_path = bgp::AsPath({64666});
-  detector.observe(withdrawal);
-  ArchiveRecord foreign;
-  foreign.prefix = pfx("8.8.8.0/24");
-  foreign.as_path = bgp::AsPath({64666});
-  detector.observe(foreign);
+  detector.observe(withdrawal, "collector-feed");
+  mon::MonitorRecord foreign =
+      announcement("8.8.8.0/24", bgp::AsPath({64666}));
+  detector.observe(foreign, "collector-feed");
   EXPECT_TRUE(detector.alerts().empty());
 }
 

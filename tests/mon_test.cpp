@@ -1,11 +1,13 @@
 // Monitoring-plane tests: the BMP-style MonitorSession's determinism
 // contract (same-seed streams byte-identical across replays), the
 // canonical record ordering on session teardown, stats reports, the
-// looking glass, propagation tracing, the collector archive bound, and
+// looking glass, propagation tracing, the station's index over its
+// sessions, the collector archive bound, and
 // the obs-side failure modes a monitoring feed can trigger (label
 // cardinality overflow, trace-ring wraparound).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -237,6 +239,67 @@ TEST(MonitorStream, CapacityBoundDropsNewRecordsLoudly) {
   EXPECT_EQ(snap.value("mon_records_dropped_total", {{"speaker", "a"}}), 12);
 }
 
+/// Originates one /24 at `speaker`; each origination is one post-policy
+/// record in the speaker's monitor session.
+void originate_one(bgp::BgpSpeaker& speaker, int i) {
+  bgp::PathAttributes attrs;
+  attrs.next_hop = Ipv4Address(10, 0, 0, 1);
+  speaker.originate(
+      Ipv4Prefix(Ipv4Address(100, 71, static_cast<std::uint8_t>(i), 0), 24),
+      attrs);
+}
+
+TEST(MonitoringStationIndex, RendersTheSessionsRecordsInDeliveryOrder) {
+  sim::EventLoop loop;
+  bgp::BgpSpeaker a(&loop, "a", 65001, Ipv4Address(1, 1, 1, 1));
+  bgp::BgpSpeaker b(&loop, "b", 65002, Ipv4Address(1, 1, 1, 2));
+  MonitoringStation station;
+  MonitorSession ma(&loop, &a);
+  MonitorSession mb(&loop, &b);
+  ma.set_station(&station);
+  mb.set_station(&station);
+  for (int i = 0; i < 6; ++i) {
+    originate_one(a, i);
+    if (i % 2 == 0) originate_one(b, i);
+  }
+
+  ASSERT_EQ(ma.records().size(), 6u);
+  ASSERT_EQ(mb.records().size(), 3u);
+  EXPECT_EQ(station.record_count(),
+            ma.records().size() + mb.records().size());
+  // Delivery order interleaves the sessions: a0 b0 a1 a2 b1 a3 a4 b2 a5.
+  std::string expected;
+  auto line = [&](const MonitorSession& session, std::size_t index) {
+    const MonitorRecord& record = session.records()[index];
+    expected += render_record_json(record, session.speaker_name(),
+                                   std::to_string(record.peer)) +
+                "\n";
+  };
+  std::size_t next_b = 0;
+  for (std::size_t i = 0; i < 6; ++i) {
+    line(ma, i);
+    if (i % 2 == 0) line(mb, next_b++);
+  }
+  EXPECT_EQ(station.to_jsonl(), expected);
+}
+
+TEST(MonitoringStationIndex, SessionAtCapacityAddsNothing) {
+  sim::EventLoop loop;
+  bgp::BgpSpeaker a(&loop, "a", 65001, Ipv4Address(1, 1, 1, 1));
+  MonitoringStation station;
+  MonitorSession::Options options;
+  options.capacity = 2;
+  MonitorSession monitor(&loop, &a, options);
+  monitor.set_station(&station);
+  for (int i = 0; i < 5; ++i) originate_one(a, i);
+
+  EXPECT_EQ(monitor.records().size(), 2u);
+  EXPECT_EQ(monitor.dropped(), 3u);
+  EXPECT_EQ(station.record_count(), 2u);
+  std::string jsonl = station.to_jsonl();
+  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
+}
+
 TEST(LookingGlassTest, QueriesRenderRoutesAndDecisions) {
   Replay replay;
   replay.run();
@@ -409,8 +472,7 @@ TEST(CollectorBound, ArchiveStopsGrowingAndCountsDrops) {
   obs::Scope scope(&registry);
   sim::EventLoop loop;
   platform::RouteCollector collector(&loop, "rc1", 64999,
-                                     Ipv4Address(9, 9, 9, 9),
-                                     /*archive_capacity=*/8);
+                                     Ipv4Address(9, 9, 9, 9));
   bgp::BgpSpeaker feeder(&loop, "feeder", 65001, Ipv4Address(2, 2, 2, 1));
   bgp::PeerId at_collector = collector.add_feed("feeder", 65001);
   bgp::PeerId at_feeder = feeder.add_peer(
@@ -422,29 +484,29 @@ TEST(CollectorBound, ArchiveStopsGrowingAndCountsDrops) {
   feeder.connect_peer(at_feeder, pair.b);
   loop.run_for(Duration::seconds(5));
 
-  for (int i = 0; i < 32; ++i) {
-    bgp::PathAttributes attrs = attrs_from(65001, 1);
+  // The archive is the collector's monitor session at its default bound
+  // (65,536 records): one peer-up record, then a pre- and a post-policy
+  // record per route, so 33,000 routes make 66,001 records.
+  const std::size_t capacity = MonitorSession::Options{}.capacity;
+  const int routes = 33'000;
+  bgp::PathAttributes attrs = attrs_from(65001, 1);
+  for (int i = 0; i < routes; ++i)
     feeder.originate(
-        Ipv4Prefix(Ipv4Address(100, 80, static_cast<std::uint8_t>(i), 0), 24),
+        Ipv4Prefix(Ipv4Address(100, static_cast<std::uint8_t>(64 + i / 256),
+                               static_cast<std::uint8_t>(i % 256), 0),
+                   24),
         attrs);
-  }
   loop.run_for(Duration::seconds(10));
 
-  EXPECT_EQ(collector.archive().size(), 8u);
-  EXPECT_EQ(collector.records_dropped(), 24u);
+  const MonitorSession& archive = collector.archive();
+  EXPECT_EQ(archive.records().size(), capacity);
+  EXPECT_EQ(archive.dropped(), 1u + 2u * routes - capacity);
   // The RIB itself stays complete — only the historical dump truncates.
-  EXPECT_EQ(collector.speaker().loc_rib().route_count(), 32u);
+  EXPECT_EQ(collector.speaker().loc_rib().route_count(),
+            static_cast<std::size_t>(routes));
   obs::Snapshot snap = registry.snapshot(loop.now());
-  EXPECT_EQ(
-      snap.value("collector_records_dropped_total", {{"collector", "rc1"}}),
-      24);
-  // Drops land in the trace for offline diagnosis.
-  bool saw_drop = false;
-  registry.trace().for_each([&](const obs::TraceEvent& ev) {
-    if (ev.category == "platform" && ev.name == "collector_drop")
-      saw_drop = true;
-  });
-  EXPECT_TRUE(saw_drop);
+  EXPECT_EQ(snap.value("mon_records_dropped_total", {{"speaker", "rc1"}}),
+            static_cast<std::int64_t>(archive.dropped()));
 }
 
 }  // namespace

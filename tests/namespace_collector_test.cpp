@@ -101,8 +101,10 @@ TEST_F(CollectorTest, ArchivesAnnouncementsWithTimestamps) {
   auto history = collector_.history(pfx("184.164.224.0/24"));
   ASSERT_EQ(history.size(), 1u);
   EXPECT_FALSE(history[0].withdrawn);
-  EXPECT_EQ(history[0].feed, "as65001");
-  EXPECT_EQ(history[0].as_path.flatten(), (std::vector<bgp::Asn>{65001}));
+  EXPECT_EQ(collector_.archive().peer_name(history[0].peer), "as65001");
+  ASSERT_NE(history[0].attrs, nullptr);
+  EXPECT_EQ(history[0].attrs->as_path.flatten(),
+            (std::vector<bgp::Asn>{65001}));
   EXPECT_TRUE(history[0].at > SimTime());
   ASSERT_EQ(collector_.visible_paths(pfx("184.164.224.0/24")).size(), 1u);
 }

@@ -3,6 +3,7 @@
 // shaping experiment traffic, and the operational "show" surface.
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "platform/peering.h"
 #include "toolkit/client.h"
@@ -57,6 +58,10 @@ class EdgeTest : public ::testing::Test {
     return client;
   }
 
+  /// Installed before the platform is built, so the routers' counters
+  /// resolve against it.
+  obs::Registry registry_{true};
+  obs::Scope scope_{&registry_};
   sim::EventLoop loop_;
   platform::ConfigDatabase db_;
   platform::Peering peering_;
@@ -102,6 +107,26 @@ TEST_F(EdgeTest, NonExperimentDestinationIsNotTransited) {
   nb.host->send_packet(std::move(stray));
   peering_.settle(Duration::seconds(2));
   EXPECT_EQ(pop->router->stats().frames_to_experiments, delivered_before);
+}
+
+TEST_F(EdgeTest, NoTransitDropIsCountedWithItsReason) {
+  auto* pop = peering_.pop("capped01");
+  auto& nb = *pop->neighbors[0];
+  const obs::Labels labels{{"pop", "capped01"},
+                           {"reason", "no_transit"},
+                           {"router", pop->router->name()}};
+  auto no_transit = [&] {
+    return registry_.snapshot(loop_.now())
+        .value("vbgp_frames_dropped_total", labels, -1);
+  };
+  const std::int64_t before = no_transit();
+  ASSERT_GE(before, 0) << "no_transit drop counter not registered";
+  ip::Ipv4Packet stray;
+  stray.src = Ipv4Address(192, 168, 0, 1);
+  stray.dst = Ipv4Address(203, 0, 113, 99);  // owned by no experiment
+  nb.host->send_packet(std::move(stray));
+  peering_.settle(Duration::seconds(2));
+  EXPECT_EQ(no_transit(), before + 1);
 }
 
 TEST_F(EdgeTest, BandwidthCappedSiteShapesExperimentTraffic) {
