@@ -42,6 +42,7 @@ echo "=== bench regression gate: fig6a memory ==="
 # non-zero below the 4x dedup target, so running it is itself a check.
 (cd build/bench && ./bench_fig6a_memory --mode=both)
 python3 tools/bench_check.py --fresh-dir build/bench \
+  --metric fig6a_memory:control_plane_bytes_per_route:lower \
   --metric fig6a_memory:with_dataplane_bytes_per_route:lower \
   --metric fig6a_memory:with_default_bytes_per_route:lower \
   --metric fig6a_memory:ablation_shared_bytes_per_route:lower \

@@ -228,7 +228,6 @@ BgpSpeaker::BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
   obs::Labels labels{{"speaker", name_}};
   obs_updates_in_ = metrics_->counter("bgp_updates_in_total", labels);
   obs_updates_out_ = metrics_->counter("bgp_updates_out_total", labels);
-  obs_pipeline_runs_ = metrics_->counter("bgp_pipeline_runs_total", labels);
   obs_group_evals_ =
       metrics_->counter("bgp_export_group_evals_total", labels);
   obs_group_memo_hits_ =
@@ -237,8 +236,6 @@ BgpSpeaker::BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
       metrics_->counter("bgp_export_group_splices_total", labels);
   obs_group_members_ =
       metrics_->histogram("bgp_export_group_members", labels);
-  obs_stage_depth_ =
-      metrics_->histogram("bgp_pipeline_stage_depth", labels);
   obs_flush_batch_ = metrics_->histogram("bgp_mrai_flush_batch", labels);
   obs_group_log_depth_ =
       metrics_->histogram("bgp_export_group_log_depth", labels);
@@ -273,7 +270,6 @@ BgpSpeaker::BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
         metrics_->counter("bgp_session_transitions_total", tl);
   }
   update_span_ = obs::SpanMeter(metrics_, "bgp_update_processing", labels);
-  decision_span_ = obs::SpanMeter(metrics_, "bgp_pipeline_decision", labels);
   encode_span_ = obs::SpanMeter(metrics_, "bgp_pipeline_encode", labels);
   collector_token_ = metrics_->add_collector(
       [this](obs::Registry& registry) { publish_metrics(registry); });
@@ -437,13 +433,9 @@ void BgpSpeaker::handle_bytes(PeerId peer, const Bytes& data) {
     }
     if (!result->has_value()) break;
     handle_message(peer, std::move(**result));
-    // The session may have gone down while handling the message (which
-    // drains the pipeline before tearing state down).
+    // The session may have gone down while handling the message.
     if (sessions_.at(peer)->state == SessionState::kIdle) return;
   }
-  // Event-granularity barrier: everything this delivery staged is decided,
-  // applied, and scheduled for export before the event returns.
-  drain_pipeline();
 }
 
 void BgpSpeaker::handle_message(PeerId peer, BgpMessage message) {
@@ -452,10 +444,6 @@ void BgpSpeaker::handle_message(PeerId peer, BgpMessage message) {
     handle_update(peer, *update);
     return;
   }
-  // Non-UPDATE messages observe RIB state: flush staged route work first so
-  // e.g. a NOTIFICATION-triggered teardown sees every preceding UPDATE
-  // applied, exactly as in the serial message-at-a-time ordering.
-  drain_pipeline();
   if (auto* open = std::get_if<OpenMessage>(&message)) {
     handle_open(peer, *open);
   } else if (auto* notification = std::get_if<NotificationMessage>(&message)) {
@@ -488,7 +476,6 @@ void BgpSpeaker::request_refresh(PeerId peer) {
 }
 
 void BgpSpeaker::reevaluate_exports(PeerId peer) {
-  drain_pipeline();
   Session& s = *sessions_.at(peer);
   if (s.state != SessionState::kEstablished) return;
   // The peer's export identity may have changed out from under us (policy
@@ -583,109 +570,56 @@ void BgpSpeaker::handle_notification(PeerId peer,
 }
 
 void BgpSpeaker::handle_update(PeerId peer, const UpdateMessage& update) {
-  Session& s = *sessions_.at(peer);
-  if (s.state != SessionState::kEstablished) {
+  if (sessions_.at(peer)->state != SessionState::kEstablished) {
     send_notification(peer, NotificationCode::kFsmError, 0,
                       "UPDATE before Established");
     session_down(peer, "early UPDATE");
     return;
   }
-  ++s.stats.updates_received;
-  ++total_updates_rx_;
-  obs_updates_in_->inc();
-  s.obs_updates_in->inc();
   obs::Span span(update_span_, nullptr);  // wall-clock CPU cost per UPDATE
-  stage_update(peer, update);
+  import_update(peer, update);
 }
 
 void BgpSpeaker::inject_update(PeerId peer, const UpdateMessage& update) {
+  if (sessions_.at(peer)->state != SessionState::kEstablished) return;
+  import_update(peer, update);
+}
+
+void BgpSpeaker::import_update(PeerId peer, const UpdateMessage& update) {
   Session& s = *sessions_.at(peer);
-  if (s.state != SessionState::kEstablished) return;
   ++s.stats.updates_received;
   ++total_updates_rx_;
   obs_updates_in_->inc();
   s.obs_updates_in->inc();
-  stage_update(peer, update);
-}
-
-void BgpSpeaker::stage_update(PeerId peer, const UpdateMessage& update) {
-  for (const auto& entry : update.withdrawn) stage_route(peer, entry, nullptr);
-  if (update.attributes) {
-    // Intern once per UPDATE: every NLRI shares the AttrsPtr, repeated
-    // announcements of the same set hit the pool, and downstream
-    // pointer-keyed caches (vBGP's next-hop rewrite memo) get a stable key.
-    AttrsPtr attrs = attr_pool_.intern(*update.attributes);
-    for (const auto& entry : update.nlri) stage_route(peer, entry, attrs);
+  for (const auto& entry : update.withdrawn) {
+    if (monitor_) monitor_->on_route_pre_policy(peer, entry, nullptr);
+    import_withdraw(s, peer, entry);
+  }
+  if (!update.attributes) return;
+  // Intern once per UPDATE: every NLRI shares the AttrsPtr, repeated
+  // announcements of the same set hit the pool, and downstream
+  // pointer-keyed caches (vBGP's next-hop rewrite memo) get a stable key.
+  const AttrsPtr attrs = attr_pool_.intern(*update.attributes);
+  for (const auto& entry : update.nlri) {
+    if (monitor_) monitor_->on_route_pre_policy(peer, entry, attrs);
+    import_route(s, peer, entry, attrs);
   }
 }
 
-void BgpSpeaker::stage_route(PeerId from, const NlriEntry& entry,
-                             AttrsPtr attrs) {
-  // Pre-policy route monitoring, in arrival order.
-  if (monitor_) monitor_->on_route_pre_policy(from, entry, attrs);
-  stage_in_.push_back(RouteWork{from, entry, std::move(attrs)});
-}
-
-void BgpSpeaker::drain_pipeline() {
-  if (stage_in_.empty() || in_pipeline_) return;
-  in_pipeline_ = true;
-  obs_stage_depth_->record(stage_in_.size());
-  {
-    obs::Span span(decision_span_, nullptr);  // wall-clock decision latency
-    for (RouteWork& w : stage_in_) {
-      if (w.attrs) {
-        decide_import(w);
-      } else {
-        decide_withdraw(w.from, w.entry);
-      }
-    }
-    stage_in_.clear();
-  }
-
-  // Effect application: per-peer stats, route events, export fan-out.
-  for (PeerId rejected : stage_out_.rejects)
-    ++sessions_.at(rejected)->stats.routes_rejected_import;
-  stage_out_.rejects.clear();
-  for (RouteEffect& effect : stage_out_.effects) {
-    if (route_event_) route_event_(effect.route, effect.withdrawn);
-    fan_out_export(effect.route.prefix, effect.route.peer);
-    // The batch holds bare pointers so attaching a monitor costs pointer
-    // sorting, not RouteEffect (attrs refcount) copies, in the hot path.
-    if (monitor_) monitor_batch_.push_back(&effect);
-  }
-  // Post-policy route monitoring: the tap sees the drain stable-sorted by
-  // prefix, arrival order within a prefix.
-  if (monitor_ && !monitor_batch_.empty()) {
-    std::stable_sort(monitor_batch_.begin(), monitor_batch_.end(),
-                     [](const RouteEffect* a, const RouteEffect* b) {
-                       return a->route.prefix < b->route.prefix;
-                     });
-    for (const RouteEffect* effect : monitor_batch_)
-      monitor_->on_route_post_policy(effect->route, effect->withdrawn);
-  }
-  monitor_batch_.clear();
-  stage_out_.effects.clear();
-  obs_pipeline_runs_->inc();
-  in_pipeline_ = false;
-}
-
-void BgpSpeaker::decide_import(RouteWork& work) {
-  PeerId from = work.from;
-  Session& s = *sessions_.at(from);
-  const bool ibgp = s.config.peer_asn == asn_;
-
+void BgpSpeaker::import_route(Session& s, PeerId from, const NlriEntry& entry,
+                              const AttrsPtr& attrs) {
   // eBGP loop detection: drop routes carrying our own ASN.
-  if (!ibgp && !s.config.allow_own_asn_in &&
-      work.attrs->as_path.contains(asn_)) {
-    stage_out_.rejects.push_back(from);
+  if (s.config.peer_asn != asn_ && !s.config.allow_own_asn_in &&
+      attrs->as_path.contains(asn_)) {
+    ++s.stats.routes_rejected_import;
     return;
   }
 
-  AttrBuilder builder(work.attrs);
-  if (!s.config.import_policy.apply(work.entry.prefix, builder)) {
-    stage_out_.rejects.push_back(from);
+  AttrBuilder builder(attrs);
+  if (!s.config.import_policy.apply(entry.prefix, builder)) {
+    ++s.stats.routes_rejected_import;
     // An implicit withdraw may be needed if a previous version was accepted.
-    decide_withdraw(from, work.entry);
+    import_withdraw(s, from, entry);
     return;
   }
   // Hand the hook an uninterned candidate and intern only its final answer:
@@ -693,10 +627,10 @@ void BgpSpeaker::decide_import(RouteWork& work) {
   // intermediate policy result never pays for a pool insertion.
   AttrsPtr working;
   if (import_hook_) {
-    auto hooked = import_hook_(from, work.entry, builder.release());
+    auto hooked = import_hook_(from, entry, builder.release());
     if (!hooked) {
-      stage_out_.rejects.push_back(from);
-      decide_withdraw(from, work.entry);
+      ++s.stats.routes_rejected_import;
+      import_withdraw(s, from, entry);
       return;
     }
     working = attr_pool_.adopt(*hooked);
@@ -705,28 +639,33 @@ void BgpSpeaker::decide_import(RouteWork& work) {
   }
 
   RibRoute route;
-  route.prefix = work.entry.prefix;
-  route.path_id = work.entry.path_id;
+  route.prefix = entry.prefix;
+  route.path_id = entry.path_id;
   route.peer = from;
   route.attrs = std::move(working);
 
   const LocRib::UpdateResult result = loc_rib_.update(route);
   if (!result.changed) return;  // unchanged re-announcement
   if (result.added) ++s.rib_routes;
-  stage_out_.effects.push_back(
-      RouteEffect{std::move(route), /*withdrawn=*/false});
+  apply_change(route, /*withdrawn=*/false);
 }
 
-void BgpSpeaker::decide_withdraw(PeerId from, const NlriEntry& entry) {
+void BgpSpeaker::import_withdraw(Session& s, PeerId from,
+                                 const NlriEntry& entry) {
   auto removed = loc_rib_.withdraw(entry.prefix, from, entry.path_id).removed;
   if (!removed) return;
-  --sessions_.at(from)->rib_routes;
-  stage_out_.effects.push_back(
-      RouteEffect{std::move(*removed), /*withdrawn=*/true});
+  --s.rib_routes;
+  apply_change(*removed, /*withdrawn=*/true);
+}
+
+void BgpSpeaker::apply_change(const RibRoute& route, bool withdrawn,
+                              bool fan_out) {
+  if (route_event_) route_event_(route, withdrawn);
+  if (fan_out) fan_out_export(route.prefix, route.peer);
+  if (monitor_) monitor_->on_route_post_policy(route, withdrawn);
 }
 
 void BgpSpeaker::originate(const Ipv4Prefix& prefix, PathAttributes attrs) {
-  drain_pipeline();
   RibRoute route;
   route.prefix = prefix;
   route.path_id = 0;
@@ -734,13 +673,10 @@ void BgpSpeaker::originate(const Ipv4Prefix& prefix, PathAttributes attrs) {
   route.attrs = attr_pool_.intern(std::move(attrs));
   originated_[prefix] = route.attrs;
   loc_rib_.update(route);
-  if (route_event_) route_event_(route, /*withdrawn=*/false);
-  fan_out_export(prefix, kLocalRoutes);
-  if (monitor_) monitor_->on_route_post_policy(route, /*withdrawn=*/false);
+  apply_change(route, /*withdrawn=*/false);
 }
 
 void BgpSpeaker::withdraw_originated(const Ipv4Prefix& prefix) {
-  drain_pipeline();
   auto it = originated_.find(prefix);
   if (it == originated_.end()) return;
   RibRoute route;
@@ -750,9 +686,7 @@ void BgpSpeaker::withdraw_originated(const Ipv4Prefix& prefix) {
   route.attrs = it->second;
   originated_.erase(it);
   loc_rib_.withdraw(prefix, kLocalRoutes, 0);
-  if (route_event_) route_event_(route, /*withdrawn=*/true);
-  fan_out_export(prefix, kLocalRoutes);
-  if (monitor_) monitor_->on_route_post_policy(route, /*withdrawn=*/true);
+  apply_change(route, /*withdrawn=*/true);
 }
 
 bool BgpSpeaker::export_eligible(PeerId to, const RibRoute& route) const {
@@ -1715,9 +1649,6 @@ void BgpSpeaker::arm_keepalive_timer(PeerId peer) {
 }
 
 void BgpSpeaker::session_down(PeerId peer, const std::string& reason) {
-  // Apply anything the dying session's last messages staged before tearing
-  // its state down — otherwise the clear below would race stale work.
-  drain_pipeline();
   Session& s = *sessions_.at(peer);
   if (s.state == SessionState::kIdle) return;
   LOG_INFO("bgp", name_ << ": session with " << s.config.name << " down: "
@@ -1737,18 +1668,16 @@ void BgpSpeaker::session_down(PeerId peer, const std::string& reason) {
   leave_group(peer);
 
   // Withdraw everything learned from this peer, in (prefix, path id)
-  // order.
+  // order. One fan-out per prefix: a second delta-log entry for the same
+  // prefix would grow the log without changing what the drain sends.
   std::vector<RibRoute> removed;
   if (s.rib_routes > 0) removed = loc_rib_.withdraw_peer(peer);
   s.rib_routes = 0;
-  std::vector<Ipv4Prefix> affected;
-  for (const RibRoute& route : removed) {
-    if (affected.empty() || affected.back() != route.prefix)
-      affected.push_back(route.prefix);
-    if (route_event_) route_event_(route, /*withdrawn=*/true);
-    if (monitor_) monitor_->on_route_post_policy(route, /*withdrawn=*/true);
+  for (std::size_t i = 0; i < removed.size(); ++i) {
+    const bool first_of_prefix =
+        i == 0 || removed[i - 1].prefix != removed[i].prefix;
+    apply_change(removed[i], /*withdrawn=*/true, first_of_prefix);
   }
-  for (const auto& prefix : affected) fan_out_export(prefix, peer);
   // The churned-out table may have been the last reference to many pooled
   // attribute sets (and their cached encodings); release them now so a
   // flapping session does not leave the pool inflated. `removed` still

@@ -6,14 +6,14 @@
 // security enforcement).
 //
 // This is the role BIRD plays in the authors' deployment, and like BIRD the
-// speaker is single-threaded. Route processing is split into serial stages
-// (the Contrail control-node decomposition, run on one thread):
+// speaker is single-threaded and handles each route when it is received.
+// Import runs one route at a time; export runs as serial stages:
 //
-//   decode        — the message path parses UPDATEs, interns attributes
-//       once per UPDATE and stages one RouteWork item per NLRI;
-//   decision      — loop check, import policy, import hook, interning,
-//       Loc-RIB update, one staged item at a time;
-//   effect apply  — route events, export fan-out into the group delta logs;
+//   import        — the message path parses an UPDATE, interns its
+//       attributes once, and takes each NLRI to completion where it is
+//       decoded: loop check, import policy, import hook, Loc-RIB update,
+//       then, only if the Loc-RIB changed, the route event, the append to
+//       every export group's delta log and the post-policy monitor record;
 //   group eval    — peers due for an MRAI flush at the same instant drain
 //       as one batch: transform + policy + export hook once per (export
 //       group, prefix);
@@ -22,9 +22,6 @@
 //   encode        — Adj-RIB-Out diff and wire encode (through the AttrPool
 //       encode cache) once per class;
 //   transmit      — per member, ascending peer order.
-//
-// Staged work never outlives the sim::EventLoop event that produced it:
-// the message path drains it before the delivery event returns.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +80,11 @@ struct PipelineConfig {
 /// Passive monitoring tap, BMP-flavored (RFC 7854): the monitoring plane
 /// (src/mon) implements this and attaches with BgpSpeaker::set_monitor.
 /// Declared here so bgp does not depend on mon. Callback order:
-///  * on_route_pre_policy fires in arrival order, at decode;
-///  * on_route_post_policy fires once per drain, stable-sorted by prefix
-///    (within one prefix: arrival order);
+///  * on_route_pre_policy fires in arrival order, as each NLRI is decoded;
+///  * on_route_post_policy fires when that NLRI changed the Loc-RIB, so a
+///    route's post-policy record directly follows its pre-policy record
+///    (a route the import policy or hook rejects, or an unchanged
+///    re-announcement, has only the pre-policy one);
 ///  * on_peer_state fires at every FSM transition.
 /// A tap must not mutate the speaker from inside a callback.
 class MonitorTap {
@@ -193,8 +192,8 @@ class BgpSpeaker {
       std::function<bool(PeerId to, const PathAttributes& source_attrs)>;
 
   /// Route event: fired when the post-import route set changes (install or
-  /// withdraw). vBGP synchronizes per-neighbor FIBs from this, in the order
-  /// the decision stage produced the changes.
+  /// withdraw). vBGP synchronizes per-neighbor FIBs from this, one route at
+  /// a time, in the order the changes happen.
   using RouteEventHandler =
       std::function<void(const RibRoute& route, bool withdrawn)>;
 
@@ -249,17 +248,11 @@ class BgpSpeaker {
   /// Withdraws a locally originated route.
   void withdraw_originated(const Ipv4Prefix& prefix);
 
-  /// Stages an UPDATE as if it had arrived (already decoded) on `peer`'s
-  /// established session, without the wire framing. Work accumulates until
-  /// drain_pipeline(), so callers can batch many injected UPDATEs into one
-  /// "event", as a coalesced TCP segment would. No-op unless the session
-  /// is Established.
+  /// Imports an UPDATE as if it had arrived (already decoded) on `peer`'s
+  /// established session, without the wire framing: the same per-route
+  /// processing as the message path, minus the FSM check and the
+  /// bgp_update_processing span. No-op unless the session is Established.
   void inject_update(PeerId peer, const UpdateMessage& update);
-
-  /// Runs the decision stage over all staged work and applies its effects.
-  /// No-op when nothing is staged. Called automatically at event
-  /// granularity by the message path; public for inject_update() users.
-  void drain_pipeline();
 
   void set_import_hook(ImportHook hook) { import_hook_ = std::move(hook); }
   /// Installs the general export hook (see ExportHook for the contract).
@@ -385,26 +378,6 @@ class BgpSpeaker {
     std::vector<GroupAdvert> adverts;
   };
 
-  /// Decode-stage output: one staged route change. Null attrs = withdraw.
-  struct RouteWork {
-    PeerId from = 0;
-    NlriEntry entry;
-    AttrsPtr attrs;
-  };
-
-  /// Decision-stage output: a post-import route-set change awaiting effect
-  /// application (route event + export fan-out).
-  struct RouteEffect {
-    RibRoute route;
-    bool withdrawn = false;
-  };
-
-  struct DecisionOut {
-    std::vector<RouteEffect> effects;
-    /// One entry per rejected route, naming the session it arrived on.
-    std::vector<PeerId> rejects;
-  };
-
   /// Encode-stage output for one encode class (the members of a subgroup
   /// whose results are identical): concatenated wire messages plus the stat
   /// deltas each member applies at transmit. The cache and splice counts
@@ -445,14 +418,18 @@ class BgpSpeaker {
   void schedule_hold_check(PeerId peer, std::uint64_t gen);
   void arm_keepalive_timer(PeerId peer);
 
-  /// Decode stage: appends one route change to the staged work.
-  void stage_route(PeerId from, const NlriEntry& entry, AttrsPtr attrs);
-  /// Stages all of `update`'s withdrawals and announcements.
-  void stage_update(PeerId peer, const UpdateMessage& update);
-
-  /// Decision stage, one staged item: RIB updates, effects into stage_out_.
-  void decide_import(RouteWork& work);
-  void decide_withdraw(PeerId from, const NlriEntry& entry);
+  /// Imports all of `update`'s withdrawals, then its announcements, one
+  /// NLRI at a time (handle_update and inject_update share this body).
+  void import_update(PeerId peer, const UpdateMessage& update);
+  /// One NLRI to completion: loop check, import policy, import hook,
+  /// Loc-RIB update, and apply_change() if the Loc-RIB changed.
+  void import_route(Session& s, PeerId from, const NlriEntry& entry,
+                    const AttrsPtr& attrs);
+  void import_withdraw(Session& s, PeerId from, const NlriEntry& entry);
+  /// The effects of one Loc-RIB change, in order: the route event, the
+  /// export fan-out (skipped when `fan_out` is false, for a further path
+  /// of a prefix already fanned out) and the post-policy monitor record.
+  void apply_change(const RibRoute& route, bool withdrawn, bool fan_out = true);
 
   /// Appends (prefix, origin) to every group's delta log and schedules a
   /// flush for members other than `origin` (split horizon records the
@@ -539,12 +516,6 @@ class BgpSpeaker {
   LocRib loc_rib_;
   std::map<Ipv4Prefix, AttrsPtr> originated_;
 
-  /// Decode -> decision handoff. Non-empty only while the event that
-  /// staged the work is still executing.
-  std::vector<RouteWork> stage_in_;
-  DecisionOut stage_out_;
-  bool in_pipeline_ = false;
-
   /// Flush batches: peers whose pending exports come due at the same
   /// instant share one drain event.
   std::map<SimTime, std::vector<PeerId>> flush_batches_;
@@ -562,10 +533,6 @@ class BgpSpeaker {
   RouteEventHandler route_event_;
   SessionEventHandler session_event_;
   MonitorTap* monitor_ = nullptr;
-  /// Post-policy effects buffered during a drain, stable-sorted by prefix
-  /// before the tap sees them. Pointers into stage_out_.effects, which is
-  /// kept alive through the tap pass.
-  std::vector<const RouteEffect*> monitor_batch_;
 
   std::uint64_t total_updates_rx_ = 0;
   std::uint64_t total_updates_tx_ = 0;
@@ -576,15 +543,11 @@ class BgpSpeaker {
   obs::Registry* metrics_;
   obs::Counter* obs_updates_in_;
   obs::Counter* obs_updates_out_;
-  obs::Counter* obs_pipeline_runs_;
   obs::Counter* obs_group_evals_;
   obs::Counter* obs_group_memo_hits_;
   obs::Counter* obs_group_splices_;
   obs::Histogram* obs_group_members_;
   obs::Counter* obs_transitions_[4];  // indexed by SessionState
-  /// Pipeline interior: staged items per drain (sampled at drain entry);
-  /// the bgp_pipeline_ stage latencies are wall-only spans.
-  obs::Histogram* obs_stage_depth_;
   /// Export-group interior.
   obs::Histogram* obs_flush_batch_;
   obs::Histogram* obs_group_log_depth_;
@@ -596,7 +559,6 @@ class BgpSpeaker {
   obs::Counter* obs_member_encodes_own_;
   obs::Counter* obs_subgroup_splits_[kSplitReasons];
   obs::SpanMeter update_span_;
-  obs::SpanMeter decision_span_;
   obs::SpanMeter encode_span_;
   std::uint64_t collector_token_ = 0;
 };

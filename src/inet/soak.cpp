@@ -177,22 +177,20 @@ std::size_t SoakHarness::established_sessions() const {
 
 void SoakHarness::inject_table() {
   bgp::BgpSpeaker& speaker = routers_[0]->speaker();
-  std::size_t staged = 0;
+  std::size_t injected = 0;
   for (const inet::FeedRoute& route : *feed_) {
     tracer_.stamp_origin(route.prefix, loop_.now());
     bgp::UpdateMessage update;
     update.attributes = route.attrs;
     update.nlri.push_back({0, route.prefix});
     speaker.inject_update(feed_peer_, update);
-    if (++staged == config_.inject_batch) {
-      speaker.drain_pipeline();
+    if (++injected == config_.inject_batch) {
       // Let MRAI flushes and backbone deliveries interleave with the load,
       // as they would with a paced wire transfer.
       loop_.run_for(Duration::millis(20));
-      staged = 0;
+      injected = 0;
     }
   }
-  speaker.drain_pipeline();
   loop_.run_for(Duration::millis(20));
 }
 
@@ -241,21 +239,13 @@ void SoakHarness::replay_churn() {
   }
 
   // Replay on the sim clock. Events sharing an instant (beacon waves,
-  // storm fronts) are staged together and drained once, so they reach the
-  // MRAI batcher as one burst — exactly what the coalescing gate measures.
-  bgp::BgpSpeaker& speaker = routers_[0]->speaker();
-  std::size_t i = 0;
-  while (i < schedule.events.size()) {
-    const SimTime at = start + schedule.events[i].at;
+  // storm fronts) are injected back to back without running the loop, so
+  // they reach the MRAI batcher as one burst — exactly what the coalescing
+  // gate measures.
+  for (const inet::ChurnEvent& event : schedule.events) {
+    const SimTime at = start + event.at;
     if (at > loop_.now()) loop_.run_until(at);
-    std::size_t j = i;
-    while (j < schedule.events.size() &&
-           schedule.events[j].at == schedule.events[i].at) {
-      inject_event(schedule.events[j]);
-      ++j;
-    }
-    speaker.drain_pipeline();
-    i = j;
+    inject_event(event);
   }
 }
 

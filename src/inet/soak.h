@@ -57,9 +57,9 @@ struct SoakConfig {
   /// no update traffic anywhere (see faults::FaultInjector::await_quiescence).
   Duration settle_window = Duration::seconds(5);
   int settle_max_windows = 400;
-  /// Routes staged per drain_pipeline() during the initial table load; the
-  /// loop runs briefly between batches so MRAI flushes interleave with
-  /// injection the way arrival does on a real wire.
+  /// Routes injected between 20 ms loop pauses during the initial table
+  /// load; the pauses let MRAI flushes interleave with injection the way
+  /// arrival does on a real wire.
   std::size_t inject_batch = 4096;
   /// Backbone session flaps composed with the churn window (0 = none).
   /// Deterministically placed at fractions of churn.duration, alternating

@@ -13,15 +13,12 @@
 // Snapshot::to_json() / to_prometheus() documents — the property the
 // AMS-IX replay bench and CI gate rely on.
 //
-// Toggle semantics:
-//  * compile time — building with PEERING_OBS_DISABLED (CMake option
-//    PEERING_OBS=OFF) compiles instrument mutators to nothing;
-//  * run time — a disabled Registry hands out shared no-op instruments
-//    (one per kind, live() == false) and stores no series, so components
-//    constructed under the default registry cost one pointer indirection
-//    and a predictable branch per event. The process-global default
-//    registry starts disabled; benches and tests install an enabled one
-//    with obs::Scope before constructing the components they observe.
+// Toggle: a disabled Registry hands out shared no-op instruments (one per
+// kind, live() == false) and stores no series, so components constructed
+// under the default registry cost one pointer indirection and a
+// predictable branch per event. The process-global default registry
+// starts disabled; benches and tests install an enabled one with
+// obs::Scope before constructing the components they observe.
 //
 // Cardinality: each metric family (kind + name) holds at most
 // label_cap() distinct label sets; past the cap, new label sets collapse
@@ -44,12 +41,6 @@
 
 namespace peering::obs {
 
-#ifdef PEERING_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 /// Label set: (key, value) pairs. Canonicalized (sorted by key) at
 /// registration; order given by the caller does not matter.
 using Labels = std::vector<std::pair<std::string, std::string>>;
@@ -59,11 +50,7 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 class Counter {
  public:
   void add(std::uint64_t n) {
-#ifndef PEERING_OBS_DISABLED
     if (live_) value_ += n;
-#else
-    (void)n;
-#endif
   }
   void inc() { add(1); }
   std::uint64_t value() const { return value_; }
@@ -80,18 +67,10 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) {
-#ifndef PEERING_OBS_DISABLED
     if (live_) value_ = v;
-#else
-    (void)v;
-#endif
   }
   void add(std::int64_t n) {
-#ifndef PEERING_OBS_DISABLED
     if (live_) value_ += n;
-#else
-    (void)n;
-#endif
   }
   std::int64_t value() const { return value_; }
   bool live() const { return live_; }
@@ -121,14 +100,10 @@ class Histogram {
   }
 
   void record(std::uint64_t v) {
-#ifndef PEERING_OBS_DISABLED
     if (!live_) return;
     ++count_;
     sum_ += v;
     ++buckets_[bucket_index(v)];
-#else
-    (void)v;
-#endif
   }
 
   std::uint64_t count() const { return count_; }
@@ -200,17 +175,17 @@ class Registry {
   static constexpr std::size_t kDefaultLabelCap = 256;
 
   explicit Registry(bool enabled = true) : enabled_(enabled) {
-    trace_.set_enabled(enabled && kCompiledIn);
+    trace_.set_enabled(enabled);
   }
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
   /// Whether instrument registration is live. Flipping affects only
   /// instruments resolved afterwards — existing handles keep their state.
-  bool enabled() const { return enabled_ && kCompiledIn; }
+  bool enabled() const { return enabled_; }
   void set_enabled(bool on) {
     enabled_ = on;
-    trace_.set_enabled(on && kCompiledIn);
+    trace_.set_enabled(on);
   }
 
   /// Max distinct label sets per metric family before overflow collapse.

@@ -47,12 +47,10 @@ class Span {
   /// Starts timing immediately. `loop` may be null (wall clock only).
   Span(const SpanMeter& meter, const sim::EventLoop* loop)
       : meter_(&meter), loop_(loop) {
-#ifndef PEERING_OBS_DISABLED
     if (meter.live()) {
       if (loop_) sim_start_ = loop_->now();
       wall_start_ = std::chrono::steady_clock::now();
     }
-#endif
   }
   ~Span() { finish(); }
 
@@ -61,7 +59,6 @@ class Span {
 
   /// Records and disarms early (before scope exit).
   void finish() {
-#ifndef PEERING_OBS_DISABLED
     if (!meter_ || !meter_->live()) {
       meter_ = nullptr;
       return;
@@ -77,7 +74,6 @@ class Span {
       meter_->sim_ns()->record(
           sim_ns < 0 ? 0 : static_cast<std::uint64_t>(sim_ns));
     }
-#endif
     meter_ = nullptr;
   }
 

@@ -59,7 +59,6 @@ VRouter::VRouter(sim::EventLoop* loop, const VRouterConfig& config)
     return metrics_->counter("vbgp_frames_dropped_total", with_reason);
   };
   obs_drop_no_transit_ = drop_counter("no_transit");
-  obs_drop_no_mux_entry_ = drop_counter("no_mux_entry");
   obs_arp_replies_ =
       metrics_->counter("vbgp_arp_virtual_replies_total", labels);
   obs_demux_mac_hits_ =
@@ -226,16 +225,9 @@ bgp::PeerId VRouter::add_backbone_peer(const BackboneSpec& spec) {
 }
 
 void VRouter::add_experiment_route(const Ipv4Prefix& prefix,
-                                   const std::string& experiment_id,
+                                   const std::string& /*experiment_id*/,
                                    int tunnel_interface,
                                    Ipv4Address tunnel_address) {
-  MuxEntry entry;
-  entry.experiment_id = experiment_id;
-  entry.account = &accounting_[experiment_id];
-  entry.remote = false;
-  entry.interface = tunnel_interface;
-  entry.gateway = tunnel_address;
-  mux_entries_[prefix] = entry;
   mux_.insert(ip::Route{prefix, tunnel_address, tunnel_interface, 0});
   // Locally generated packets (ICMP errors, pings) reach the experiment via
   // the main table too.
@@ -245,11 +237,6 @@ void VRouter::add_experiment_route(const Ipv4Prefix& prefix,
 void VRouter::add_remote_experiment_route(const Ipv4Prefix& prefix,
                                           int backbone_interface,
                                           Ipv4Address gateway) {
-  MuxEntry entry;
-  entry.remote = true;
-  entry.interface = backbone_interface;
-  entry.gateway = gateway;
-  mux_entries_[prefix] = entry;
   mux_.insert(ip::Route{prefix, gateway, backbone_interface, 0});
   routes().insert(ip::Route{prefix, gateway, backbone_interface, 0});
 }
@@ -281,7 +268,18 @@ std::optional<bgp::AttrsPtr> VRouter::import_from_neighbor(
   // advertising member's fabric address (the RS is control-plane only).
   Ipv4Address real_nh =
       attrs->next_hop.is_zero() ? nb->gateway : attrs->next_hop;
-  real_next_hops_[{from, entry.prefix, entry.path_id}] = real_nh;
+  auto [real, inserted] =
+      real_next_hops_.try_emplace({from, entry.prefix, entry.path_id}, real_nh);
+  if (!inserted && real->second != real_nh) {
+    real->second = real_nh;
+    // A change of next-hop alone remaps to the stored attribute set, so the
+    // Loc-RIB sees no change and fires no route event: move the view's
+    // gateway here. Any other change rewrites it again in sync_fib.
+    if (nb->fib.exact(entry.prefix)) {
+      nb->fib.insert(ip::Route{entry.prefix, real_nh, nb->interface, 0});
+      if (fib_observer_) fib_observer_(entry.prefix, /*withdrawn=*/false);
+    }
+  }
   // Store the route with the platform-global neighbor IP as next-hop: iBGP
   // exports keep it verbatim (so remote routers can re-map it, §4.4);
   // exports to experiments re-map it to the local virtual IP.
@@ -493,7 +491,7 @@ void VRouter::publish_metrics(obs::Registry& registry) const {
       ->set(i64(fa.unique_prefixes));
   registry.gauge("vbgp_fib_views", labels)->set(i64(fa.views));
   registry.gauge("vbgp_neighbors", labels)->set(i64(registry_.size()));
-  registry.gauge("vbgp_mux_entries", labels)->set(i64(mux_entries_.size()));
+  registry.gauge("vbgp_mux_entries", labels)->set(i64(mux_.size()));
   // Mirror the authoritative data-plane struct counters as gauges: the
   // one-off snapshot path (telemetry off, show_summary) still sees them.
   registry.gauge("vbgp_frames_demuxed", labels)
@@ -734,12 +732,7 @@ void VRouter::deliver_toward_experiment(int in_if, Bytes& wire,
     obs_drop_no_transit_->inc();
     return;
   }
-  auto entry_it = mux_entries_.find(route->prefix);
-  if (entry_it == mux_entries_.end()) {  // mux view and entries disagree
-    obs_drop_no_mux_entry_->inc();
-    return;
-  }
-  const MuxEntry& entry = entry_it->second;
+  const Port& out = port(route->interface);
 
   if (header.ttl() <= 1) {
     send_icmp_error(in_if, header.src(),
@@ -749,36 +742,37 @@ void VRouter::deliver_toward_experiment(int in_if, Bytes& wire,
   const MacAddress from_mac = frame.src();
   auto datagram = forward_in_place(wire, frame, header);
 
-  if (entry.remote) {
+  if (!out.experiment) {
     // Hand off across the backbone toward the PoP hosting the experiment.
-    transmit_frame(entry.interface, entry.gateway, std::move(wire));
+    transmit_frame(route->interface, route->next_hop, std::move(wire));
     return;
   }
-  entry.account->ingress_bytes += datagram.size();
+  out.account->ingress_bytes += datagram.size();
 
   // Final hop: rewrite the source MAC to the delivering neighbor's virtual
   // MAC so the experiment can attribute ingress traffic (§3.2.2).
-  MacAddress src_mac = interface(entry.interface).mac();
+  MacAddress src_mac = interface(route->interface).mac();
   if (VirtualNeighbor* nb = registry_.by_real_mac(from_mac)) {
     src_mac = nb->virtual_mac;
   }
-  auto exp_mac = arp_cache(entry.interface).lookup(entry.gateway, loop_->now());
+  auto exp_mac =
+      arp_cache(route->interface).lookup(route->next_hop, loop_->now());
   if (!exp_mac) {
     // MAC not resolved yet: fall back to standard transmission (resolves
     // via ARP; this first packet is delivered without attribution).
-    transmit_frame(entry.interface, entry.gateway, std::move(wire));
+    transmit_frame(route->interface, route->next_hop, std::move(wire));
     return;
   }
   ++stats_.frames_to_experiments;
   obs_frames_to_exp_->inc();
   if (trace_) {
     trace_->emit(loop_->now(), "vbgp", "deliver",
-                 {{"experiment", entry.experiment_id},
+                 {{"experiment", *out.experiment},
                   {"src_mac", src_mac.str()},
                   {"dst", dst.str()}});
   }
   ether::rewrite_macs(wire, *exp_mac, src_mac);
-  interface(entry.interface).send(std::move(wire));
+  interface(route->interface).send(std::move(wire));
 }
 
 }  // namespace peering::vbgp

@@ -134,6 +134,8 @@ class VRouter : public ip::Host {
 
   /// Routes traffic destined to `prefix` toward a locally attached
   /// experiment (the platform calls this when approving an experiment).
+  /// `tunnel_interface` is the one add_experiment attached `experiment_id`
+  /// to: its Port names the experiment at delivery.
   void add_experiment_route(const Ipv4Prefix& prefix,
                             const std::string& experiment_id,
                             int tunnel_interface, Ipv4Address tunnel_address);
@@ -156,11 +158,11 @@ class VRouter : public ip::Host {
     return backbone_interfaces_.count(peer) != 0;
   }
 
-  /// True if `prefix` already has a local (tunnel) mux entry; used by the
+  /// True if `prefix` already has a local (tunnel) mux route; used by the
   /// platform to avoid shadowing a local attachment with a backbone route.
   bool has_local_experiment_route(const Ipv4Prefix& prefix) const {
-    auto it = mux_entries_.find(prefix);
-    return it != mux_entries_.end() && !it->second.remote;
+    auto route = mux_.exact(prefix);
+    return route && port(route->interface).experiment != nullptr;
   }
 
   /// Actual bytes of this router's data plane: the deduplicated FibSet
@@ -294,18 +296,13 @@ class VRouter : public ip::Host {
   std::map<bgp::PeerId, std::string> experiments_by_peer_;
   std::vector<Port> ports_;  // indexed by interface
 
-  struct MuxEntry {
-    std::string experiment_id;  // empty for remote (backbone) entries
-    TrafficAccount* account = nullptr;  // null for remote entries
-    bool remote = false;
-    int interface = -1;
-    Ipv4Address gateway;  // experiment tunnel address, or backbone gateway
-  };
   /// Destination-prefix multiplexer: which experiment (or which backbone
   /// path) receives traffic for an experiment prefix. A view of the
-  /// registry's shared FibSet, like the per-neighbor tables.
+  /// registry's shared FibSet, like the per-neighbor tables. A route whose
+  /// interface's Port carries an experiment delivers locally (the Port
+  /// names the experiment and its account); any other crosses the
+  /// backbone toward the experiment's PoP.
   ip::FibView mux_;
-  std::map<Ipv4Prefix, MuxEntry> mux_entries_;
 
   ip::FibView default_table_;
   bool default_table_enabled_ = false;
@@ -341,7 +338,6 @@ class VRouter : public ip::Host {
   obs::Counter* obs_no_route_;
   /// `vbgp_frames_dropped_total{reason}` for frames toward no experiment.
   obs::Counter* obs_drop_no_transit_;
-  obs::Counter* obs_drop_no_mux_entry_;
   obs::Counter* obs_arp_replies_;
   obs::Counter* obs_demux_mac_hits_;
   obs::Counter* obs_demux_mac_misses_;

@@ -601,7 +601,6 @@ TEST(RawSession, AddPathResetWithdrawsInPrefixPathIdOrder) {
 }
 
 TEST(Session, PeerRouteGaugeTracksLocRibCandidates) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   Net net;
   BgpSpeaker a(&net.loop, "a", 65001, Ipv4Address(1, 1, 1, 1));
   BgpSpeaker b(&net.loop, "b", 65002, Ipv4Address(2, 2, 2, 2));

@@ -239,6 +239,61 @@ TEST(MonitorStream, CapacityBoundDropsNewRecordsLoudly) {
   EXPECT_EQ(snap.value("mon_records_dropped_total", {{"speaker", "a"}}), 12);
 }
 
+TEST(MonitorStream, PostPolicyRecordFollowsItsPrePolicyRecord) {
+  sim::EventLoop loop;
+  bgp::BgpSpeaker dut(&loop, "dut", 47065, Ipv4Address(1, 1, 1, 1));
+  bgp::PeerConfig config{.name = "n", .peer_asn = 65020};
+  bgp::PolicyTerm reject;
+  reject.match.prefix = pfx("10.20.0.0/24");
+  reject.actions.deny = true;
+  config.import_policy.add_term(reject);
+  const bgp::PeerId peer = dut.add_peer(std::move(config));
+  MonitorSession monitor(&loop, &dut);
+
+  // A scripted neighbor on the raw stream: answers the OPEN, then sends
+  // one UPDATE whose three NLRI are not in prefix order.
+  auto pair = sim::StreamChannel::make(&loop, Duration::millis(1));
+  dut.connect_peer(peer, pair.a);
+  bgp::MessageDecoder decoder;
+  pair.b->on_data([&](const Bytes& data) {
+    decoder.feed(data);
+    while (true) {
+      auto result = decoder.poll();
+      if (!result.ok() || !result->has_value()) return;
+      if (!std::holds_alternative<bgp::OpenMessage>(**result)) continue;
+      bgp::OpenMessage open;
+      open.asn = 65020;
+      open.router_id = Ipv4Address(2, 2, 2, 2);
+      open.add_four_byte_asn(65020);
+      pair.b->send(bgp::encode_message(open, bgp::UpdateCodecOptions{}));
+      pair.b->send(bgp::encode_message(bgp::KeepaliveMessage{},
+                                       bgp::UpdateCodecOptions{}));
+    }
+  });
+  loop.run_for(Duration::seconds(1));
+  ASSERT_EQ(dut.session_state(peer), bgp::SessionState::kEstablished);
+
+  const std::vector<Ipv4Prefix> order{pfx("10.30.0.0/24"),
+                                      pfx("10.20.0.0/24"),  // rejected
+                                      pfx("10.10.0.0/24")};
+  bgp::UpdateMessage update;
+  update.attributes = attrs_from(65020, 9);
+  for (const Ipv4Prefix& p : order) update.nlri.push_back({0, p});
+  pair.b->send(bgp::encode_message(update, bgp::UpdateCodecOptions{}));
+  loop.run_for(Duration::seconds(1));
+
+  // (prefix, post-policy) per route-monitoring record, in stream order.
+  std::vector<std::pair<Ipv4Prefix, bool>> got;
+  for (const MonitorRecord& record : monitor.records())
+    if (record.type == RecordType::kRouteMonitoring)
+      got.emplace_back(record.prefix, record.post_policy);
+  const std::vector<std::pair<Ipv4Prefix, bool>> want{
+      {order[0], false}, {order[0], true},  {order[1], false},
+      {order[2], false}, {order[2], true}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(dut.peer_stats(peer).routes_rejected_import, 1u);
+}
+
 /// Originates one /24 at `speaker`; each origination is one post-policy
 /// record in the speaker's monitor session.
 void originate_one(bgp::BgpSpeaker& speaker, int i) {

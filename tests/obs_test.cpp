@@ -18,13 +18,7 @@
 namespace peering::obs {
 namespace {
 
-// Tests of live-telemetry behaviour are vacuous when the subsystem is
-// compiled out (-DPEERING_OBS=OFF); skip them in that configuration.
-#define PEERING_REQUIRE_OBS() \
-  if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out (PEERING_OBS=OFF)"
-
 TEST(Histogram, BucketBoundariesAtPowersOfTwo) {
-  PEERING_REQUIRE_OBS();
   // Bucket 0 holds exactly the value 0; bucket i holds [2^(i-1), 2^i - 1].
   EXPECT_EQ(Histogram::bucket_index(0), 0);
   EXPECT_EQ(Histogram::bucket_index(1), 1);
@@ -74,7 +68,6 @@ TEST(Registry, HandlesAreStableAndShared) {
 }
 
 TEST(Registry, LabelCardinalityCapCollapsesToOverflow) {
-  PEERING_REQUIRE_OBS();
   Registry registry;
   registry.set_label_cap(4);
   for (int i = 0; i < 100; ++i) {
@@ -127,7 +120,6 @@ TEST(Registry, GlobalDefaultStartsDisabledAndScopeSwaps) {
 }
 
 TEST(Span, RecordsSimClockThroughEventLoop) {
-  PEERING_REQUIRE_OBS();
   Registry registry;
   sim::EventLoop loop;
   SpanMeter meter(&registry, "work", {{"stage", "t"}});
@@ -247,7 +239,6 @@ std::pair<std::string, std::string> run_mini_replay() {
 }
 
 TEST(Determinism, SameSeedReplaysProduceIdenticalExports) {
-  PEERING_REQUIRE_OBS();
   auto [json1, trace1] = run_mini_replay();
   auto [json2, trace2] = run_mini_replay();
   EXPECT_EQ(json1, json2);
@@ -260,7 +251,6 @@ TEST(Determinism, SameSeedReplaysProduceIdenticalExports) {
 }
 
 TEST(Integration, SpeakerPairCountsSessionsAndUpdates) {
-  PEERING_REQUIRE_OBS();
   Registry registry;
   Scope scope(&registry);
   sim::EventLoop loop;

@@ -1,12 +1,16 @@
 // vBGP edge cases: TTL expiry at the router, drops for destinations that
 // are neither experiments' nor ours (no transit), bandwidth-capped sites
-// shaping experiment traffic, and the operational "show" surface.
+// shaping experiment traffic, the operational "show" surface, and the
+// per-neighbor FIB of a neighbor that announces third-party next-hops.
 #include <gtest/gtest.h>
 
+#include "bgp/message.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "platform/peering.h"
+#include "sim/stream.h"
 #include "toolkit/client.h"
+#include "vbgp/vrouter.h"
 
 namespace peering {
 namespace {
@@ -277,6 +281,109 @@ TEST_F(EdgeTest, DataPlaneTraceRecordsDemuxAndDelivery) {
   EXPECT_GE(exp1, 2u);
   EXPECT_GE(deliver, 1u);
   router->set_trace(nullptr);
+}
+
+/// A vBGP router with one neighbor that announces third-party next-hops,
+/// as an IXP route server does: the neighbor is a raw stream, so a test
+/// picks each next-hop and how UPDATEs share a delivery.
+class ThirdPartyNextHopTest : public ::testing::Test {
+ protected:
+  ThirdPartyNextHopTest()
+      : router_(&loop_,
+                vbgp::VRouterConfig{.name = "e1",
+                                    .pop_id = "ixp01",
+                                    .router_id = Ipv4Address(10, 255, 0, 1)}) {
+    peer_ = router_.add_neighbor({.name = "rs",
+                                  .asn = 64600,
+                                  .local_address = Ipv4Address(10, 0, 0, 1),
+                                  .remote_address = kRs,
+                                  .interface = 0});
+    auto pair = sim::StreamChannel::make(&loop_, Duration::millis(1));
+    router_.speaker().connect_peer(peer_, pair.a);
+    rs_ = pair.b;
+    rs_->on_data([this](const Bytes& data) {
+      decoder_.feed(data);
+      while (true) {
+        auto result = decoder_.poll();
+        if (!result.ok() || !result->has_value()) return;
+        if (!std::holds_alternative<bgp::OpenMessage>(**result)) continue;
+        bgp::OpenMessage open;
+        open.asn = 64600;
+        open.router_id = kRs;
+        open.add_four_byte_asn(64600);
+        rs_->send(bgp::encode_message(open, {}));
+        rs_->send(bgp::encode_message(bgp::KeepaliveMessage{}, {}));
+      }
+    });
+    loop_.run_for(Duration::seconds(1));
+  }
+
+  static Bytes announce(const Ipv4Prefix& prefix, Ipv4Address next_hop) {
+    bgp::UpdateMessage update;
+    update.attributes = bgp::PathAttributes{};
+    update.attributes->as_path = bgp::AsPath({65010});
+    update.attributes->next_hop = next_hop;
+    update.nlri.push_back({0, prefix});
+    return bgp::encode_message(update, {});
+  }
+
+  static Bytes withdraw(const Ipv4Prefix& prefix) {
+    bgp::UpdateMessage update;
+    update.withdrawn.push_back({0, prefix});
+    return bgp::encode_message(update, {});
+  }
+
+  /// Sends `wire` as one stream delivery and lets it arrive.
+  void deliver(const Bytes& wire) {
+    rs_->send(wire);
+    loop_.run_for(Duration::seconds(1));
+  }
+
+  Ipv4Address fib_gateway(Ipv4Address dst) {
+    auto route = router_.registry().by_peer(peer_)->fib.lookup(dst);
+    return route ? route->next_hop : Ipv4Address();
+  }
+
+  const Ipv4Address kRs{10, 0, 0, 2};
+  const Ipv4Address kMemberA{10, 0, 0, 11};
+  const Ipv4Address kMemberB{10, 0, 0, 12};
+  const Ipv4Prefix kPrefix = pfx("198.51.100.0/24");
+  const Ipv4Address kDst{198, 51, 100, 1};
+
+  sim::EventLoop loop_;
+  vbgp::VRouter router_;
+  bgp::PeerId peer_ = 0;
+  std::shared_ptr<sim::StreamEndpoint> rs_;
+  bgp::MessageDecoder decoder_;
+};
+
+TEST_F(ThirdPartyNextHopTest, NextHopOnlyChangeMovesTheFibGateway) {
+  ASSERT_EQ(router_.speaker().session_state(peer_),
+            bgp::SessionState::kEstablished);
+  deliver(announce(kPrefix, kMemberA));
+  ASSERT_EQ(fib_gateway(kDst), kMemberA);
+  const bgp::AttrsPtr stored =
+      router_.speaker().loc_rib().best(kPrefix)->attrs;
+
+  // Only the next-hop changes: the stored (remapped) attribute set stays
+  // the same, so the Loc-RIB does not change, but the FIB must follow.
+  deliver(announce(kPrefix, kMemberB));
+  EXPECT_EQ(router_.speaker().loc_rib().best(kPrefix)->attrs, stored);
+  EXPECT_EQ(fib_gateway(kDst), kMemberB);
+}
+
+TEST_F(ThirdPartyNextHopTest, WithdrawAndAnnounceInOneDeliveryKeepNewGateway) {
+  ASSERT_EQ(router_.speaker().session_state(peer_),
+            bgp::SessionState::kEstablished);
+  deliver(announce(kPrefix, kMemberA));
+  ASSERT_EQ(fib_gateway(kDst), kMemberA);
+
+  Bytes wire = withdraw(kPrefix);
+  const Bytes again = announce(kPrefix, kMemberB);
+  wire.insert(wire.end(), again.begin(), again.end());
+  deliver(wire);
+  ASSERT_TRUE(router_.speaker().loc_rib().best(kPrefix).has_value());
+  EXPECT_EQ(fib_gateway(kDst), kMemberB);
 }
 
 }  // namespace
