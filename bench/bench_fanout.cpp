@@ -8,12 +8,21 @@
 // grouping does not beat it, and checks the two modes stay behaviorally
 // identical (same UPDATE count).
 //
+// It also counts heap allocations per ingress UPDATE over the churn rounds
+// (the counting operator new comes from perfbench/src/alloc_count.cpp).
+// Members of a group share one evaluation, one encode and one wire image,
+// so a member adds no allocation: the binary exits non-zero if the grouped
+// count at 1000 sessions exceeds 1.05x the count at 500. Ungrouped, every
+// session is its own group and pays its own export transform, which
+// allocates; that count is reported, and grows with the sessions.
+//
 // Results are mirrored into BENCH_fanout.json (see bench_util.h).
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
+#include "alloc_count.h"
 #include "bench_util.h"
 #include "bgp/speaker.h"
 #include "sim/event_loop.h"
@@ -88,6 +97,9 @@ struct FanoutResult {
   std::uint64_t updates_sent = 0;
   double us_per_ingress_update = 0;
   double us_per_session_export = 0;
+  /// Heap allocations per ingress UPDATE over the churn rounds after the
+  /// initial table.
+  double allocs_per_update = 0;
 };
 
 FanoutResult measure(std::size_t session_count, bool group_exports) {
@@ -133,16 +145,24 @@ FanoutResult measure(std::size_t session_count, bool group_exports) {
   feed_config.seed = 17;
   auto feed = inet::generate_feed(feed_config);
 
+  std::vector<std::vector<Bytes>> rounds;
+  for (int round = 0; round < kChurnRounds; ++round)
+    rounds.push_back(round_wires(feed, round, source.tx_options()));
+
   const std::uint64_t sent_before_churn = hub.total_updates_sent();
+  perfbench::AllocCounts churn_start;
   auto start = std::chrono::steady_clock::now();
   for (int round = 0; round < kChurnRounds; ++round) {
-    for (const auto& wire : round_wires(feed, round, source.tx_options()))
+    if (round == 1) churn_start = perfbench::alloc_counts();
+    for (const auto& wire : rounds[static_cast<std::size_t>(round)])
       source.send_raw(wire);
     loop.run_for(Duration::seconds(5));
   }
   double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  const perfbench::AllocCounts churn_allocs =
+      perfbench::alloc_counts() - churn_start;
 
   FanoutResult result;
   result.sessions = established;
@@ -152,6 +172,9 @@ FanoutResult measure(std::size_t session_count, bool group_exports) {
   result.us_per_ingress_update = elapsed / ingress * 1e6;
   result.us_per_session_export =
       elapsed / (ingress * static_cast<double>(session_count)) * 1e6;
+  result.allocs_per_update =
+      static_cast<double>(churn_allocs.allocs) /
+      (static_cast<double>(kPrefixes) * (kChurnRounds - 1));
   return result;
 }
 
@@ -165,8 +188,8 @@ int main() {
   benchutil::JsonReport report("fanout");
   bool ok = true;
 
-  std::printf("%10s %10s %8s %14s %18s\n", "sessions", "grouping", "groups",
-              "us/update", "us/session-export");
+  std::printf("%10s %10s %8s %14s %18s %14s\n", "sessions", "grouping",
+              "groups", "us/update", "us/session-export", "allocs/update");
   struct Row {
     std::size_t sessions;
     bool grouped;
@@ -176,9 +199,10 @@ int main() {
   for (int i = 0; i < 4; ++i) {
     results[i] = measure(rows[i].sessions, rows[i].grouped);
     const auto& r = results[i];
-    std::printf("%10zu %10s %8zu %14.1f %18.3f\n", rows[i].sessions,
+    std::printf("%10zu %10s %8zu %14.1f %18.3f %14.2f\n", rows[i].sessions,
                 rows[i].grouped ? "grouped" : "singleton", r.groups,
-                r.us_per_ingress_update, r.us_per_session_export);
+                r.us_per_ingress_update, r.us_per_session_export,
+                r.allocs_per_update);
     const std::string tag = (rows[i].grouped ? std::string("grouped_")
                                              : std::string("ungrouped_")) +
                             std::to_string(rows[i].sessions);
@@ -186,6 +210,7 @@ int main() {
     report.metric("groups_" + tag, static_cast<double>(r.groups));
     report.metric("updates_sent_" + tag, static_cast<double>(r.updates_sent));
     report.metric("us_per_session_export_" + tag, r.us_per_session_export);
+    report.metric("allocs_per_update_" + tag, r.allocs_per_update);
   }
 
   // Behavioral identity: grouping must not change what is sent.
@@ -211,6 +236,18 @@ int main() {
       grouped_1000, singleton_1000, singleton_1000 / grouped_1000);
   if (!(grouped_1000 < singleton_1000)) {
     std::printf("FAIL: grouping did not reduce per-session export cost\n");
+    ok = false;
+  }
+
+  // A group member shares its class's evaluation, encode and wire image:
+  // doubling the members must not add allocations.
+  const double allocs_500 = results[0].allocs_per_update;
+  const double allocs_1000 = results[2].allocs_per_update;
+  std::printf("grouped allocations per update: %.2f at 500 sessions, %.2f "
+              "at 1000\n",
+              allocs_500, allocs_1000);
+  if (allocs_1000 > 1.05 * allocs_500) {
+    std::printf("FAIL: grouped allocations grow with the number of members\n");
     ok = false;
   }
 

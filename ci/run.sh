@@ -87,15 +87,21 @@ python3 tools/bench_check.py --fresh-dir build/bench \
 
 echo "=== bench regression gate: update-group fan-out ==="
 # The binary self-checks that grouping reduces per-session export cost at
-# 1000 sessions and that grouped/ungrouped send identical update counts
-# (exits non-zero otherwise); the deterministic counters gate on baseline.
+# 1000 sessions, that grouped/ungrouped send identical update counts, and
+# that a 1000-member group allocates no more per UPDATE than a 500-member
+# one (x1.05) (exits non-zero otherwise); the deterministic counters,
+# heap allocations per UPDATE included, gate on baseline.
 (cd build/bench && ./bench_fanout)
 python3 tools/bench_check.py --fresh-dir build/bench \
   --metric fanout:sessions_grouped_1000:exact \
   --metric fanout:groups_grouped_1000:exact \
   --metric fanout:groups_ungrouped_1000:exact \
   --metric fanout:updates_sent_grouped_1000:exact \
-  --metric fanout:updates_sent_ungrouped_1000:exact
+  --metric fanout:updates_sent_ungrouped_1000:exact \
+  --metric fanout:allocs_per_update_grouped_500:exact \
+  --metric fanout:allocs_per_update_grouped_1000:exact \
+  --metric fanout:allocs_per_update_ungrouped_500:exact \
+  --metric fanout:allocs_per_update_ungrouped_1000:exact
 
 echo "=== bench regression gate: monitoring plane ==="
 # The binary exits non-zero if the monitoring streams or looking-glass

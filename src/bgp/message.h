@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -181,6 +182,11 @@ void encode_update_spliced_into(Bytes& out, const Bytes& attr_bytes,
                                 const std::vector<NlriEntry>& nlri,
                                 const UpdateCodecOptions& options);
 
+/// Appends a withdraw-only UPDATE for `withdrawn` onto `out`: the same
+/// bytes encode_message produces for it, with no intermediate buffer.
+void encode_withdrawals_into(Bytes& out, std::span<const NlriEntry> withdrawn,
+                             const UpdateCodecOptions& options);
+
 /// Serializes a full message.
 Bytes encode_message(const BgpMessage& message,
                      const UpdateCodecOptions& options);
@@ -198,13 +204,20 @@ class MessageDecoder {
 
   /// Returns the next complete message, std::nullopt if more bytes are
   /// needed, or an Error for an unrecoverable framing/parse failure (the
-  /// session should send a NOTIFICATION and close).
+  /// session should send a NOTIFICATION and close). The Error's code is
+  /// the NOTIFICATION subcode (RFC 4271 §4.5); error_code() is its code.
   Result<std::optional<BgpMessage>> poll();
+
+  /// NOTIFICATION code of the last error poll() returned: the class of
+  /// message it was found in — header (also the fixed-size bodies),
+  /// OPEN, or UPDATE.
+  NotificationCode error_code() const { return error_code_; }
 
  private:
   Bytes buffer_;
   std::size_t consumed_ = 0;
   UpdateCodecOptions options_;
+  NotificationCode error_code_ = NotificationCode::kMessageHeaderError;
 };
 
 }  // namespace peering::bgp

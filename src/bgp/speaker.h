@@ -380,10 +380,12 @@ class BgpSpeaker {
 
   /// Encode-stage output for one encode class (the members of a subgroup
   /// whose results are identical): concatenated wire messages plus the stat
-  /// deltas each member applies at transmit. The cache and splice counts
-  /// describe one member's send; members without an open stream skip them.
+  /// deltas each member applies at transmit. The wire is one stream image
+  /// (empty when no member's stream is open): every member of the class
+  /// sends that same buffer. The cache and splice counts describe one
+  /// member's send; members without an open stream skip them.
   struct EncodeResult {
-    Bytes wire;
+    std::shared_ptr<Bytes> wire;
     std::uint64_t updates = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t splices = 0;
@@ -402,6 +404,9 @@ class BgpSpeaker {
   /// the table it writes.
   struct EncodeClass;
   struct OutWriter;
+  /// The drain's working storage, kept between drains: cleared, never
+  /// freed, so a steady-state drain allocates nothing of its own.
+  struct DrainScratch;
 
   void handle_bytes(PeerId peer, const Bytes& data);
   void handle_message(PeerId peer, BgpMessage message);
@@ -456,23 +461,23 @@ class BgpSpeaker {
                       std::vector<GroupAdvert>& out);
   /// Phase B, classification: runs split horizon and the export filter for
   /// every member of a unit (due members sharing one table and one window)
-  /// and partitions them into classes whose encode results are identical.
-  /// Filter calls stay one per (member, advert), as without subgroups.
-  std::vector<EncodeClass> classify_members(
-      const std::vector<PeerId>& due, std::span<const std::size_t> members,
-      const std::vector<Ipv4Prefix>& prefixes,
-      const std::vector<Ipv4Prefix>& group_order, const GroupEval& eval) const;
+  /// and partitions them into classes whose encode results are identical:
+  /// the first returned-count entries of the scratch class list. Filter
+  /// calls stay one per (member, advert), as without subgroups.
+  std::size_t classify_members(std::span<const std::size_t> members,
+                               const std::vector<Ipv4Prefix>& prefixes,
+                               const std::vector<Ipv4Prefix>& group_order,
+                               const GroupEval& eval);
   /// Phase B: diffs one class's Adj-RIB-Out against the group evaluation
-  /// and encodes the delta through the AttrPool encode cache, splicing the
-  /// next-hop into the cached template. `to` is the class leader; `keep`
-  /// holds the class's include decisions (null: decide inline for `to`).
-  /// Writes only through `out`.
-  EncodeResult encode_member(PeerId to, OutWriter& out,
-                             const std::vector<std::uint8_t>* keep,
-                             bool stream_open,
-                             const std::vector<Ipv4Prefix>& prefixes,
-                             const std::vector<Ipv4Prefix>& group_order,
-                             const GroupEval& eval);
+  /// and encodes the delta into `r` through the AttrPool encode cache,
+  /// splicing the next-hop into the cached template. `to` is the class
+  /// leader; `keep` holds the class's include decisions (null: decide
+  /// inline for `to`). Writes only through `out`.
+  void encode_member(PeerId to, OutWriter& out,
+                     const std::vector<std::uint8_t>* keep, bool stream_open,
+                     const std::vector<Ipv4Prefix>& prefixes,
+                     const std::vector<Ipv4Prefix>& group_order,
+                     const GroupEval& eval, EncodeResult& r);
 
   /// Canonical export fingerprint: peers with equal fingerprints share a
   /// group. Covers negotiated capabilities (ADD-PATH, 4-byte ASN), export
@@ -517,8 +522,12 @@ class BgpSpeaker {
   std::map<Ipv4Prefix, AttrsPtr> originated_;
 
   /// Flush batches: peers whose pending exports come due at the same
-  /// instant share one drain event.
-  std::map<SimTime, std::vector<PeerId>> flush_batches_;
+  /// instant share one drain event. Drained nodes are kept, peer vector
+  /// and all, and carry the next instant's batch.
+  using FlushBatches = std::map<SimTime, std::vector<PeerId>>;
+  FlushBatches flush_batches_;
+  std::vector<FlushBatches::node_type> spare_batches_;
+  std::unique_ptr<DrainScratch> drain_;
 
   /// Export groups by id (ascending — the group-evaluation order) and
   /// the fingerprint-key index into them.

@@ -178,6 +178,21 @@ TEST(UpdateCodec, PrefixLengthEncodingUsesMinimalBytes) {
   EXPECT_EQ(body.size(), 2u + 2u + 2u);
 }
 
+TEST(UpdateCodec, WithdrawalsIntoMatchesEncodeMessage) {
+  for (bool add_path : {false, true}) {
+    UpdateMessage update;
+    update.withdrawn = {{3, *Ipv4Prefix::parse("10.0.0.0/8")},
+                        {4, *Ipv4Prefix::parse("184.164.224.0/24")}};
+    auto options = options_with(add_path);
+    Bytes out = {0xab};  // appends after what is already there
+    encode_withdrawals_into(out, update.withdrawn, options);
+    Bytes want = {0xab};
+    const Bytes message = encode_message(update, options);
+    want.insert(want.end(), message.begin(), message.end());
+    EXPECT_EQ(out, want) << "add_path=" << add_path;
+  }
+}
+
 TEST(NotificationCodec, RoundTrip) {
   NotificationMessage msg;
   msg.code = NotificationCode::kHoldTimerExpired;
@@ -237,7 +252,36 @@ TEST(MessageDecoder, BadLengthIsFatal) {
   header[17] = 5;  // length < 19
   MessageDecoder decoder;
   decoder.feed(header);
-  EXPECT_FALSE(decoder.poll().ok());
+  auto r = decoder.poll();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(decoder.error_code(), NotificationCode::kMessageHeaderError);
+  EXPECT_EQ(r.error().code, 2);  // Bad Message Length
+}
+
+TEST(MessageDecoder, ErrorsCarryTheirMessageClass) {
+  auto options = options_with(false);
+  UpdateMessage update;
+  update.attributes = sample_attrs();
+  update.nlri = {{0, *Ipv4Prefix::parse("184.164.224.0/24")}};
+  Bytes wire = encode_message(update, options);
+  // The /24's length byte (followed by 3 address bytes) now says /33.
+  wire[wire.size() - 4] = 33;
+  MessageDecoder decoder;
+  decoder.set_options(options);
+  decoder.feed(wire);
+  auto r = decoder.poll();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(decoder.error_code(), NotificationCode::kUpdateMessageError);
+  EXPECT_EQ(r.error().code, 10);  // Invalid Network Field
+
+  OpenMessage open;
+  open.hold_time = 1;
+  MessageDecoder open_decoder;
+  open_decoder.feed(encode_message(open, options));
+  auto o = open_decoder.poll();
+  ASSERT_FALSE(o.ok());
+  EXPECT_EQ(open_decoder.error_code(), NotificationCode::kOpenMessageError);
+  EXPECT_EQ(o.error().code, 6);  // Unacceptable Hold Time
 }
 
 /// Property test: random updates round-trip in every codec mode.
