@@ -93,8 +93,15 @@ echo "=== bench regression gate: update-group fan-out ==="
 # heap allocations per UPDATE included, gate on baseline.
 (cd build/bench && ./bench_fanout)
 python3 tools/bench_check.py --fresh-dir build/bench \
+  --metric fanout:sessions_grouped_500:exact \
+  --metric fanout:groups_grouped_500:exact \
+  --metric fanout:updates_sent_grouped_500:exact \
+  --metric fanout:sessions_ungrouped_500:exact \
+  --metric fanout:groups_ungrouped_500:exact \
+  --metric fanout:updates_sent_ungrouped_500:exact \
   --metric fanout:sessions_grouped_1000:exact \
   --metric fanout:groups_grouped_1000:exact \
+  --metric fanout:sessions_ungrouped_1000:exact \
   --metric fanout:groups_ungrouped_1000:exact \
   --metric fanout:updates_sent_grouped_1000:exact \
   --metric fanout:updates_sent_ungrouped_1000:exact \

@@ -1,7 +1,7 @@
 #include "bgp/speaker.h"
 
 #include <algorithm>
-#include <tuple>
+#include <span>
 
 #include "netbase/log.h"
 #include "netbase/rand.h"
@@ -77,9 +77,6 @@ struct BgpSpeaker::OutTable {
   /// Active paths and allocated path entries, for the size gauges.
   std::size_t active_paths = 0;
   std::size_t path_entries = 0;
-  /// The drain that last numbered this table's encode task, and the task.
-  std::uint64_t drain_epoch = 0;
-  std::size_t task = 0;
 
   std::size_t memory_bytes() const {
     return prefixes.size() * (sizeof(Ipv4Prefix) + sizeof(PrefixOut) +
@@ -88,7 +85,7 @@ struct BgpSpeaker::OutTable {
   }
 };
 
-/// One class classify_members found: its members (indices into the
+/// One class classify_members found: its members (positions in the
 /// drain's `due` list, ascending) and the per-advert include decisions
 /// split horizon and the export filter made for them. The other fields are
 /// the class key and, for the split counter, why the class differs.
@@ -243,17 +240,14 @@ struct BgpSpeaker::DrainScratch {
     std::vector<std::pair<std::uint32_t, PeerId>> fresh;
     GroupEval eval;
   };
-  /// Encode tasks: one per table a due member references.
-  struct EncodeTask {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t refs = 0;
-  };
 
-  /// Numbers drains, so groups and tables can tag their plan and task.
+  /// Numbers drains, so groups can tag their plan.
   std::uint64_t epoch = 0;
-  std::vector<PeerId> due;
-  std::vector<std::size_t> due_window;
+  /// One (window, peer) entry per due member, planned in peer order. The
+  /// encode walks it in unit order; once a member's unit is encoded, its
+  /// window is replaced by the position of the result it sends, and
+  /// transmit puts the list back in peer order.
+  std::vector<std::pair<std::size_t, PeerId>> due;
   /// The first `window_count` windows are live; the next slot is where a
   /// member's window is built, and it stays only if it is a new window.
   std::vector<std::vector<Ipv4Prefix>> windows;
@@ -264,13 +258,10 @@ struct BgpSpeaker::DrainScratch {
   std::vector<GroupPlan> plans;
   std::size_t plan_count = 0;
   std::vector<std::size_t> plan_order;
-  std::vector<EncodeTask> tasks;
-  std::vector<std::size_t> by_task;
-  std::vector<std::size_t> task_of;
   std::vector<EncodeClass> classes;
-  /// By due index; a slot keeps its wire image from drain to drain.
+  /// By class leader's position in `due`; a slot keeps its wire image
+  /// from drain to drain.
   std::vector<EncodeResult> results;
-  std::vector<std::size_t> result_of;
   /// encode_member's per-class lists.
   std::vector<NlriEntry> withdrawals;
   std::vector<const GroupAdvert*> chosen;
@@ -384,32 +375,6 @@ std::vector<PeerId> BgpSpeaker::peer_ids() const {
 
 std::vector<RibRoute> BgpSpeaker::adj_rib_in(PeerId peer) const {
   return loc_rib_.peer_routes(peer);
-}
-
-std::vector<AttrsPtr> BgpSpeaker::adj_rib_out_attrs(
-    PeerId peer, const Ipv4Prefix& prefix) const {
-  std::vector<AttrsPtr> out;
-  const Session& s = *sessions_.at(peer);
-  auto it = s.out->prefixes.find(prefix);
-  if (it == s.out->prefixes.end()) return out;
-  for (const auto& path : it->second.paths) {
-    if (!path.active) continue;
-    const OutRoute& route = path.route;
-    if (!route.attrs || route.attrs->next_hop == route.next_hop) {
-      // Template next-hop is what went on the wire (iBGP, transparent, or
-      // splice-disabled): the shared pointer is the advertised set.
-      out.push_back(route.attrs);
-    } else {
-      // Spliced: reconstruct the advertised set from the template plus the
-      // member's next-hop. Interned so peers advertising the same set get
-      // the same pointer, matching what a full per-peer encode would pool.
-      PathAttributes advertised = *route.attrs;
-      advertised.next_hop = route.next_hop;
-      out.push_back(const_cast<BgpSpeaker*>(this)->attr_pool_.intern(
-          std::move(advertised)));
-    }
-  }
-  return out;
 }
 
 std::vector<BgpSpeaker::AdjOutEntry> BgpSpeaker::adj_rib_out(
@@ -1044,18 +1009,31 @@ void BgpSpeaker::evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
   } else if ((best = loc_rib_.best(prefix))) {
     sources = std::span<const RibRoute>(&*best, 1);
   }
+  // Records one advert with its wire template, resolved through the encode
+  // cache here: once per group, in the order the drain evaluates groups,
+  // which is the order the pool's hit/miss counters accrue in. Adverts
+  // carry pool-interned sets (adopt/commit and the memo guarantee it), and
+  // pool entries are node-based and only sweep() frees them, so every
+  // member's send splices from these bytes for the rest of the drain.
+  auto emit = [&](const RibRoute& route, AttrsPtr attrs, bool splice,
+                  std::optional<Ipv4Address> splice_nh) {
+    GroupAdvert& advert =
+        out.emplace_back(GroupAdvert{route.peer, route.path_id, route.attrs,
+                                     std::move(attrs), splice, splice_nh});
+    advert.wire = &attr_pool_.encoded(advert.attrs, s.tx_options.attrs,
+                                      &advert.nh_offset);
+  };
   for (const RibRoute& route : sources) {
     // No split horizon here: the source route rides along in the advert and
-    // each member skips its own at encode time.
+    // classify_members skips each member's own.
     if (group.memo_enabled) {
       auto mit = group.memo.find(
           ExportGroup::MemoKey{route.attrs.get(), route.peer});
       if (mit != group.memo.end()) {
         obs_group_memo_hits_->inc();
         if (mit->second.result) {
-          out.push_back(GroupAdvert{route.peer, route.path_id, route.attrs,
-                                    mit->second.result, mit->second.splice,
-                                    mit->second.splice_nh});
+          emit(route, mit->second.result, mit->second.splice,
+               mit->second.splice_nh);
         }
         continue;
       }
@@ -1101,10 +1079,7 @@ void BgpSpeaker::evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
           ExportGroup::MemoKey{route.attrs.get(), route.peer},
           ExportGroup::MemoValue{route.attrs, result, splice, splice_nh});
     }
-    if (result) {
-      out.push_back(GroupAdvert{route.peer, route.path_id, route.attrs,
-                                std::move(result), splice, splice_nh});
-    }
+    if (result) emit(route, std::move(result), splice, splice_nh);
   }
 }
 
@@ -1149,7 +1124,6 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   DrainScratch& d = *drain_;
   ++d.epoch;
   d.due.clear();
-  d.due_window.clear();
   d.window_count = 0;
   d.window_plan.clear();
   d.plan_count = 0;
@@ -1259,13 +1233,12 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
       ++d.window_count;
       d.window_plan.push_back(group.plan);
     }
-    d.due.push_back(peer);
-    d.due_window.push_back(window);
+    d.due.emplace_back(window, peer);
   }
   // The batch node carries the next flush instant's batch.
   spare_batches_.push_back(std::move(node));
 
-  // Groups in ascending id: the order Phase A and the warm-up run in.
+  // Groups in ascending id: the order Phase A runs in.
   d.plan_order.resize(d.plan_count);
   for (std::size_t p = 0; p < d.plan_count; ++p) d.plan_order[p] = p;
   auto by_group_id = [&](std::size_t a, std::size_t b) {
@@ -1282,54 +1255,13 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
     obs_group_log_depth_->record(plan.group->log.size());
     trim_group_log(*plan.group);
   }
-  const std::vector<PeerId>& due = d.due;
+  auto& due = d.due;
   if (due.empty()) return;
   obs_flush_batch_->record(due.size());
 
-  // Encode tasks: one per table a due member references, numbered in
-  // ascending order of its first due member. `by_task` lists due indices
-  // sorted by (task, window, index), so each task is one run of it and each
-  // unit — the task's members with one window — a run inside that. `refs`
-  // counts every session referencing the table, due or not, so a class
-  // writing it knows whether it must copy first. A private table (the
-  // ungrouped case) needs no tag.
-  auto& tasks = d.tasks;
-  tasks.clear();
-  d.by_task.resize(due.size());
-  d.task_of.resize(due.size());
-  for (std::size_t i = 0; i < due.size(); ++i) {
-    OutTable& out = *sessions_.at(due[i])->out;
-    const auto refs =
-        static_cast<std::size_t>(sessions_.at(due[i])->out.use_count());
-    std::size_t task = tasks.size();
-    if (refs > 1 && out.drain_epoch == d.epoch) {
-      task = out.task;
-    } else if (refs > 1) {
-      out.drain_epoch = d.epoch;
-      out.task = task;
-    }
-    if (task == tasks.size())
-      tasks.push_back(DrainScratch::EncodeTask{0, 0, refs});
-    d.task_of[i] = task;
-    d.by_task[i] = i;
-  }
-  auto task_order = [&](std::size_t a, std::size_t b) {
-    return std::tie(d.task_of[a], d.due_window[a], a) <
-           std::tie(d.task_of[b], d.due_window[b], b);
-  };
-  // Already sorted in the common shapes: all tables private, or one
-  // subgroup consuming one window.
-  if (!std::is_sorted(d.by_task.begin(), d.by_task.end(), task_order))
-    std::sort(d.by_task.begin(), d.by_task.end(), task_order);
-  for (std::size_t k = 0; k < d.by_task.size(); ++k) {
-    DrainScratch::EncodeTask& task = tasks[d.task_of[d.by_task[k]]];
-    if (task.end == 0) task.begin = k;
-    task.end = k + 1;
-  }
-
   // Phase A — group evaluation: transform + policy + export hook run once
   // per (group, prefix), in ascending group id, producing the shared advert
-  // templates.
+  // templates and their wire images.
   for (std::size_t p : d.plan_order) {
     DrainScratch::GroupPlan& plan = d.plans[p];
     GroupEval& eval = plan.eval;
@@ -1342,82 +1274,66 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
     }
   }
 
-  // Pre-encode warm-up: resolve each advert's wire template once per group
-  // through the encode cache, ascending group id — the order the pool's
-  // hit/miss counters accrue in. Phase B then splices from the resolved
-  // cache storage (stable: entries are node-based and never swept
-  // mid-drain) without touching the pool, so a member's send is a cache
-  // hit by construction once its template is warm, whichever class sends
-  // first. Adverts always carry pool-interned sets (adopt/commit guarantee
-  // it), so encoded() never falls back to its scratch buffer here.
-  for (std::size_t p : d.plan_order) {
-    DrainScratch::GroupPlan& plan = d.plans[p];
-    const Session& rep = *sessions_.at(plan.group->members.front());
-    for (GroupAdvert& advert : plan.eval.adverts) {
-      advert.wire = &attr_pool_.encoded(advert.attrs, rep.tx_options.attrs,
-                                        &advert.nh_offset);
-    }
-  }
-
-  // Phase B — encode, once per class: classify each unit's members by
-  // their include decisions and next-hop, then diff the class's table
-  // against the group evaluation, assemble the wire from the pre-encoded
-  // templates and splice the next-hop. A class that writes a table other
-  // sessions still reference takes a private copy first. Tasks run in the
-  // task order above.
-  // results[i] is filled for class leaders; result_of[i] names the leader
-  // whose result member i sends. Slots never shrink: each keeps its image.
+  // Phase B — encode, once per class. A unit is the due members that
+  // share one table and one window; classify_members splits it into
+  // classes by their include decisions and next-hop, and each class diffs
+  // its table against the group evaluation, assembles the wire from the
+  // templates and splices the next-hop. A class that writes a table other
+  // sessions still reference takes a private copy first, so which class
+  // copies depends on the order: each table sees its units in ascending
+  // window id and each unit's members in peer order. Order across tables
+  // is free, since no two of them share anything.
+  if (!std::is_sorted(due.begin(), due.end()))
+    std::sort(due.begin(), due.end());  // by (window, peer)
   if (d.results.size() < due.size()) d.results.resize(due.size());
-  d.result_of.resize(due.size());
-  auto encode_class = [&](DrainScratch::EncodeTask& task,
-                          std::span<const std::size_t> members,
-                          const std::vector<std::uint8_t>* keep,
-                          SplitReason reason,
+  auto encode_class = [&](const EncodeClass& cls,
                           const std::vector<Ipv4Prefix>& window,
                           const DrainScratch::GroupPlan& plan) {
-    const std::size_t leader = members.front();
-    OutWriter out{sessions_.at(due[leader])->out.get(),
-                  task.refs - members.size()};
+    const std::size_t leader = cls.members.front();
+    const std::shared_ptr<OutTable>& table =
+        sessions_.at(due[leader].second)->out;
+    OutWriter out{table.get(),
+                  static_cast<std::size_t>(table.use_count()) -
+                      cls.members.size()};
     bool stream_open = false;
-    for (std::size_t i : members) {
-      const Session& s = *sessions_.at(due[i]);
+    for (std::size_t i : cls.members) {
+      const Session& s = *sessions_.at(due[i].second);
       stream_open = stream_open || (s.stream && s.stream->open());
     }
-    encode_member(due[leader], out, keep, stream_open, window, plan.order,
-                  plan.eval, d.results[leader]);
+    encode_member(due[leader].second, out, cls.keep, stream_open, window,
+                  plan.order, plan.eval, d.results[leader]);
     if (out.copy) {
-      task.refs -= members.size();
-      for (std::size_t i : members) sessions_.at(due[i])->out = out.copy;
-      obs_subgroup_splits_[reason]->inc();
+      for (std::size_t i : cls.members)
+        sessions_.at(due[i].second)->out = out.copy;
+      obs_subgroup_splits_[cls.reason]->inc();
     }
-    for (std::size_t i : members) d.result_of[i] = leader;
+    for (std::size_t i : cls.members) due[i].first = leader;
     obs_member_encodes_own_->inc();
-    if (members.size() > 1)
-      obs_member_encodes_shared_->add(members.size() - 1);
+    if (cls.members.size() > 1)
+      obs_member_encodes_shared_->add(cls.members.size() - 1);
   };
   obs::Span encode_span(encode_span_, nullptr);  // wall-clock encode latency
-  for (DrainScratch::EncodeTask& task : tasks) {
-    for (std::size_t u = task.begin; u < task.end;) {
-      const std::size_t w = d.due_window[d.by_task[u]];
-      std::size_t u_end = u + 1;
-      while (u_end < task.end && d.due_window[d.by_task[u_end]] == w) ++u_end;
-      const DrainScratch::GroupPlan& plan = d.plans[d.window_plan[w]];
-      const auto unit = std::span<const std::size_t>(d.by_task).subspan(
-          u, u_end - u);
-      if (unit.size() == 1) {
-        // A lone member decides split horizon and the filter inline.
-        encode_class(task, unit, nullptr, kSplitWindow, d.windows[w], plan);
-      } else {
-        const std::size_t classes =
-            classify_members(unit, d.windows[w], plan.order, plan.eval);
-        for (std::size_t c = 0; c < classes; ++c) {
-          const EncodeClass& cls = d.classes[c];
-          encode_class(task, cls.members, &cls.keep, cls.reason, d.windows[w],
-                       plan);
-        }
-      }
-      u = u_end;
+  for (std::size_t u = 0; u < due.size();) {
+    const auto [w, first] = due[u];
+    // Move the window's other members on u's table up behind u, in order.
+    // Only the table's other holders can be among them, so a private
+    // table ends the search at once.
+    const std::shared_ptr<OutTable>& table = sessions_.at(first)->out;
+    auto others = static_cast<std::size_t>(table.use_count()) - 1;
+    std::size_t end = u + 1;
+    for (std::size_t k = end;
+         others > 0 && k < due.size() && due[k].first == w; ++k) {
+      if (sessions_.at(due[k].second)->out != table) continue;
+      std::rotate(due.begin() + end, due.begin() + k, due.begin() + k + 1);
+      ++end;
+      --others;
     }
+    const DrainScratch::GroupPlan& plan = d.plans[d.window_plan[w]];
+    const std::size_t classes =
+        classify_members(u, end, d.windows[w], plan.order, plan.eval);
+    for (std::size_t c = 0; c < classes; ++c)
+      encode_class(d.classes[c], d.windows[w], plan);
+    u = end;
   }
   encode_span.finish();
 
@@ -1425,9 +1341,14 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   // stream send per peer (the decoder reassembles message-by-message).
   // Members of one class send the same image and take the same stat
   // deltas, as each would have from its own encode.
-  for (std::size_t i = 0; i < due.size(); ++i) {
-    Session& s = *sessions_.at(due[i]);
-    const EncodeResult& r = d.results[d.result_of[i]];
+  auto by_peer = [](const auto& a, const auto& b) {
+    return a.second < b.second;
+  };
+  if (!std::is_sorted(due.begin(), due.end(), by_peer))
+    std::sort(due.begin(), due.end(), by_peer);
+  for (const auto& [slot, peer] : due) {
+    Session& s = *sessions_.at(peer);
+    const EncodeResult& r = d.results[slot];
     if (s.config.mrai > Duration::nanos(0))
       s.next_flush_allowed = loop_->now() + s.config.mrai;
     s.stats.updates_sent += r.updates;
@@ -1448,13 +1369,13 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
 }
 
 std::size_t BgpSpeaker::classify_members(
-    std::span<const std::size_t> members,
+    std::size_t begin, std::size_t end,
     const std::vector<Ipv4Prefix>& prefixes,
     const std::vector<Ipv4Prefix>& group_order, const GroupEval& eval) {
   DrainScratch& d = *drain_;
   std::size_t count = 0;
-  for (std::size_t member : members) {
-    const PeerId to = d.due[member];
+  for (std::size_t member = begin; member < end; ++member) {
+    const PeerId to = d.due[member].second;
     const Session& s = *sessions_.at(to);
     // Decide into the next free class slot; it becomes a class only when
     // no live class has the same decisions.
@@ -1464,8 +1385,7 @@ std::size_t BgpSpeaker::classify_members(
     keep.clear();
     bool own_origin = false;
     bool own_next_hop = false;
-    // The same merge-walk and per-advert decisions encode_member makes
-    // inline for a lone member.
+    // The merge-walk encode_member repeats to read these decisions back.
     std::size_t gi = 0;
     for (const Ipv4Prefix& prefix : prefixes) {
       while (gi < group_order.size() && group_order[gi] < prefix) ++gi;
@@ -1513,7 +1433,7 @@ std::size_t BgpSpeaker::classify_members(
 }
 
 void BgpSpeaker::encode_member(PeerId to, OutWriter& out,
-                               const std::vector<std::uint8_t>* keep,
+                               const std::vector<std::uint8_t>& keep,
                                bool stream_open,
                                const std::vector<Ipv4Prefix>& prefixes,
                                const std::vector<Ipv4Prefix>& group_order,
@@ -1553,18 +1473,11 @@ void BgpSpeaker::encode_member(PeerId to, OutWriter& out,
       aend = abegin + count;
     }
 
-    // Member-level selection over the group templates: split horizon and
-    // the export filter (decided by classify_members for a multi-member
-    // class), then local path-id allocation.
+    // Member-level selection over the group templates: the class's split
+    // horizon and export filter decisions, then local path-id allocation.
     chosen.clear();
-    for (const GroupAdvert* ap = abegin; ap != aend; ++ap) {
-      const bool include =
-          keep ? (*keep)[next_keep++] != 0
-               : ap->origin != to &&  // split horizon
-                     (!export_filter_ ||
-                      export_filter_(to, *ap->source_attrs));
-      if (include) chosen.push_back(ap);
-    }
+    for (const GroupAdvert* ap = abegin; ap != aend; ++ap)
+      if (keep[next_keep++] != 0) chosen.push_back(ap);
     auto poit = table->prefixes.find(prefix);
     if (chosen.empty() && poit == table->prefixes.end()) continue;
     if (!writable) {
@@ -1662,8 +1575,8 @@ void BgpSpeaker::encode_member(PeerId to, OutWriter& out,
                            advert->attrs, final_nh};
       if (stream_open) {
         nlri.assign(1, {id, prefix});
-        // Pre-encoded by the warm-up pass: this member's send is a cache
-        // hit by construction.
+        // Resolved when the group evaluated the advert: this member's send
+        // is a cache hit by construction.
         ++r.cache_hits;
         encode_update_spliced_into(
             *r.wire, *advert->wire,
@@ -1754,6 +1667,8 @@ void BgpSpeaker::schedule_hold_check(PeerId peer, std::uint64_t gen) {
 void BgpSpeaker::arm_keepalive_timer(PeerId peer) {
   Session& s = *sessions_.at(peer);
   std::uint64_t gen = ++s.keepalive_gen;
+  // RFC 4271 §4.4: a hold time of zero means no periodic KEEPALIVEs.
+  if (s.negotiated_hold == 0) return;
   Duration interval = Duration::seconds(std::max<int>(1, s.negotiated_hold / 3));
   loop_->schedule_after(interval, [this, peer, gen]() {
     auto it = sessions_.find(peer);

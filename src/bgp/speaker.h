@@ -31,7 +31,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -306,12 +305,6 @@ class BgpSpeaker {
   AttrPool& attr_pool() { return attr_pool_; }
   const AttrPool& attr_pool() const { return attr_pool_; }
 
-  /// Attribute pointers currently installed in the Adj-RIB-Out toward
-  /// `peer` for `prefix` (empty when nothing is advertised). Exposed so
-  /// tests can assert pointer-level sharing across fan-out sessions.
-  std::vector<AttrsPtr> adj_rib_out_attrs(PeerId peer,
-                                          const Ipv4Prefix& prefix) const;
-
   /// One advertised path in a peer's Adj-RIB-Out, with the next-hop the
   /// peer actually sees (the splice placeholder resolved). Ordered by
   /// (prefix, local path id).
@@ -353,8 +346,8 @@ class BgpSpeaker {
   /// (origin peer and path id, for split horizon and member filters), the
   /// post-transform/policy/hook attribute template, whether the template
   /// carries the next-hop placeholder a member splices over, and the
-  /// template's cached wire image — resolved once per group by the serial
-  /// pre-encode pass; null when the encode cache is disabled.
+  /// template's cached wire image, resolved when the group evaluates the
+  /// advert.
   struct GroupAdvert {
     PeerId origin = 0;
     std::uint32_t origin_path_id = 0;
@@ -455,26 +448,29 @@ class BgpSpeaker {
 
   /// Phase A: runs transform + policy + export hook once for the group
   /// (against its representative member) and records one template advert
-  /// per surviving Loc-RIB candidate. No split horizon, no encode — both
-  /// are per-member concerns.
+  /// per surviving Loc-RIB candidate, with its wire image from the encode
+  /// cache. No split horizon, no member encode — both are per-member
+  /// concerns.
   void evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
                       std::vector<GroupAdvert>& out);
   /// Phase B, classification: runs split horizon and the export filter for
-  /// every member of a unit (due members sharing one table and one window)
-  /// and partitions them into classes whose encode results are identical:
-  /// the first returned-count entries of the scratch class list. Filter
-  /// calls stay one per (member, advert), as without subgroups.
-  std::size_t classify_members(std::span<const std::size_t> members,
+  /// every member of a unit (the due members at positions [begin, end),
+  /// which share one table and one window) and partitions them into
+  /// classes whose encode results are identical: the first returned-count
+  /// entries of the scratch class list. This is the one place include
+  /// decisions are made; filter calls stay one per (member, advert), as
+  /// without subgroups.
+  std::size_t classify_members(std::size_t begin, std::size_t end,
                                const std::vector<Ipv4Prefix>& prefixes,
                                const std::vector<Ipv4Prefix>& group_order,
                                const GroupEval& eval);
   /// Phase B: diffs one class's Adj-RIB-Out against the group evaluation
   /// and encodes the delta into `r` through the AttrPool encode cache,
   /// splicing the next-hop into the cached template. `to` is the class
-  /// leader; `keep` holds the class's include decisions (null: decide
-  /// inline for `to`). Writes only through `out`.
+  /// leader; `keep` holds the class's include decisions, one per advert in
+  /// the window. Writes only through `out`.
   void encode_member(PeerId to, OutWriter& out,
-                     const std::vector<std::uint8_t>* keep, bool stream_open,
+                     const std::vector<std::uint8_t>& keep, bool stream_open,
                      const std::vector<Ipv4Prefix>& prefixes,
                      const std::vector<Ipv4Prefix>& group_order,
                      const GroupEval& eval, EncodeResult& r);

@@ -202,9 +202,9 @@ TEST(AttrFlow, SessionChurnDoesNotGrowPoolMemory) {
 }
 
 // The fan-out property the encode cache depends on: one route exported to
-// N all-paths experiment sessions installs the SAME AttrsPtr in every
-// Adj-RIB-Out (the export hook rebuilds from the Loc-RIB attributes, so
-// per-session transforms intern to one canonical set).
+// N all-paths experiment sessions installs the SAME template AttrsPtr and
+// the same next-hop in every Adj-RIB-Out (the export hook rebuilds from
+// the Loc-RIB attributes, so per-session transforms share one set).
 TEST(AttrFlow, ExperimentFanOutSharesOneAttrsPtr) {
   sim::EventLoop loop;
   vbgp::VRouterConfig config;
@@ -259,15 +259,20 @@ TEST(AttrFlow, ExperimentFanOutSharesOneAttrsPtr) {
   n1.originate(dest, attrs);
   loop.run_for(Duration::seconds(5));
 
-  std::vector<AttrsPtr> exported;
+  std::vector<BgpSpeaker::AdjOutEntry> exported;
   for (PeerId peer : exp_peers) {
-    auto out = router.speaker().adj_rib_out_attrs(peer, dest);
-    ASSERT_EQ(out.size(), 1u) << "peer " << peer;
-    exported.push_back(out[0]);
+    std::vector<BgpSpeaker::AdjOutEntry> paths;
+    for (auto& entry : router.speaker().adj_rib_out(peer))
+      if (entry.prefix == dest) paths.push_back(std::move(entry));
+    ASSERT_EQ(paths.size(), 1u) << "peer " << peer;
+    exported.push_back(std::move(paths[0]));
   }
-  for (int i = 1; i < kExperiments; ++i)
-    EXPECT_EQ(exported[i].get(), exported[0].get())
+  for (int i = 1; i < kExperiments; ++i) {
+    EXPECT_EQ(exported[i].attrs.get(), exported[0].attrs.get())
         << "experiment " << i << " holds a different copy";
+    EXPECT_EQ(exported[i].next_hop, exported[0].next_hop)
+        << "experiment " << i;
+  }
 
   // And every experiment actually received the route.
   for (const auto& x : experiments)

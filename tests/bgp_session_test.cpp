@@ -56,6 +56,29 @@ TEST(Session, EstablishesAndExchangesKeepalives) {
   EXPECT_GE(a.peer_stats(ap).keepalives_received, 2u);
 }
 
+TEST(Session, ZeroHoldTimeSendsNoPeriodicKeepalives) {
+  // RFC 4271 §4.4: with a negotiated hold time of zero, periodic
+  // KEEPALIVEs MUST NOT be sent (and no hold timer runs).
+  Net net;
+  BgpSpeaker a(&net.loop, "a", 65001, Ipv4Address(1, 1, 1, 1));
+  BgpSpeaker b(&net.loop, "b", 65002, Ipv4Address(2, 2, 2, 2));
+  auto [ap, bp] = net.connect(
+      a, b, {.name = "to-b", .peer_asn = 65002, .hold_time = 0},
+      {.name = "to-a", .peer_asn = 65001});
+  net.settle();
+  ASSERT_EQ(a.session_state(ap), SessionState::kEstablished);
+  ASSERT_EQ(b.session_state(bp), SessionState::kEstablished);
+  // Only the KEEPALIVE that confirms the OPEN.
+  EXPECT_EQ(a.peer_stats(ap).keepalives_received, 1u);
+  EXPECT_EQ(b.peer_stats(bp).keepalives_received, 1u);
+
+  net.loop.run_for(Duration::seconds(60));
+  EXPECT_EQ(a.session_state(ap), SessionState::kEstablished);
+  EXPECT_EQ(b.session_state(bp), SessionState::kEstablished);
+  EXPECT_EQ(a.peer_stats(ap).keepalives_received, 1u);
+  EXPECT_EQ(b.peer_stats(bp).keepalives_received, 1u);
+}
+
 TEST(Session, WrongAsnIsRejected) {
   Net net;
   BgpSpeaker a(&net.loop, "a", 65001, Ipv4Address(1, 1, 1, 1));
