@@ -16,6 +16,10 @@
 // session is its own group and pays its own export transform, which
 // allocates; that count is reported, and grows with the sessions.
 //
+// Over the same rounds it counts the events the loop executes per ingress
+// UPDATE: one drain per UPDATE plus one delivery per stream chunk, so the
+// count pins the event and stream layers' shape exactly.
+//
 // Results are mirrored into BENCH_fanout.json (see bench_util.h).
 #include <chrono>
 #include <cstdio>
@@ -100,6 +104,8 @@ struct FanoutResult {
   /// Heap allocations per ingress UPDATE over the churn rounds after the
   /// initial table.
   double allocs_per_update = 0;
+  /// Events the loop executed per ingress UPDATE over the same rounds.
+  double events_per_update = 0;
 };
 
 FanoutResult measure(std::size_t session_count, bool group_exports) {
@@ -151,12 +157,14 @@ FanoutResult measure(std::size_t session_count, bool group_exports) {
 
   const std::uint64_t sent_before_churn = hub.total_updates_sent();
   perfbench::AllocCounts churn_start;
+  std::size_t churn_events = 0;
   auto start = std::chrono::steady_clock::now();
   for (int round = 0; round < kChurnRounds; ++round) {
     if (round == 1) churn_start = perfbench::alloc_counts();
     for (const auto& wire : rounds[static_cast<std::size_t>(round)])
       source.send_raw(wire);
-    loop.run_for(Duration::seconds(5));
+    const std::size_t events = loop.run_for(Duration::seconds(5));
+    if (round >= 1) churn_events += events;
   }
   double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -172,9 +180,9 @@ FanoutResult measure(std::size_t session_count, bool group_exports) {
   result.us_per_ingress_update = elapsed / ingress * 1e6;
   result.us_per_session_export =
       elapsed / (ingress * static_cast<double>(session_count)) * 1e6;
-  result.allocs_per_update =
-      static_cast<double>(churn_allocs.allocs) /
-      (static_cast<double>(kPrefixes) * (kChurnRounds - 1));
+  const double counted = static_cast<double>(kPrefixes) * (kChurnRounds - 1);
+  result.allocs_per_update = static_cast<double>(churn_allocs.allocs) / counted;
+  result.events_per_update = static_cast<double>(churn_events) / counted;
   return result;
 }
 
@@ -188,8 +196,9 @@ int main() {
   benchutil::JsonReport report("fanout");
   bool ok = true;
 
-  std::printf("%10s %10s %8s %14s %18s %14s\n", "sessions", "grouping",
-              "groups", "us/update", "us/session-export", "allocs/update");
+  std::printf("%10s %10s %8s %14s %18s %14s %14s\n", "sessions", "grouping",
+              "groups", "us/update", "us/session-export", "allocs/update",
+              "events/update");
   struct Row {
     std::size_t sessions;
     bool grouped;
@@ -199,10 +208,10 @@ int main() {
   for (int i = 0; i < 4; ++i) {
     results[i] = measure(rows[i].sessions, rows[i].grouped);
     const auto& r = results[i];
-    std::printf("%10zu %10s %8zu %14.1f %18.3f %14.2f\n", rows[i].sessions,
-                rows[i].grouped ? "grouped" : "singleton", r.groups,
-                r.us_per_ingress_update, r.us_per_session_export,
-                r.allocs_per_update);
+    std::printf("%10zu %10s %8zu %14.1f %18.3f %14.2f %14.2f\n",
+                rows[i].sessions, rows[i].grouped ? "grouped" : "singleton",
+                r.groups, r.us_per_ingress_update, r.us_per_session_export,
+                r.allocs_per_update, r.events_per_update);
     const std::string tag = (rows[i].grouped ? std::string("grouped_")
                                              : std::string("ungrouped_")) +
                             std::to_string(rows[i].sessions);
@@ -211,6 +220,7 @@ int main() {
     report.metric("updates_sent_" + tag, static_cast<double>(r.updates_sent));
     report.metric("us_per_session_export_" + tag, r.us_per_session_export);
     report.metric("allocs_per_update_" + tag, r.allocs_per_update);
+    report.metric("events_per_update_" + tag, r.events_per_update);
   }
 
   // Behavioral identity: grouping must not change what is sent.

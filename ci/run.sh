@@ -90,7 +90,9 @@ echo "=== bench regression gate: update-group fan-out ==="
 # 1000 sessions, that grouped/ungrouped send identical update counts, and
 # that a 1000-member group allocates no more per UPDATE than a 500-member
 # one (x1.05) (exits non-zero otherwise); the deterministic counters,
-# heap allocations per UPDATE included, gate on baseline.
+# heap allocations and executed events per UPDATE included, gate on
+# baseline. The event count pins one event per drain and one per stream
+# chunk.
 (cd build/bench && ./bench_fanout)
 python3 tools/bench_check.py --fresh-dir build/bench \
   --metric fanout:sessions_grouped_500:exact \
@@ -108,7 +110,11 @@ python3 tools/bench_check.py --fresh-dir build/bench \
   --metric fanout:allocs_per_update_grouped_500:exact \
   --metric fanout:allocs_per_update_grouped_1000:exact \
   --metric fanout:allocs_per_update_ungrouped_500:exact \
-  --metric fanout:allocs_per_update_ungrouped_1000:exact
+  --metric fanout:allocs_per_update_ungrouped_1000:exact \
+  --metric fanout:events_per_update_grouped_500:exact \
+  --metric fanout:events_per_update_grouped_1000:exact \
+  --metric fanout:events_per_update_ungrouped_500:exact \
+  --metric fanout:events_per_update_ungrouped_1000:exact
 
 echo "=== bench regression gate: monitoring plane ==="
 # The binary exits non-zero if the monitoring streams or looking-glass

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
 
 #include "netbase/log.h"
 #include "netbase/rand.h"
@@ -231,10 +232,12 @@ struct BgpSpeaker::DrainScratch {
     ExportGroup* group = nullptr;
     /// Sorted union of the group's windows: the prefixes Phase A evaluates.
     std::vector<Ipv4Prefix> order;
-    /// The group's last log window, and the window of its members that
-    /// resync from an empty table (the whole Loc-RIB, sorted).
+    /// The group's last log window.
     std::size_t last_log_window = kNoWindow;
-    std::size_t full_window = kNoWindow;
+    /// Full-resync windows by table (null: every empty table). A resync
+    /// list depends only on the Loc-RIB and the member's table, so the
+    /// members on one table share one walk and one window.
+    std::vector<std::pair<const OutTable*, std::size_t>> resync_windows;
     /// Members resyncing from an empty table, by the table's next local
     /// path id: the first of them; the rest adopt its table.
     std::vector<std::pair<std::uint32_t, PeerId>> fresh;
@@ -276,6 +279,7 @@ BgpSpeaker::BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
       asn_(asn),
       router_id_(router_id),
       pipeline_(pipeline),
+      sessions_(1),
       loc_rib_([this](PeerId p) { return peer_decision_info(p); }),
       drain_(std::make_unique<DrainScratch>()),
       metrics_(obs::Registry::global()) {
@@ -331,8 +335,29 @@ BgpSpeaker::BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
 
 BgpSpeaker::~BgpSpeaker() { metrics_->remove_collector(collector_token_); }
 
+namespace {
+
+// Out of line, so that session() stays small enough to inline.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_unknown_peer(PeerId peer) {
+  throw std::out_of_range("bgp: unknown peer id " + std::to_string(peer));
+}
+
+}  // namespace
+
+BgpSpeaker::Session& BgpSpeaker::session(PeerId peer) const {
+  if (peer == kLocalRoutes || peer >= sessions_.size()) [[unlikely]]
+    throw_unknown_peer(peer);
+  return *sessions_[peer];
+}
+
+const BgpSpeaker::Session* BgpSpeaker::find_session(PeerId peer) const {
+  return peer == kLocalRoutes || peer >= sessions_.size()
+             ? nullptr
+             : sessions_[peer].get();
+}
+
 PeerId BgpSpeaker::add_peer(PeerConfig config) {
-  PeerId id = next_peer_id_++;
+  const auto id = static_cast<PeerId>(sessions_.size());
   auto session = std::make_unique<Session>();
   session->config = std::move(config);
   obs::Labels labels{{"speaker", name_}, {"peer", session->config.name}};
@@ -340,7 +365,7 @@ PeerId BgpSpeaker::add_peer(PeerConfig config) {
       metrics_->counter("bgp_peer_updates_in_total", labels);
   session->obs_updates_out =
       metrics_->counter("bgp_peer_updates_out_total", labels);
-  sessions_.emplace(id, std::move(session));
+  sessions_.push_back(std::move(session));
   return id;
 }
 
@@ -351,25 +376,25 @@ void BgpSpeaker::note_transition(PeerId peer, SessionState state) {
 }
 
 PeerConfig& BgpSpeaker::peer_config(PeerId peer) {
-  return sessions_.at(peer)->config;
+  return session(peer).config;
 }
 
 const PeerStats& BgpSpeaker::peer_stats(PeerId peer) const {
-  return sessions_.at(peer)->stats;
+  return session(peer).stats;
 }
 
 SessionState BgpSpeaker::session_state(PeerId peer) const {
-  return sessions_.at(peer)->state;
+  return session(peer).state;
 }
 
 bool BgpSpeaker::is_ibgp(PeerId peer) const {
-  return sessions_.at(peer)->config.peer_asn == asn_;
+  return session(peer).config.peer_asn == asn_;
 }
 
 std::vector<PeerId> BgpSpeaker::peer_ids() const {
   std::vector<PeerId> ids;
-  ids.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) ids.push_back(id);
+  ids.reserve(sessions_.size() - 1);
+  for (PeerId id = 1; id < sessions_.size(); ++id) ids.push_back(id);
   return ids;
 }
 
@@ -380,7 +405,7 @@ std::vector<RibRoute> BgpSpeaker::adj_rib_in(PeerId peer) const {
 std::vector<BgpSpeaker::AdjOutEntry> BgpSpeaker::adj_rib_out(
     PeerId peer) const {
   std::vector<AdjOutEntry> out;
-  const Session& s = *sessions_.at(peer);
+  const Session& s = session(peer);
   for (const auto& [prefix, po] : s.out->prefixes) {
     for (const auto& path : po.paths) {
       if (!path.active) continue;
@@ -405,18 +430,18 @@ PeerDecisionInfo BgpSpeaker::peer_decision_info(PeerId peer) const {
     info.router_id = router_id_;
     return info;
   }
-  auto it = sessions_.find(peer);
-  if (it == sessions_.end()) return info;
-  info.ibgp = it->second->config.peer_asn == asn_;
-  info.peer_asn = it->second->config.peer_asn;
-  info.peer_address = it->second->config.peer_address;
-  info.router_id = it->second->peer_router_id;
+  const Session* s = find_session(peer);
+  if (s == nullptr) return info;
+  info.ibgp = s->config.peer_asn == asn_;
+  info.peer_asn = s->config.peer_asn;
+  info.peer_address = s->config.peer_address;
+  info.router_id = s->peer_router_id;
   return info;
 }
 
 void BgpSpeaker::connect_peer(PeerId peer,
                               std::shared_ptr<sim::StreamEndpoint> stream) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   s.stream = std::move(stream);
   s.decoder = MessageDecoder();
   s.open_received = false;
@@ -439,14 +464,14 @@ void BgpSpeaker::connect_peer(PeerId peer,
 }
 
 void BgpSpeaker::disconnect_peer(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (s.state == SessionState::kIdle) return;
   send_notification(peer, NotificationCode::kCease, 2, "admin shutdown");
   session_down(peer, "admin shutdown");
 }
 
 void BgpSpeaker::handle_bytes(PeerId peer, const Bytes& data) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   s.decoder.feed(data);
   while (true) {
     auto result = s.decoder.poll();
@@ -462,7 +487,7 @@ void BgpSpeaker::handle_bytes(PeerId peer, const Bytes& data) {
     if (!result->has_value()) break;
     handle_message(peer, std::move(**result));
     // The session may have gone down while handling the message.
-    if (sessions_.at(peer)->state == SessionState::kIdle) return;
+    if (session(peer).state == SessionState::kIdle) return;
   }
 }
 
@@ -480,7 +505,7 @@ void BgpSpeaker::handle_message(PeerId peer, BgpMessage message) {
     // RFC 2918: the peer asks for our full Adj-RIB-Out again (typically
     // after changing its import policy). Force a complete resend: the
     // peer re-applies policy to routes that are unchanged on our side.
-    Session& s = *sessions_.at(peer);
+    Session& s = session(peer);
     if (s.state == SessionState::kEstablished) {
       // Only this member resends: its result now differs from the rest of
       // its subgroup's, so it leaves with a copy of the shared table.
@@ -498,13 +523,13 @@ void BgpSpeaker::handle_message(PeerId peer, BgpMessage message) {
 }
 
 void BgpSpeaker::request_refresh(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (s.state != SessionState::kEstablished) return;
   send_message(peer, RouteRefreshMessage{});
 }
 
 void BgpSpeaker::reevaluate_exports(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (s.state != SessionState::kEstablished) return;
   // The peer's export identity may have changed out from under us (policy
   // edited in place, refresh received): recompute its fingerprint so it
@@ -516,7 +541,7 @@ void BgpSpeaker::reevaluate_exports(PeerId peer) {
 }
 
 void BgpSpeaker::handle_open(PeerId peer, const OpenMessage& open) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (s.state != SessionState::kOpenSent) {
     send_notification(peer, NotificationCode::kFsmError, 0,
                       "OPEN in unexpected state");
@@ -565,7 +590,7 @@ void BgpSpeaker::handle_open(PeerId peer, const OpenMessage& open) {
 }
 
 void BgpSpeaker::handle_keepalive(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   ++s.stats.keepalives_received;
   if (s.state == SessionState::kOpenConfirm) {
     session_established(peer);
@@ -573,7 +598,7 @@ void BgpSpeaker::handle_keepalive(PeerId peer) {
 }
 
 void BgpSpeaker::session_established(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   s.state = SessionState::kEstablished;
   arm_keepalive_timer(peer);
   LOG_INFO("bgp", name_ << ": session with " << s.config.name
@@ -590,7 +615,7 @@ void BgpSpeaker::session_established(PeerId peer) {
 
 void BgpSpeaker::handle_notification(PeerId peer,
                                      const NotificationMessage& msg) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   ++s.stats.notifications_received;
   LOG_WARN("bgp", name_ << ": NOTIFICATION from " << s.config.name << ": "
                         << msg.str());
@@ -598,7 +623,7 @@ void BgpSpeaker::handle_notification(PeerId peer,
 }
 
 void BgpSpeaker::handle_update(PeerId peer, const UpdateMessage& update) {
-  if (sessions_.at(peer)->state != SessionState::kEstablished) {
+  if (session(peer).state != SessionState::kEstablished) {
     send_notification(peer, NotificationCode::kFsmError, 0,
                       "UPDATE before Established");
     session_down(peer, "early UPDATE");
@@ -609,12 +634,12 @@ void BgpSpeaker::handle_update(PeerId peer, const UpdateMessage& update) {
 }
 
 void BgpSpeaker::inject_update(PeerId peer, const UpdateMessage& update) {
-  if (sessions_.at(peer)->state != SessionState::kEstablished) return;
+  if (session(peer).state != SessionState::kEstablished) return;
   import_update(peer, update);
 }
 
 void BgpSpeaker::import_update(PeerId peer, const UpdateMessage& update) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   ++s.stats.updates_received;
   ++total_updates_rx_;
   obs_updates_in_->inc();
@@ -720,11 +745,10 @@ void BgpSpeaker::withdraw_originated(const Ipv4Prefix& prefix) {
 }
 
 bool BgpSpeaker::export_eligible(PeerId to, const RibRoute& route) const {
-  const Session& s = *sessions_.at(to);
+  const Session& s = session(to);
   const bool to_ibgp = s.config.peer_asn == asn_;
-  const bool from_ibgp =
-      route.peer != kLocalRoutes && sessions_.count(route.peer) &&
-      sessions_.at(route.peer)->config.peer_asn == asn_;
+  const Session* from = find_session(route.peer);
+  const bool from_ibgp = from && from->config.peer_asn == asn_;
 
   // Standard iBGP rule (no route reflection): iBGP-learned routes are not
   // re-advertised to iBGP peers.
@@ -740,11 +764,10 @@ bool BgpSpeaker::standard_export_transform(PeerId to, const RibRoute& route,
                                            AttrBuilder& attrs,
                                            bool* splice) const {
   if (!export_eligible(to, route)) return false;
-  const Session& s = *sessions_.at(to);
+  const Session& s = session(to);
   const bool to_ibgp = s.config.peer_asn == asn_;
-  const bool from_ibgp =
-      route.peer != kLocalRoutes && sessions_.count(route.peer) &&
-      sessions_.at(route.peer)->config.peer_asn == asn_;
+  const Session* from = find_session(route.peer);
+  const bool from_ibgp = from && from->config.peer_asn == asn_;
   const PathAttributes& view = attrs.view();
 
   if (to_ibgp) {
@@ -770,7 +793,7 @@ bool BgpSpeaker::standard_export_transform(PeerId to, const RibRoute& route,
 }
 
 std::uint64_t BgpSpeaker::export_fingerprint(PeerId peer) const {
-  const Session& s = *sessions_.at(peer);
+  const Session& s = session(peer);
   std::uint64_t h = 0x5ee71a6e0bull;
   auto mix = [&](std::uint64_t v) { h = mix64(h ^ v); };
   // Grouping off: every session fingerprints to itself (singleton groups
@@ -792,8 +815,8 @@ bool BgpSpeaker::fingerprint_matches(PeerId peer,
   if (group.members.empty()) return true;
   PeerId rep = group.members.front();
   if (rep == peer) return true;
-  const Session& a = *sessions_.at(peer);
-  const Session& b = *sessions_.at(rep);
+  const Session& a = session(peer);
+  const Session& b = session(rep);
   return (a.config.peer_asn == asn_) == (b.config.peer_asn == asn_) &&
          a.config.transparent == b.config.transparent &&
          a.config.export_all_paths == b.config.export_all_paths &&
@@ -806,7 +829,7 @@ bool BgpSpeaker::fingerprint_matches(PeerId peer,
 }
 
 void BgpSpeaker::join_group(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (s.group != 0) return;
   std::uint64_t key = export_fingerprint(peer);
   ExportGroup* group = nullptr;
@@ -849,7 +872,7 @@ void BgpSpeaker::join_group(PeerId peer) {
 }
 
 void BgpSpeaker::leave_group(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (s.group == 0) return;
   auto it = groups_.find(s.group);
   s.group = 0;
@@ -868,7 +891,7 @@ void BgpSpeaker::leave_group(PeerId peer) {
 }
 
 void BgpSpeaker::refingerprint_peer(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   std::uint64_t old_group = s.group;
   if (old_group != 0) {
     // The peer's policy may have been edited in place before this call;
@@ -884,8 +907,9 @@ void BgpSpeaker::refingerprint_peer(PeerId peer) {
 }
 
 void BgpSpeaker::refingerprint_established() {
-  for (auto& [id, session] : sessions_) {
-    if (session->state == SessionState::kEstablished) refingerprint_peer(id);
+  for (PeerId id = 1; id < sessions_.size(); ++id) {
+    if (sessions_[id]->state == SessionState::kEstablished)
+      refingerprint_peer(id);
   }
 }
 
@@ -896,7 +920,7 @@ void BgpSpeaker::clear_group_memos() {
 void BgpSpeaker::trim_group_log(ExportGroup& group) {
   std::uint64_t min_cursor = group.log_end();
   for (PeerId member : group.members) {
-    const Session& s = *sessions_.at(member);
+    const Session& s = session(member);
     if (s.needs_full) continue;  // resyncs from the table, not the log
     min_cursor = std::min(min_cursor, s.group_cursor);
   }
@@ -931,7 +955,7 @@ void BgpSpeaker::set_source_export_hook(std::uint64_t export_class,
 void BgpSpeaker::invalidate_export_memos() { clear_group_memos(); }
 
 void BgpSpeaker::set_peer_mrai(PeerId peer, Duration mrai) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (s.config.mrai == mrai) return;
   s.config.mrai = mrai;
   if (s.state == SessionState::kEstablished) {
@@ -941,16 +965,16 @@ void BgpSpeaker::set_peer_mrai(PeerId peer, Duration mrai) {
 }
 
 std::uint64_t BgpSpeaker::export_group_of(PeerId peer) const {
-  auto it = sessions_.find(peer);
-  return it == sessions_.end() ? 0 : it->second->group;
+  const Session* s = find_session(peer);
+  return s ? s->group : 0;
 }
 
 std::size_t BgpSpeaker::export_subgroup_size(PeerId peer) const {
-  const Session& s = *sessions_.at(peer);
+  const Session& s = session(peer);
   if (s.group == 0) return 0;
   std::size_t n = 0;
   for (PeerId member : groups_.at(s.group)->members)
-    if (sessions_.at(member)->out == s.out) ++n;
+    if (session(member).out == s.out) ++n;
   return n;
 }
 
@@ -977,7 +1001,7 @@ void BgpSpeaker::fan_out_export(const Ipv4Prefix& prefix, PeerId origin) {
 }
 
 bool BgpSpeaker::member_has_pending(PeerId peer) const {
-  const Session& s = *sessions_.at(peer);
+  const Session& s = session(peer);
   if (s.group == 0) return false;
   auto it = groups_.find(s.group);
   if (it == groups_.end()) return false;
@@ -996,7 +1020,7 @@ bool BgpSpeaker::member_has_pending(PeerId peer) const {
 void BgpSpeaker::evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
                                 std::vector<GroupAdvert>& out) {
   PeerId rep = group.members.front();
-  const Session& s = *sessions_.at(rep);
+  const Session& s = session(rep);
   obs_group_evals_->inc();
   // ADD-PATH groups export every candidate: borrow the Loc-RIB's own
   // vector instead of copying it (nothing below mutates the RIB — hooks
@@ -1084,7 +1108,7 @@ void BgpSpeaker::evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
 }
 
 void BgpSpeaker::schedule_flush(PeerId to, bool immediate) {
-  Session& s = *sessions_.at(to);
+  Session& s = session(to);
   if (s.state != SessionState::kEstablished) return;
   if (s.flush_scheduled) return;
   if (!member_has_pending(to)) return;
@@ -1137,7 +1161,7 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
       plan.group = &group;
       plan.order.clear();
       plan.last_log_window = DrainScratch::kNoWindow;
-      plan.full_window = DrainScratch::kNoWindow;
+      plan.resync_windows.clear();
       plan.fresh.clear();
       plan.eval.spans.clear();
       plan.eval.adverts.clear();
@@ -1150,17 +1174,17 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   // phases below only read group state. Equal windows of one
   // group are stored once: members consuming the same log range share the
   // list, which is what lets them share an encode below.
-  // Full-resync lists are identical for every member of one group that
-  // resyncs from an empty table (the whole Loc-RIB, sorted): compute once
-  // per group per batch. A mass join — hundreds of sessions syncing the
+  // Full-resync lists are identical for every member of one group whose
+  // table is the same (or empty: the whole Loc-RIB, sorted): compute once
+  // per table per batch. A mass join — hundreds of sessions syncing the
   // initial table in one batch — would otherwise walk and sort the full
-  // table once per member. Those members also end with identical tables,
-  // so they form one new subgroup: each adopts the table of the first one
+  // table once per member, and a subgroup whose cursors fell off the
+  // trimmed log together would splinter into one window per member.
+  // Members resyncing from empty tables also end with identical tables, so
+  // they form one new subgroup: each adopts the table of the first one
   // (per local path-id counter, which an emptied table may have advanced).
   for (PeerId peer : peers) {
-    auto it = sessions_.find(peer);
-    if (it == sessions_.end()) continue;
-    Session& s = *it->second;
+    Session& s = session(peer);
     // flush_at distinguishes this batch from a newer one scheduled after a
     // session bounce; stale memberships are simply skipped.
     if (!s.flush_scheduled || s.flush_at != at) continue;
@@ -1181,8 +1205,12 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
       // Full resync: every Loc-RIB prefix plus everything currently
       // advertised, so stale adverts are withdrawn too.
       const bool fresh = s.out->prefixes.empty();
-      if (fresh && plan.full_window != DrainScratch::kNoWindow) {
-        window = plan.full_window;
+      const OutTable* table = fresh ? nullptr : s.out.get();
+      auto known = std::find_if(
+          plan.resync_windows.begin(), plan.resync_windows.end(),
+          [&](const auto& r) { return r.first == table; });
+      if (known != plan.resync_windows.end()) {
+        window = known->second;
       } else {
         loc_rib_.visit_all(
             [&](const RibRoute& route) { prefixes.push_back(route.prefix); });
@@ -1191,7 +1219,7 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
         std::sort(prefixes.begin(), prefixes.end());
         prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
                        prefixes.end());
-        if (fresh) plan.full_window = window;
+        plan.resync_windows.emplace_back(table, window);
       }
       if (fresh) {
         auto first = std::find_if(
@@ -1200,7 +1228,7 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
         if (first == plan.fresh.end())
           plan.fresh.emplace_back(s.out->next_out_id, peer);
         else
-          s.out = sessions_.at(first->second)->out;
+          s.out = session(first->second).out;
       }
     } else {
       for (std::uint64_t seq = s.group_cursor; seq < group.log_end(); ++seq) {
@@ -1291,20 +1319,20 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
                           const DrainScratch::GroupPlan& plan) {
     const std::size_t leader = cls.members.front();
     const std::shared_ptr<OutTable>& table =
-        sessions_.at(due[leader].second)->out;
+        session(due[leader].second).out;
     OutWriter out{table.get(),
                   static_cast<std::size_t>(table.use_count()) -
                       cls.members.size()};
     bool stream_open = false;
     for (std::size_t i : cls.members) {
-      const Session& s = *sessions_.at(due[i].second);
+      const Session& s = session(due[i].second);
       stream_open = stream_open || (s.stream && s.stream->open());
     }
     encode_member(due[leader].second, out, cls.keep, stream_open, window,
                   plan.order, plan.eval, d.results[leader]);
     if (out.copy) {
       for (std::size_t i : cls.members)
-        sessions_.at(due[i].second)->out = out.copy;
+        session(due[i].second).out = out.copy;
       obs_subgroup_splits_[cls.reason]->inc();
     }
     for (std::size_t i : cls.members) due[i].first = leader;
@@ -1318,12 +1346,12 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
     // Move the window's other members on u's table up behind u, in order.
     // Only the table's other holders can be among them, so a private
     // table ends the search at once.
-    const std::shared_ptr<OutTable>& table = sessions_.at(first)->out;
+    const std::shared_ptr<OutTable>& table = session(first).out;
     auto others = static_cast<std::size_t>(table.use_count()) - 1;
     std::size_t end = u + 1;
     for (std::size_t k = end;
          others > 0 && k < due.size() && due[k].first == w; ++k) {
-      if (sessions_.at(due[k].second)->out != table) continue;
+      if (session(due[k].second).out != table) continue;
       std::rotate(due.begin() + end, due.begin() + k, due.begin() + k + 1);
       ++end;
       --others;
@@ -1347,7 +1375,7 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   if (!std::is_sorted(due.begin(), due.end(), by_peer))
     std::sort(due.begin(), due.end(), by_peer);
   for (const auto& [slot, peer] : due) {
-    Session& s = *sessions_.at(peer);
+    Session& s = session(peer);
     const EncodeResult& r = d.results[slot];
     if (s.config.mrai > Duration::nanos(0))
       s.next_flush_allowed = loop_->now() + s.config.mrai;
@@ -1376,7 +1404,7 @@ std::size_t BgpSpeaker::classify_members(
   std::size_t count = 0;
   for (std::size_t member = begin; member < end; ++member) {
     const PeerId to = d.due[member].second;
-    const Session& s = *sessions_.at(to);
+    const Session& s = session(to);
     // Decide into the next free class slot; it becomes a class only when
     // no live class has the same decisions.
     if (count == d.classes.size()) d.classes.emplace_back();
@@ -1438,7 +1466,7 @@ void BgpSpeaker::encode_member(PeerId to, OutWriter& out,
                                const std::vector<Ipv4Prefix>& prefixes,
                                const std::vector<Ipv4Prefix>& group_order,
                                const GroupEval& eval, EncodeResult& r) {
-  const Session& s = *sessions_.at(to);
+  const Session& s = session(to);
   DrainScratch& d = *drain_;
   r.updates = r.cache_hits = r.splices = 0;
   // Every message of the class goes into one image. The slot's image from
@@ -1603,13 +1631,13 @@ void BgpSpeaker::encode_member(PeerId to, OutWriter& out,
 }
 
 void BgpSpeaker::send_initial_table(PeerId to) {
-  Session& s = *sessions_.at(to);
+  Session& s = session(to);
   s.needs_full = true;
   schedule_flush(to, /*immediate=*/true);
 }
 
 void BgpSpeaker::send_message(PeerId peer, const BgpMessage& message) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (!s.stream || !s.stream->open()) return;
   s.stream->send(encode_message(message, s.tx_options));
 }
@@ -1617,7 +1645,7 @@ void BgpSpeaker::send_message(PeerId peer, const BgpMessage& message) {
 void BgpSpeaker::send_notification(PeerId peer, NotificationCode code,
                                    std::uint8_t subcode,
                                    const std::string& reason) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   NotificationMessage msg;
   msg.code = code;
   msg.subcode = subcode;
@@ -1627,7 +1655,7 @@ void BgpSpeaker::send_notification(PeerId peer, NotificationCode code,
 }
 
 void BgpSpeaker::arm_hold_timer(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (s.negotiated_hold == 0) {  // hold timer disabled
     ++s.hold_gen;
     s.hold_scheduled = false;
@@ -1644,20 +1672,17 @@ void BgpSpeaker::arm_hold_timer(PeerId peer) {
 }
 
 void BgpSpeaker::schedule_hold_check(PeerId peer, std::uint64_t gen) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   s.hold_check_at = s.hold_deadline;
   loop_->schedule_at(s.hold_deadline, [this, peer, gen]() {
-    auto it = sessions_.find(peer);
-    if (it == sessions_.end()) return;
-    Session& session = *it->second;
-    if (session.hold_gen != gen || session.state == SessionState::kIdle)
-      return;
-    if (loop_->now() < session.hold_deadline) {
+    Session& s = session(peer);
+    if (s.hold_gen != gen || s.state == SessionState::kIdle) return;
+    if (loop_->now() < s.hold_deadline) {
       // Traffic arrived since this check was queued: chase the new deadline.
       schedule_hold_check(peer, gen);
       return;
     }
-    session.hold_scheduled = false;
+    s.hold_scheduled = false;
     send_notification(peer, NotificationCode::kHoldTimerExpired, 0,
                       "hold timer expired");
     session_down(peer, "hold timer expired");
@@ -1665,17 +1690,14 @@ void BgpSpeaker::schedule_hold_check(PeerId peer, std::uint64_t gen) {
 }
 
 void BgpSpeaker::arm_keepalive_timer(PeerId peer) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   std::uint64_t gen = ++s.keepalive_gen;
   // RFC 4271 §4.4: a hold time of zero means no periodic KEEPALIVEs.
   if (s.negotiated_hold == 0) return;
   Duration interval = Duration::seconds(std::max<int>(1, s.negotiated_hold / 3));
   loop_->schedule_after(interval, [this, peer, gen]() {
-    auto it = sessions_.find(peer);
-    if (it == sessions_.end()) return;
-    Session& session = *it->second;
-    if (session.keepalive_gen != gen ||
-        session.state != SessionState::kEstablished)
+    const Session& s = session(peer);
+    if (s.keepalive_gen != gen || s.state != SessionState::kEstablished)
       return;
     send_message(peer, KeepaliveMessage{});
     arm_keepalive_timer(peer);
@@ -1683,7 +1705,7 @@ void BgpSpeaker::arm_keepalive_timer(PeerId peer) {
 }
 
 void BgpSpeaker::session_down(PeerId peer, const std::string& reason) {
-  Session& s = *sessions_.at(peer);
+  Session& s = session(peer);
   if (s.state == SessionState::kIdle) return;
   LOG_INFO("bgp", name_ << ": session with " << s.config.name << " down: "
                         << reason);
@@ -1758,8 +1780,8 @@ void BgpSpeaker::publish_metrics(obs::Registry& registry) const {
   // many members reference it. Kept out of memory_bytes(), which is the
   // Figure-6a quantity.
   std::vector<const OutTable*> tables;
-  for (const auto& [id, session] : sessions_)
-    if (session->group != 0) tables.push_back(session->out.get());
+  for (PeerId id = 1; id < sessions_.size(); ++id)
+    if (sessions_[id]->group != 0) tables.push_back(sessions_[id]->out.get());
   std::sort(tables.begin(), tables.end());
   tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
   std::size_t out_paths = 0;
@@ -1772,9 +1794,8 @@ void BgpSpeaker::publish_metrics(obs::Registry& registry) const {
   registry.gauge("bgp_adj_out_paths", labels)->set(i64(out_paths));
   registry.gauge("bgp_adj_out_bytes", labels)->set(i64(out_bytes));
 
-  for (const auto& [id, session] : sessions_) {
-    (void)id;
-    const Session& s = *session;
+  for (PeerId id = 1; id < sessions_.size(); ++id) {
+    const Session& s = *sessions_[id];
     obs::Labels peer_labels = labels;
     peer_labels.emplace_back("peer", s.config.name);
     registry.gauge("bgp_peer_session_up", peer_labels)

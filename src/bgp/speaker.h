@@ -401,6 +401,11 @@ class BgpSpeaker {
   /// freed, so a steady-state drain allocates nothing of its own.
   struct DrainScratch;
 
+  /// The peer's session; throws std::out_of_range for an unknown id.
+  Session& session(PeerId peer) const;
+  /// The peer's session, or null for kLocalRoutes and unknown ids.
+  const Session* find_session(PeerId peer) const;
+
   void handle_bytes(PeerId peer, const Bytes& data);
   void handle_message(PeerId peer, BgpMessage message);
   void handle_open(PeerId peer, const OpenMessage& open);
@@ -510,8 +515,9 @@ class BgpSpeaker {
   Ipv4Address router_id_;
   PipelineConfig pipeline_;
 
-  std::map<PeerId, std::unique_ptr<Session>> sessions_;
-  PeerId next_peer_id_ = 1;
+  /// Sessions by peer id. Ids are dense from 1 and never removed; slot 0
+  /// (kLocalRoutes) stays empty.
+  std::vector<std::unique_ptr<Session>> sessions_;
 
   AttrPool attr_pool_;
   LocRib loc_rib_;

@@ -25,17 +25,57 @@ class StreamEndpoint;
 /// at once: every receiver reads the same buffer, nobody copies it.
 using StreamImage = std::shared_ptr<const Bytes>;
 
-/// Stream chunks in flight on one event loop. A chunk waits in a slot
-/// until its delivery event, which captures only this table and the slot:
-/// the closure fits std::function's inline storage and allocates nothing.
-/// The table lives as long as the loop, so a slot outlives every event
-/// that names it, whichever endpoints are gone by then. The delivery logic
-/// lives with StreamEndpoint (sim/stream.cpp).
+/// Values parked until an event takes them, by slot: a vector plus a free
+/// list. Taking a value frees its slot for the next park, so the table is
+/// as large as the most values ever parked at once.
+template <typename T>
+class SlotTable {
+ public:
+  std::uint32_t park(T value) {
+    if (free_.empty()) {
+      values_.push_back(std::move(value));
+      return static_cast<std::uint32_t>(values_.size() - 1);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    values_[slot] = std::move(value);
+    return slot;
+  }
+
+  /// Moves the value out and frees its slot.
+  T take(std::uint32_t slot) {
+    T value = std::move(values_[slot]);
+    free_.push_back(slot);
+    return value;
+  }
+
+ private:
+  std::vector<T> values_;
+  std::vector<std::uint32_t> free_;
+};
+
+/// The streams of one event loop: every endpoint made on the loop, by id,
+/// and the chunks in flight between them. A chunk waits in a slot until its
+/// delivery event, which captures only this table and the slot: the
+/// closure fits std::function's inline storage and allocates nothing. The
+/// chunk names its receiver by id, so delivery is one index, no reference
+/// count. Ids are never reused: a destroyed endpoint's entry stays null, so
+/// a chunk still in flight to it never reaches an endpoint made later. The
+/// table lives as long as the loop and detaches the endpoints that outlive
+/// it. The delivery logic lives with StreamEndpoint (sim/stream.cpp).
 class StreamTable {
+ public:
+  StreamTable() = default;
+  StreamTable(const StreamTable&) = delete;
+  StreamTable& operator=(const StreamTable&) = delete;
+  ~StreamTable();
+
+ private:
   friend class StreamEndpoint;
+  friend class StreamChannel;
 
   struct Chunk {
-    std::weak_ptr<StreamEndpoint> to;
+    std::uint32_t to = 0;
     /// Null: the sender closed the stream.
     StreamImage data;
     /// Counts the chunk if its receiver is gone when it arrives (resolved
@@ -43,11 +83,13 @@ class StreamTable {
     obs::Counter* released = nullptr;
   };
 
-  std::uint32_t park(Chunk chunk);
+  /// Registers an endpoint; returns its id.
+  std::uint32_t attach(StreamEndpoint* end);
   void deliver(std::uint32_t slot);
 
-  std::vector<Chunk> chunks_;
-  std::vector<std::uint32_t> free_;
+  /// By id; null once the endpoint is destroyed.
+  std::vector<StreamEndpoint*> endpoints_;
+  SlotTable<Chunk> chunks_;
 };
 
 /// A bounded free list of wire buffers. Links move frames between hops
@@ -97,7 +139,7 @@ class EventLoop {
   /// runs deterministic.
   void schedule_at(SimTime at, Callback fn) {
     if (at < now_) at = now_;
-    queue_.push(Event{at, seq_++, std::move(fn)});
+    queue_.push(Event{at, seq_++, callbacks_.park(std::move(fn))});
   }
 
   /// Schedules `fn` to run `delay` after the current time.
@@ -141,10 +183,12 @@ class EventLoop {
   StreamTable& streams() { return streams_; }
 
  private:
+  /// A queued event: its place in the (time, seq) order and the slot its
+  /// callback waits in. Plain data, so the heap moves 24 bytes per swap.
   struct Event {
     SimTime at;
     std::uint64_t seq;
-    Callback fn;
+    std::uint32_t slot;
 
     /// Strict priority: earlier time first; FIFO by sequence within a time.
     bool before(const Event& other) const {
@@ -152,11 +196,8 @@ class EventLoop {
     }
   };
 
-  /// Min-heap over (at, seq). Hand-rolled instead of std::priority_queue so
-  /// pop_min() can move the element out of the heap — std::priority_queue
-  /// only exposes a const top(), which forces a const_cast to avoid copying
-  /// the std::function. The (time, seq) order makes the extraction sequence
-  /// total, so heap-internal tie-breaks can't affect determinism.
+  /// Min-heap over (at, seq). The (time, seq) order makes the extraction
+  /// sequence total, so heap-internal tie-breaks can't affect determinism.
   class EventHeap {
    public:
     bool empty() const { return items_.empty(); }
@@ -164,57 +205,57 @@ class EventLoop {
     const Event& top() const { return items_.front(); }
 
     void push(Event ev) {
-      items_.push_back(std::move(ev));
+      items_.push_back(ev);
       sift_up(items_.size() - 1);
     }
 
     /// Removes and returns the minimum element.
     Event pop_min() {
-      Event min = std::move(items_.front());
-      if (items_.size() > 1) {
-        items_.front() = std::move(items_.back());
-        items_.pop_back();
-        sift_down(0);
-      } else {
-        items_.pop_back();
-      }
+      const Event min = items_.front();
+      items_.front() = items_.back();
+      items_.pop_back();
+      if (!items_.empty()) sift_down(0);
       return min;
     }
 
    private:
+    // Both sifts move the displaced element once, into the hole it ends
+    // in, instead of swapping at every level.
     void sift_up(std::size_t i) {
+      const Event ev = items_[i];
       while (i > 0) {
         std::size_t parent = (i - 1) / 2;
-        if (!items_[i].before(items_[parent])) break;
-        std::swap(items_[i], items_[parent]);
+        if (!ev.before(items_[parent])) break;
+        items_[i] = items_[parent];
         i = parent;
       }
+      items_[i] = ev;
     }
 
     void sift_down(std::size_t i) {
       const std::size_t n = items_.size();
+      const Event ev = items_[i];
       while (true) {
-        std::size_t smallest = i;
-        std::size_t left = 2 * i + 1;
-        std::size_t right = left + 1;
-        if (left < n && items_[left].before(items_[smallest])) smallest = left;
-        if (right < n && items_[right].before(items_[smallest]))
-          smallest = right;
-        if (smallest == i) break;
-        std::swap(items_[i], items_[smallest]);
-        i = smallest;
+        std::size_t child = 2 * i + 1;
+        if (child >= n) break;
+        if (child + 1 < n && items_[child + 1].before(items_[child])) ++child;
+        if (!items_[child].before(ev)) break;
+        items_[i] = items_[child];
+        i = child;
       }
+      items_[i] = ev;
     }
 
     std::vector<Event> items_;
   };
 
   void step() {
-    // Extract before running: the callback may schedule new events, which
-    // mutates the heap.
-    Event ev = queue_.pop_min();
+    // Take the callback and free its slot before running it: the callback
+    // may schedule new events, which park in the table.
+    const Event ev = queue_.pop_min();
     now_ = ev.at;
-    ev.fn();
+    const Callback fn = callbacks_.take(ev.slot);
+    fn();
   }
 
   SimTime now_;
@@ -222,6 +263,10 @@ class EventLoop {
   EventHeap queue_;
   BufferPool buffers_;
   StreamTable streams_;
+  // Callbacks of queued events. Destroyed before the stream table: a
+  // pending callback may hold the last reference to an endpoint, which
+  // unregisters from the table.
+  SlotTable<Callback> callbacks_;
 };
 
 }  // namespace peering::sim

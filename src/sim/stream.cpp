@@ -2,24 +2,20 @@
 
 namespace peering::sim {
 
-std::uint32_t StreamTable::park(Chunk chunk) {
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(chunks_.size());
-    chunks_.push_back(std::move(chunk));
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-    chunks_[slot] = std::move(chunk);
-  }
-  return slot;
+StreamTable::~StreamTable() {
+  for (StreamEndpoint* end : endpoints_)
+    if (end) end->loop_ = nullptr;
+}
+
+std::uint32_t StreamTable::attach(StreamEndpoint* end) {
+  endpoints_.push_back(end);
+  return static_cast<std::uint32_t>(endpoints_.size() - 1);
 }
 
 void StreamTable::deliver(std::uint32_t slot) {
   // Free the slot before running the handler: it may send, which parks.
-  Chunk chunk = std::move(chunks_[slot]);
-  free_.push_back(slot);
-  const std::shared_ptr<StreamEndpoint> to = chunk.to.lock();
+  const Chunk chunk = chunks_.take(slot);
+  StreamEndpoint* to = endpoints_[chunk.to];
   if (!chunk.data) {
     if (to) to->remote_closed();
     return;
@@ -33,6 +29,10 @@ void StreamTable::deliver(std::uint32_t slot) {
   }
 }
 
+StreamEndpoint::~StreamEndpoint() {
+  if (loop_) loop_->streams().endpoints_[id_] = nullptr;
+}
+
 void StreamEndpoint::on_data(DataHandler handler) {
   data_handler_ = std::move(handler);
   if (data_handler_ && !pending_.empty()) {
@@ -42,31 +42,33 @@ void StreamEndpoint::on_data(DataHandler handler) {
   }
 }
 
-void StreamEndpoint::post(const std::shared_ptr<StreamEndpoint>& peer,
-                          StreamImage data) {
+bool StreamEndpoint::peer_alive() const {
+  return loop_ && loop_->streams().endpoints_[peer_];
+}
+
+void StreamEndpoint::post(StreamImage data) {
   StreamTable* table = &loop_->streams();
   const std::uint32_t slot =
-      table->park({peer, std::move(data), dropped_released_});
+      table->chunks_.park({peer_, std::move(data), dropped_released_});
   loop_->schedule_after(latency_, [table, slot]() { table->deliver(slot); });
 }
 
 bool StreamEndpoint::send(const StreamImage& image) {
-  auto peer = peer_.lock();
-  if (!open_ || !peer) return false;
+  if (!open_ || !peer_alive()) return false;
   bytes_sent_ += image->size();
-  post(peer, image);
+  post(image);
   return true;
 }
 
 bool StreamEndpoint::send(const Bytes& data) {
-  if (!open_ || peer_.expired()) return false;
+  if (!open_ || !peer_alive()) return false;
   return send(std::make_shared<const Bytes>(data));
 }
 
 void StreamEndpoint::close() {
   if (!open_) return;
   open_ = false;
-  if (auto peer = peer_.lock()) post(peer, nullptr);
+  if (peer_alive()) post(nullptr);
 }
 
 void StreamEndpoint::deliver(const Bytes& data) {
@@ -95,11 +97,12 @@ StreamChannel::Pair StreamChannel::make(EventLoop* loop, Duration latency) {
   for (StreamEndpoint* end : {pair.a.get(), pair.b.get()}) {
     end->loop_ = loop;
     end->latency_ = latency;
+    end->id_ = loop->streams().attach(end);
     end->dropped_closed_ = closed;
     end->dropped_released_ = released;
   }
-  pair.a->peer_ = pair.b;
-  pair.b->peer_ = pair.a;
+  pair.a->peer_ = pair.b->id_;
+  pair.b->peer_ = pair.a->id_;
   return pair;
 }
 

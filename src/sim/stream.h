@@ -4,10 +4,16 @@
 // lifecycle (open/close/reset) — which is exactly what the BGP FSM consumes.
 //
 // A chunk in flight is a StreamImage parked in the event loop's
-// StreamTable; its delivery event captures only the slot. A sender that
-// fans one message out to many streams writes it once into an image and
-// sends that image on each of them, so a member send copies nothing and
-// allocates nothing.
+// StreamTable, addressed to its receiver's endpoint id; its delivery event
+// captures only the slot. A sender that fans one message out to many
+// streams writes it once into an image and sends that image on each of
+// them, so a member send copies nothing and allocates nothing.
+//
+// Lifetime: either side of a pair, and the loop, may be destroyed first.
+// Data sent to a destroyed endpoint is dropped (and counted); an endpoint
+// whose loop is gone sends nothing. A handler may release the last
+// reference to its own endpoint: nothing touches the endpoint after a
+// handler returns.
 #pragma once
 
 #include <functional>
@@ -27,6 +33,11 @@ class StreamEndpoint {
   using DataHandler = std::function<void(const Bytes&)>;
   using CloseHandler = std::function<void()>;
 
+  StreamEndpoint() = default;
+  StreamEndpoint(const StreamEndpoint&) = delete;
+  StreamEndpoint& operator=(const StreamEndpoint&) = delete;
+  ~StreamEndpoint();
+
   /// Registers the receive callback. Data sent before a handler is attached
   /// is buffered and flushed on attachment.
   void on_data(DataHandler handler);
@@ -35,10 +46,11 @@ class StreamEndpoint {
   void on_close(CloseHandler handler) { close_handler_ = std::move(handler); }
 
   /// Sends a copy of `data` (in a new image) to the remote side.
-  /// Returns false if the stream is closed.
+  /// Returns false if the stream is closed or the remote side is gone.
   bool send(const Bytes& data);
   /// Sends `image` (non-null) itself to the remote side; the caller must
-  /// not write it again. Returns false if the stream is closed.
+  /// not write it again. Returns false if the stream is closed or the
+  /// remote side is gone.
   bool send(const StreamImage& image);
 
   /// Closes the stream; the remote side observes on_close after one latency.
@@ -52,15 +64,20 @@ class StreamEndpoint {
   friend class StreamChannel;
   friend class StreamTable;
 
+  /// True while the remote endpoint exists and this one's loop does.
+  bool peer_alive() const;
   /// Parks one chunk (null: a close) for the peer and schedules its
   /// delivery one latency from now.
-  void post(const std::shared_ptr<StreamEndpoint>& peer, StreamImage data);
+  void post(StreamImage data);
   void deliver(const Bytes& data);
   void remote_closed();
 
+  /// Null once the loop is destroyed.
   EventLoop* loop_ = nullptr;
   Duration latency_;
-  std::weak_ptr<StreamEndpoint> peer_;
+  /// Ids in the loop's StreamTable: this endpoint's and the remote one's.
+  std::uint32_t id_ = 0;
+  std::uint32_t peer_ = 0;
   DataHandler data_handler_;
   CloseHandler close_handler_;
   std::vector<Bytes> pending_;  // buffered until a handler is attached

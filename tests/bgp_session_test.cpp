@@ -5,7 +5,10 @@
 // exports, post-policy monitoring and the per-peer Adj-RIB-In view.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "bgp/speaker.h"
 #include "obs/metrics.h"
@@ -54,6 +57,26 @@ TEST(Session, EstablishesAndExchangesKeepalives) {
   // Keepalives flow periodically (hold 90 => interval 30s).
   net.loop.run_for(Duration::seconds(65));
   EXPECT_GE(a.peer_stats(ap).keepalives_received, 2u);
+}
+
+TEST(Session, UnknownPeerIdsThrowAndIdsStayAscending) {
+  sim::EventLoop loop;
+  BgpSpeaker speaker(&loop, "a", 65001, Ipv4Address(1, 1, 1, 1));
+  EXPECT_THROW(speaker.peer_config(1), std::out_of_range);
+  EXPECT_TRUE(speaker.peer_ids().empty());
+  std::vector<PeerId> added;
+  for (Asn asn = 65002; asn < 65005; ++asn)
+    added.push_back(speaker.add_peer({.name = "p", .peer_asn = asn}));
+  // Id 0 is kLocalRoutes, never a session; the next id is not yet one.
+  for (PeerId unknown : {kLocalRoutes, added.back() + 1}) {
+    EXPECT_THROW(speaker.peer_config(unknown), std::out_of_range);
+    EXPECT_THROW(speaker.peer_stats(unknown), std::out_of_range);
+    EXPECT_THROW(speaker.session_state(unknown), std::out_of_range);
+  }
+  EXPECT_TRUE(std::is_sorted(added.begin(), added.end()));
+  EXPECT_EQ(speaker.peer_ids(), added);
+  EXPECT_EQ(speaker.peer_config(added[1]).peer_asn, 65003u);
+  EXPECT_EQ(speaker.session_state(added[2]), SessionState::kIdle);
 }
 
 TEST(Session, ZeroHoldTimeSendsNoPeriodicKeepalives) {

@@ -1,7 +1,9 @@
 // Tests for the discrete-event core: ordering, determinism, link latency /
 // bandwidth / drop-tail behaviour, buffer ownership across hops, reliable
-// streams.
+// streams and the lifetimes of loops, callbacks and endpoints.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "ip/host.h"
 #include "netbase/rand.h"
@@ -114,6 +116,49 @@ TEST(EventLoop, RunUntilStopsAtBoundary) {
   loop.run_until(SimTime() + Duration::seconds(2));
   EXPECT_FALSE(late_ran);
   EXPECT_EQ(loop.pending(), 1u);
+}
+
+TEST(EventLoop, CallbackThatGrowsTheTableSeesEveryEventInOrder) {
+  EventLoop loop;
+  std::vector<std::pair<std::int64_t, int>> ran;
+  // A capture too large for std::function's inline storage: the running
+  // callback must not live in the table it grows.
+  std::vector<int> payload(64, 7);
+  loop.schedule_after(Duration::millis(1), [&loop, &ran, payload] {
+    for (int i = 0; i < 1000; ++i) {
+      loop.schedule_after(Duration::millis(i % 7), [&loop, &ran, i] {
+        ran.emplace_back(loop.now().ns(), i);
+      });
+    }
+    ran.emplace_back(-1, payload.back() * static_cast<int>(payload.size()));
+  });
+  EXPECT_EQ(loop.run(), 1001u);
+  // The running callback's capture survived the table's growth.
+  ASSERT_FALSE(ran.empty());
+  EXPECT_EQ(ran.front(), (std::pair<std::int64_t, int>(-1, 7 * 64)));
+  // Time order; scheduling order within a time.
+  std::vector<std::pair<std::int64_t, int>> expected{ran.front()};
+  for (int t = 0; t < 7; ++t)
+    for (int i = t; i < 1000; i += 7)
+      expected.emplace_back(Duration::millis(1 + t).ns(), i);
+  EXPECT_EQ(ran, expected);
+}
+
+TEST(EventLoop, DestroyedLoopReleasesPendingCaptures) {
+  auto token = std::make_shared<int>(0);
+  auto image = std::make_shared<const Bytes>(Bytes{1, 2, 3});
+  {
+    EventLoop loop;
+    for (int i = 0; i < 3; ++i)
+      loop.schedule_after(Duration::seconds(i + 1), [token] { ++*token; });
+    auto pair = StreamChannel::make(&loop, Duration::millis(1));
+    pair.a->send(StreamImage(image));
+    EXPECT_EQ(token.use_count(), 4);
+    EXPECT_EQ(image.use_count(), 2);
+  }
+  EXPECT_EQ(*token, 0);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(image.use_count(), 1);
 }
 
 TEST(Link, DeliversAfterLatency) {
@@ -407,6 +452,68 @@ TEST(Stream, ReleasedReceiverGetsNoDelivery) {
   loop.run();
   EXPECT_EQ(received, 0);
   EXPECT_EQ(stream_drops(registry, "released"), 2u);
+}
+
+TEST(Stream, ChunkToADestroyedReceiverNeverReachesALaterEndpoint) {
+  obs::Registry registry(true);
+  obs::Scope scope(&registry);
+  EventLoop loop;
+  auto old = StreamChannel::make(&loop, Duration::millis(1));
+  ASSERT_TRUE(old.a->send(Bytes{1}));
+  old.b.reset();
+  EXPECT_FALSE(old.a->send(Bytes{2}));
+  // Made while the chunk is in flight.
+  auto later = StreamChannel::make(&loop, Duration::millis(1));
+  int received = 0;
+  later.a->on_data([&](const Bytes&) { ++received; });
+  later.b->on_data([&](const Bytes&) { ++received; });
+  loop.run();
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(stream_drops(registry, "released"), 1u);
+  EXPECT_TRUE(later.a->send(Bytes{3}));
+  loop.run();
+  EXPECT_EQ(received, 1);
+}
+
+TEST(Stream, HandlerMayReleaseItsOwnEndpoint) {
+  obs::Registry registry(true);
+  obs::Scope scope(&registry);
+  EventLoop loop;
+  auto pair = StreamChannel::make(&loop, Duration::millis(1));
+  int received = 0;
+  pair.b->on_data([&](const Bytes&) {
+    ++received;
+    pair.b.reset();
+  });
+  pair.a->send(Bytes{1});
+  pair.a->send(Bytes{2});
+  loop.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(stream_drops(registry, "released"), 1u);
+
+  bool closed = false;
+  pair.b = nullptr;
+  auto second = StreamChannel::make(&loop, Duration::millis(1));
+  second.b->on_close([&] {
+    closed = true;
+    second.b.reset();
+  });
+  second.a->close();
+  loop.run();
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(second.b, nullptr);
+}
+
+TEST(Stream, EndpointThatOutlivesItsLoopIsDestroyedCleanly) {
+  auto loop = std::make_unique<EventLoop>();
+  auto pair = StreamChannel::make(loop.get(), Duration::millis(1));
+  ASSERT_TRUE(pair.a->send(Bytes{1}));  // still in flight when the loop dies
+  loop.reset();
+  EXPECT_FALSE(pair.a->send(Bytes{2}));
+  pair.a->close();
+  EXPECT_FALSE(pair.a->open());
+  pair.a.reset();
+  pair.b.reset();
 }
 
 TEST(Stream, SendsToManyStreamsAtOneInstantDeliverInSendOrder) {

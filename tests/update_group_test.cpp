@@ -953,6 +953,43 @@ TEST(UpdateGroup, SplitReasonsFollowPeerOrderWithinAUnit) {
     EXPECT_EQ(hub.speaker.export_subgroup_size(peer), 1u) << "peer " << peer;
 }
 
+/// Members of one subgroup whose cursors fall off the trimmed delta log
+/// together resync in one window: the resync list depends only on the
+/// Loc-RIB and the table they share, so the table gets one walk, one
+/// encode, and stays one subgroup.
+TEST(UpdateGroup, LogTrimResyncKeepsTheSubgroup) {
+  obs::Registry registry;
+  obs::Scope scope(&registry);
+  Hub hub(PipelineConfig{.peer_queue_capacity = 2});
+  for (int i = 0; i < 3; ++i)
+    hub.attach(rs_session("rs" + std::to_string(i), static_cast<Asn>(64091 + i)),
+               /*peer_addpath=*/true);
+  hub.speaker.originate(pfx("10.80.0.0/16"), attrs_with(1));
+  hub.settle();
+  ASSERT_EQ(hub.speaker.export_subgroup_size(hub.peers[0]), 3u);
+
+  // Six originations at one instant overrun the two-entry log.
+  for (std::uint32_t i = 0; i < 6; ++i)
+    hub.speaker.originate(pfx("10.81." + std::to_string(i) + ".0/24"),
+                          attrs_with(2 + i));
+  hub.settle();
+  const obs::Snapshot snap = registry.snapshot(hub.loop.now());
+  EXPECT_EQ(snap.value("bgp_export_full_resyncs_total",
+                       {{"speaker", "hub"}, {"reason", "log_trim"}}),
+            3);
+  EXPECT_EQ(snap.value("bgp_export_subgroup_splits_total",
+                       {{"speaker", "hub"}, {"reason", "window"}}),
+            0);
+  for (PeerId peer : hub.peers)
+    EXPECT_EQ(hub.speaker.export_subgroup_size(peer), 3u) << "peer " << peer;
+  // The same bytes each member received when every member resynced in a
+  // window of its own.
+  for (const auto& recorder : hub.recorders) {
+    EXPECT_EQ(recorder->wire(), hub.recorders[0]->wire());
+    EXPECT_EQ(recorder->wire().size(), 427u);
+  }
+}
+
 /// The source-driven hook must be wire-equivalent to a general export hook
 /// that only rewrites the next-hop, on transparent sessions (where the
 /// standard transform leaves the template untouched — vBGP's experiment
