@@ -398,63 +398,72 @@ std::size_t AttrPool::attrs_footprint(const PathAttributes& attrs) {
   return bytes;
 }
 
-AttrsPtr AttrPool::insert(AttrsPtr ptr) {
-  attr_bytes_ += attrs_footprint(*ptr);
-  auto [it, inserted] = pool_.emplace(ptr, Entry{});
-  by_ptr_[it->first.get()] = &it->second;
-  return it->first;
+AttrPool::~AttrPool() {
+  for (Node* n : pool_) {
+    n->pool = nullptr;
+    n->wire = {};
+    if (--n->refs == 0) delete n;
+  }
+}
+
+template <typename A>
+AttrsPtr AttrPool::find_or_insert(const Key& key, A&& attrs) {
+  auto it = pool_.find(key);
+  if (it != pool_.end()) {
+    ++stats_.intern_hits;
+    return AttrsPtr(*it);
+  }
+  ++stats_.intern_misses;
+  auto node = std::make_unique<Node>(std::forward<A>(attrs));
+  node->pool = this;
+  node->hash = key.hash;
+  node->refs = 1;  // the pool's own reference
+  pool_.insert(node.get());
+  attr_bytes_ += attrs_footprint(node->attrs);
+  return AttrsPtr(node.release());
 }
 
 AttrsPtr AttrPool::intern(const PathAttributes& attrs) {
-  auto it = pool_.find(attrs);
-  if (it != pool_.end()) {
-    ++stats_.intern_hits;
-    return it->first;
-  }
-  ++stats_.intern_misses;
-  return insert(std::make_shared<const PathAttributes>(attrs));
+  return find_or_insert(Key{attrs, hash_value(attrs)}, attrs);
 }
 
 AttrsPtr AttrPool::intern(PathAttributes&& attrs) {
-  auto it = pool_.find(attrs);
-  if (it != pool_.end()) {
-    ++stats_.intern_hits;
-    return it->first;
-  }
-  ++stats_.intern_misses;
-  return insert(std::make_shared<const PathAttributes>(std::move(attrs)));
+  // The key reads `attrs` only until the node is built from it.
+  return find_or_insert(Key{attrs, hash_value(attrs)}, std::move(attrs));
 }
 
 AttrsPtr AttrPool::adopt(const AttrsPtr& attrs) {
   if (!attrs) return attrs;
-  if (by_ptr_.count(attrs.get()) > 0) {
+  const Node* n = attrs.node_;
+  if (n->pool == this) {
     ++stats_.intern_hits;
     return attrs;
   }
-  return intern(*attrs);
+  // Another pool's set carries its hash; a make_attrs() set has none.
+  return find_or_insert(Key{n->attrs, n->pool ? n->hash : hash_value(n->attrs)},
+                        n->attrs);
 }
 
 const Bytes& AttrPool::encoded(const AttrsPtr& attrs,
                                const AttrCodecOptions& options,
                                std::size_t* nh_offset) {
   const std::size_t slot = options.four_byte_asn ? 1 : 0;
-  auto it = by_ptr_.find(attrs.get());
-  if (it != by_ptr_.end()) {
-    auto& wire = it->second->wire[slot];
+  Node* n = attrs.node_;
+  if (n->pool == this) {
+    auto& wire = n->wire[slot];
     if (wire) {
       ++stats_.encode_hits;
-      if (nh_offset) *nh_offset = it->second->nh_offset[slot];
-      return *wire;
+    } else {
+      ++stats_.encode_misses;
+      wire = encode_attributes(n->attrs, options);
+      wire_bytes_ += wire->size();
+      n->nh_offset[slot] = next_hop_value_offset(*wire);
     }
-    ++stats_.encode_misses;
-    wire = encode_attributes(*attrs, options);
-    wire_bytes_ += wire->size();
-    it->second->nh_offset[slot] = next_hop_value_offset(*wire);
-    if (nh_offset) *nh_offset = it->second->nh_offset[slot];
+    if (nh_offset) *nh_offset = n->nh_offset[slot];
     return *wire;
   }
   ++stats_.encode_misses;
-  scratch_ = encode_attributes(*attrs, options);
+  scratch_ = encode_attributes(n->attrs, options);
   if (nh_offset) *nh_offset = next_hop_value_offset(scratch_);
   return scratch_;
 }
@@ -462,12 +471,13 @@ const Bytes& AttrPool::encoded(const AttrsPtr& attrs,
 std::size_t AttrPool::sweep() {
   std::size_t removed = 0;
   for (auto it = pool_.begin(); it != pool_.end();) {
-    if (it->first.use_count() == 1) {
-      attr_bytes_ -= attrs_footprint(*it->first);
-      for (const auto& wire : it->second.wire)
+    Node* n = *it;
+    if (n->refs == 1) {
+      attr_bytes_ -= attrs_footprint(n->attrs);
+      for (const auto& wire : n->wire)
         if (wire) wire_bytes_ -= wire->size();
-      by_ptr_.erase(it->first.get());
       it = pool_.erase(it);
+      delete n;
       ++removed;
     } else {
       ++it;

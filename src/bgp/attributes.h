@@ -14,9 +14,11 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bgp/types.h"
@@ -116,21 +118,103 @@ std::size_t next_hop_value_offset(std::span<const std::uint8_t> attr_bytes);
 Result<PathAttributes> decode_attributes(std::span<const std::uint8_t> data,
                                          const AttrCodecOptions& options);
 
-/// A shared, immutable attribute set. Identical sets interned through one
-/// AttrPool compare equal by pointer.
-using AttrsPtr = std::shared_ptr<const PathAttributes>;
+/// Content hash over every attribute field; the AttrPool bucket index.
+std::size_t hash_value(const PathAttributes& attrs);
+
+class AttrPool;
+
+/// A shared, immutable attribute set: an 8-byte intrusive handle to one
+/// node that holds the attributes, a plain reference count, the owning
+/// pool and, for pooled sets, the content hash and the per-codec wire
+/// images. Identical sets interned through one AttrPool compare equal by
+/// pointer. The count is not atomic: a speaker, its pool and every handle
+/// into it live on one event loop, and nothing here has a thread. The
+/// surface is the part of std::shared_ptr the control plane uses.
+class AttrsPtr {
+ public:
+  constexpr AttrsPtr() noexcept = default;
+  constexpr AttrsPtr(std::nullptr_t) noexcept {}
+  AttrsPtr(const AttrsPtr& other) noexcept : node_(other.node_) {
+    if (node_) ++node_->refs;
+  }
+  AttrsPtr(AttrsPtr&& other) noexcept
+      : node_(std::exchange(other.node_, nullptr)) {}
+  AttrsPtr& operator=(const AttrsPtr& other) noexcept {
+    AttrsPtr(other).swap(*this);
+    return *this;
+  }
+  AttrsPtr& operator=(AttrsPtr&& other) noexcept {
+    AttrsPtr(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~AttrsPtr() { release(); }
+
+  const PathAttributes* get() const noexcept {
+    return node_ ? &node_->attrs : nullptr;
+  }
+  const PathAttributes& operator*() const noexcept { return node_->attrs; }
+  const PathAttributes* operator->() const noexcept { return &node_->attrs; }
+  explicit operator bool() const noexcept { return node_ != nullptr; }
+
+  /// Handles on this set, the owning pool's own reference included.
+  long use_count() const noexcept { return node_ ? node_->refs : 0; }
+
+  void reset() noexcept {
+    release();
+    node_ = nullptr;
+  }
+  void swap(AttrsPtr& other) noexcept { std::swap(node_, other.node_); }
+
+  friend bool operator==(const AttrsPtr& a, const AttrsPtr& b) noexcept {
+    return a.node_ == b.node_;
+  }
+  friend bool operator==(const AttrsPtr& a, std::nullptr_t) noexcept {
+    return a.node_ == nullptr;
+  }
+
+ private:
+  friend class AttrPool;
+  friend AttrsPtr make_attrs(PathAttributes attrs);
+
+  /// The set and its bookkeeping. `attrs` comes first, so get() is the
+  /// node's address.
+  struct Node {
+    template <typename A>
+    explicit Node(A&& a) : attrs(std::forward<A>(a)) {}
+
+    PathAttributes attrs;
+    std::uint32_t refs = 0;
+    /// The pool that interned the set; null for make_attrs() and
+    /// AttrBuilder::release() sets, and once the pool is destroyed.
+    AttrPool* pool = nullptr;
+    /// hash_value(attrs), cached by the pool that interned the set; 0 for
+    /// make_attrs() sets.
+    std::size_t hash = 0;
+    /// Wire images, indexed by AttrCodecOptions::four_byte_asn (the only
+    /// codec option that changes attribute bytes). Filled by the pool.
+    std::array<std::optional<Bytes>, 2> wire;
+    /// NEXT_HOP value offset within wire[slot]; valid iff wire[slot] is
+    /// engaged (computed once at encode time).
+    std::array<std::size_t, 2> nh_offset = {kNoNextHopOffset,
+                                            kNoNextHopOffset};
+  };
+
+  /// Takes a new reference on `node`.
+  explicit AttrsPtr(Node* node) noexcept : node_(node) { ++node_->refs; }
+
+  void release() noexcept {
+    if (node_ && --node_->refs == 0) delete node_;
+  }
+
+  Node* node_ = nullptr;
+};
 
 /// Wraps freshly constructed attributes in an AttrsPtr. Not interned: pass
 /// the result through AttrPool::adopt/intern before storing it in a RIB if
 /// pointer-level deduplication matters.
 inline AttrsPtr make_attrs(PathAttributes attrs) {
-  return std::make_shared<const PathAttributes>(std::move(attrs));
+  return AttrsPtr(new AttrsPtr::Node(std::move(attrs)));
 }
-
-/// Content hash over every attribute field; the AttrPool bucket index.
-std::size_t hash_value(const PathAttributes& attrs);
-
-class AttrPool;
 
 /// Copy-on-write handle over an interned attribute set. Interposition
 /// points (policy actions, import/export hooks, enforcement transforms)
@@ -177,14 +261,15 @@ class AttrBuilder {
   std::unique_ptr<PathAttributes> owned_;
 };
 
-/// Interns PathAttributes so identical attribute sets share one allocation,
+/// Interns PathAttributes so identical attribute sets share one node,
 /// mirroring BIRD's attribute cache (the reason Figure 6a's per-route
-/// memory stays in the hundreds of bytes). Keyed by content hash. Also
-/// memoizes the wire encoding per (attribute set, codec options) so an
-/// ADD-PATH fan-out to N sessions with identical negotiated options
-/// serializes the update body once, not N times. Returned Bytes& and
-/// AttrsPtr stay valid across later interning because unordered_map nodes
-/// never move.
+/// memory stays in the hundreds of bytes). Keyed by content hash, which
+/// each node carries. Also memoizes the wire encoding per (attribute set,
+/// codec options) in the set's node, so an ADD-PATH fan-out to N sessions
+/// with identical negotiated options serializes the update body once, not
+/// N times. The pool holds one reference on every set it interned; a set
+/// still held elsewhere when the pool is destroyed stays readable and is
+/// freed by its last handle.
 class AttrPool {
  public:
   struct Stats {
@@ -203,18 +288,19 @@ class AttrPool {
     }
   };
 
+  AttrPool() = default;
+  AttrPool(const AttrPool&) = delete;
+  AttrPool& operator=(const AttrPool&) = delete;
+  /// Detaches the sets still held elsewhere and frees the rest.
+  ~AttrPool();
+
   AttrsPtr intern(const PathAttributes& attrs);
   AttrsPtr intern(PathAttributes&& attrs);
 
-  /// Returns `attrs` unchanged when it is already pool-owned (O(1) pointer
-  /// lookup); otherwise interns its content. Lets hooks hand back either a
-  /// committed builder result or a foreign pointer without double-copying.
+  /// Returns `attrs` unchanged when this pool interned it (its node names
+  /// the pool); otherwise interns its content. Lets hooks hand back either
+  /// a committed builder result or a foreign pointer without double-copying.
   AttrsPtr adopt(const AttrsPtr& attrs);
-
-  /// True if this exact pointer came from this pool.
-  bool owns(const AttrsPtr& attrs) const {
-    return attrs && by_ptr_.count(attrs.get()) > 0;
-  }
 
   /// Cached wire encoding of an interned set for the given codec options.
   /// Encoded at most once per (set, options); all sessions with identical
@@ -226,7 +312,8 @@ class AttrPool {
                        std::size_t* nh_offset = nullptr);
 
   std::size_t size() const { return pool_.size(); }
-  /// Approximate bytes held by pooled attribute objects.
+  /// Approximate bytes held by pooled attribute objects: each set's own
+  /// bytes (attrs_footprint), not its node header or the index.
   std::size_t memory_bytes() const { return attr_bytes_; }
   /// Bytes held by cached wire encodings.
   std::size_t encode_cache_bytes() const { return wire_bytes_; }
@@ -238,42 +325,35 @@ class AttrPool {
   std::size_t sweep();
 
  private:
-  /// Cached per-entry wire encodings, indexed by AttrCodecOptions::
-  /// four_byte_asn (the only codec option that changes attribute bytes).
-  struct Entry {
-    std::array<std::optional<Bytes>, 2> wire;
-    /// NEXT_HOP value offset within wire[slot]; valid iff wire[slot] is
-    /// engaged (computed once at encode time).
-    std::array<std::size_t, 2> nh_offset = {kNoNextHopOffset,
-                                            kNoNextHopOffset};
+  using Node = AttrsPtr::Node;
+  /// A lookup by content, its hash computed once.
+  struct Key {
+    const PathAttributes& attrs;
+    std::size_t hash;
   };
   struct Hash {
     using is_transparent = void;
-    std::size_t operator()(const PathAttributes& a) const {
-      return hash_value(a);
-    }
-    std::size_t operator()(const AttrsPtr& p) const { return hash_value(*p); }
+    std::size_t operator()(const Node* n) const noexcept { return n->hash; }
+    std::size_t operator()(const Key& k) const noexcept { return k.hash; }
   };
   struct Eq {
     using is_transparent = void;
-    bool operator()(const AttrsPtr& a, const AttrsPtr& b) const {
-      return a == b || *a == *b;
+    bool operator()(const Node* a, const Node* b) const noexcept {
+      return a == b;
     }
-    bool operator()(const AttrsPtr& a, const PathAttributes& b) const {
-      return *a == b;
+    bool operator()(const Key& k, const Node* n) const {
+      return k.hash == n->hash && k.attrs == n->attrs;
     }
-    bool operator()(const PathAttributes& a, const AttrsPtr& b) const {
-      return a == *b;
-    }
+    bool operator()(const Node* n, const Key& k) const { return (*this)(k, n); }
   };
 
   static std::size_t attrs_footprint(const PathAttributes& attrs);
-  AttrsPtr insert(AttrsPtr ptr);
+  /// The pooled set equal to `key`, interning a new node built from
+  /// `attrs` on a miss.
+  template <typename A>
+  AttrsPtr find_or_insert(const Key& key, A&& attrs);
 
-  std::unordered_map<AttrsPtr, Entry, Hash, Eq> pool_;
-  /// Pointer index for O(1) encoded()/owns() lookups; values are stable
-  /// because unordered_map nodes do not move.
-  std::unordered_map<const PathAttributes*, Entry*> by_ptr_;
+  std::unordered_set<Node*, Hash, Eq> pool_;
   std::size_t attr_bytes_ = 0;
   std::size_t wire_bytes_ = 0;
   Stats stats_;
@@ -281,3 +361,11 @@ class AttrPool {
 };
 
 }  // namespace peering::bgp
+
+/// By identity, as std::hash<std::shared_ptr> does.
+template <>
+struct std::hash<peering::bgp::AttrsPtr> {
+  std::size_t operator()(const peering::bgp::AttrsPtr& p) const noexcept {
+    return std::hash<const void*>()(p.get());
+  }
+};

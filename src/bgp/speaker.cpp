@@ -246,11 +246,18 @@ struct BgpSpeaker::DrainScratch {
 
   /// Numbers drains, so groups can tag their plan.
   std::uint64_t epoch = 0;
-  /// One (window, peer) entry per due member, planned in peer order. The
-  /// encode walks it in unit order; once a member's unit is encoded, its
-  /// window is replaced by the position of the result it sends, and
-  /// transmit puts the list back in peer order.
-  std::vector<std::pair<std::size_t, PeerId>> due;
+  /// One due member: its window, its id and its session, resolved once
+  /// when the member is planned.
+  struct Due {
+    std::size_t window;
+    PeerId peer;
+    Session* session;
+  };
+  /// One entry per due member, planned in peer order. The encode walks it
+  /// in unit order; once a member's unit is encoded, its window is
+  /// replaced by the position of the result it sends, and transmit puts
+  /// the list back in peer order.
+  std::vector<Due> due;
   /// The first `window_count` windows are live; the next slot is where a
   /// member's window is built, and it stays only if it is a new window.
   std::vector<std::vector<Ipv4Prefix>> windows;
@@ -1261,7 +1268,7 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
       ++d.window_count;
       d.window_plan.push_back(group.plan);
     }
-    d.due.emplace_back(window, peer);
+    d.due.push_back({window, peer, &s});
   }
   // The batch node carries the next flush instant's batch.
   spare_batches_.push_back(std::move(node));
@@ -1311,47 +1318,48 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   // copies depends on the order: each table sees its units in ascending
   // window id and each unit's members in peer order. Order across tables
   // is free, since no two of them share anything.
-  if (!std::is_sorted(due.begin(), due.end()))
-    std::sort(due.begin(), due.end());  // by (window, peer)
+  auto by_window = [](const DrainScratch::Due& a, const DrainScratch::Due& b) {
+    return a.window != b.window ? a.window < b.window : a.peer < b.peer;
+  };
+  if (!std::is_sorted(due.begin(), due.end(), by_window))
+    std::sort(due.begin(), due.end(), by_window);
   if (d.results.size() < due.size()) d.results.resize(due.size());
   auto encode_class = [&](const EncodeClass& cls,
                           const std::vector<Ipv4Prefix>& window,
                           const DrainScratch::GroupPlan& plan) {
     const std::size_t leader = cls.members.front();
-    const std::shared_ptr<OutTable>& table =
-        session(due[leader].second).out;
+    const std::shared_ptr<OutTable>& table = due[leader].session->out;
     OutWriter out{table.get(),
                   static_cast<std::size_t>(table.use_count()) -
                       cls.members.size()};
     bool stream_open = false;
     for (std::size_t i : cls.members) {
-      const Session& s = session(due[i].second);
+      const Session& s = *due[i].session;
       stream_open = stream_open || (s.stream && s.stream->open());
     }
-    encode_member(due[leader].second, out, cls.keep, stream_open, window,
+    encode_member(*due[leader].session, out, cls.keep, stream_open, window,
                   plan.order, plan.eval, d.results[leader]);
     if (out.copy) {
-      for (std::size_t i : cls.members)
-        session(due[i].second).out = out.copy;
+      for (std::size_t i : cls.members) due[i].session->out = out.copy;
       obs_subgroup_splits_[cls.reason]->inc();
     }
-    for (std::size_t i : cls.members) due[i].first = leader;
+    for (std::size_t i : cls.members) due[i].window = leader;
     obs_member_encodes_own_->inc();
     if (cls.members.size() > 1)
       obs_member_encodes_shared_->add(cls.members.size() - 1);
   };
   obs::Span encode_span(encode_span_, nullptr);  // wall-clock encode latency
   for (std::size_t u = 0; u < due.size();) {
-    const auto [w, first] = due[u];
+    const std::size_t w = due[u].window;
     // Move the window's other members on u's table up behind u, in order.
     // Only the table's other holders can be among them, so a private
     // table ends the search at once.
-    const std::shared_ptr<OutTable>& table = session(first).out;
+    const std::shared_ptr<OutTable>& table = due[u].session->out;
     auto others = static_cast<std::size_t>(table.use_count()) - 1;
     std::size_t end = u + 1;
     for (std::size_t k = end;
-         others > 0 && k < due.size() && due[k].first == w; ++k) {
-      if (session(due[k].second).out != table) continue;
+         others > 0 && k < due.size() && due[k].window == w; ++k) {
+      if (due[k].session->out != table) continue;
       std::rotate(due.begin() + end, due.begin() + k, due.begin() + k + 1);
       ++end;
       --others;
@@ -1369,14 +1377,14 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   // stream send per peer (the decoder reassembles message-by-message).
   // Members of one class send the same image and take the same stat
   // deltas, as each would have from its own encode.
-  auto by_peer = [](const auto& a, const auto& b) {
-    return a.second < b.second;
+  auto by_peer = [](const DrainScratch::Due& a, const DrainScratch::Due& b) {
+    return a.peer < b.peer;
   };
   if (!std::is_sorted(due.begin(), due.end(), by_peer))
     std::sort(due.begin(), due.end(), by_peer);
-  for (const auto& [slot, peer] : due) {
-    Session& s = session(peer);
-    const EncodeResult& r = d.results[slot];
+  for (const DrainScratch::Due& member : due) {
+    Session& s = *member.session;
+    const EncodeResult& r = d.results[member.window];
     if (s.config.mrai > Duration::nanos(0))
       s.next_flush_allowed = loop_->now() + s.config.mrai;
     s.stats.updates_sent += r.updates;
@@ -1403,8 +1411,8 @@ std::size_t BgpSpeaker::classify_members(
   DrainScratch& d = *drain_;
   std::size_t count = 0;
   for (std::size_t member = begin; member < end; ++member) {
-    const PeerId to = d.due[member].second;
-    const Session& s = session(to);
+    const PeerId to = d.due[member].peer;
+    const Session& s = *d.due[member].session;
     // Decide into the next free class slot; it becomes a class only when
     // no live class has the same decisions.
     if (count == d.classes.size()) d.classes.emplace_back();
@@ -1460,13 +1468,12 @@ std::size_t BgpSpeaker::classify_members(
   return count;
 }
 
-void BgpSpeaker::encode_member(PeerId to, OutWriter& out,
+void BgpSpeaker::encode_member(const Session& s, OutWriter& out,
                                const std::vector<std::uint8_t>& keep,
                                bool stream_open,
                                const std::vector<Ipv4Prefix>& prefixes,
                                const std::vector<Ipv4Prefix>& group_order,
                                const GroupEval& eval, EncodeResult& r) {
-  const Session& s = session(to);
   DrainScratch& d = *drain_;
   r.updates = r.cache_hits = r.splices = 0;
   // Every message of the class goes into one image. The slot's image from

@@ -471,10 +471,10 @@ class BgpSpeaker {
                                const GroupEval& eval);
   /// Phase B: diffs one class's Adj-RIB-Out against the group evaluation
   /// and encodes the delta into `r` through the AttrPool encode cache,
-  /// splicing the next-hop into the cached template. `to` is the class
-  /// leader; `keep` holds the class's include decisions, one per advert in
-  /// the window. Writes only through `out`.
-  void encode_member(PeerId to, OutWriter& out,
+  /// splicing the next-hop into the cached template. `s` is the class
+  /// leader's session; `keep` holds the class's include decisions, one per
+  /// advert in the window. Writes only through `out`.
+  void encode_member(const Session& s, OutWriter& out,
                      const std::vector<std::uint8_t>& keep, bool stream_open,
                      const std::vector<Ipv4Prefix>& prefixes,
                      const std::vector<Ipv4Prefix>& group_order,

@@ -22,7 +22,7 @@
 namespace peering::enforce {
 
 /// Everything a rule can inspect about one experiment announcement. The
-/// attribute set is carried by shared pointer: the common all-accept path
+/// attribute set is carried by AttrsPtr handle: the common all-accept path
 /// flows through the whole chain without copying it.
 struct AnnouncementContext {
   std::string experiment_id;

@@ -92,9 +92,9 @@ MonitorSession::MonitorSession(sim::EventLoop* loop, bgp::BgpSpeaker* speaker,
   obs::Registry* registry = obs::Registry::global();
   obs_records_ = registry->counter("mon_records_total", labels);
   obs_dropped_ = registry->counter("mon_records_dropped_total", labels);
-  // Reserve the record buffer up front (88 B records, at most 1<<17 of
-  // them; the default 65,536 reserves 5.8 MB): records carry
-  // shared_ptr/string members, so letting the vector grow geometrically
+  // Reserve the record buffer up front (80 B records, at most 1<<17 of
+  // them; the default 65,536 reserves 5.2 MB): records carry
+  // attribute-handle/string members, so letting the vector grow geometrically
   // would move every buffered record several times over and the churn
   // shows up in the fig6b telemetry-overhead measurement.
   records_.reserve(std::min(options_.capacity, std::size_t{1} << 17));

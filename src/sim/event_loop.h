@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -31,26 +32,30 @@ using StreamImage = std::shared_ptr<const Bytes>;
 template <typename T>
 class SlotTable {
  public:
-  std::uint32_t park(T value) {
+  /// Constructs the value in its slot from `args`.
+  template <typename... Args>
+  std::uint32_t park(Args&&... args) {
     if (free_.empty()) {
-      values_.push_back(std::move(value));
+      values_.emplace_back(std::in_place, std::forward<Args>(args)...);
       return static_cast<std::uint32_t>(values_.size() - 1);
     }
     const std::uint32_t slot = free_.back();
+    values_[slot].emplace(std::forward<Args>(args)...);
     free_.pop_back();
-    values_[slot] = std::move(value);
     return slot;
   }
 
   /// Moves the value out and frees its slot.
   T take(std::uint32_t slot) {
-    T value = std::move(values_[slot]);
+    T value = std::move(*values_[slot]);
+    values_[slot].reset();
     free_.push_back(slot);
     return value;
   }
 
  private:
-  std::vector<T> values_;
+  /// Empty while the slot is free.
+  std::vector<std::optional<T>> values_;
   std::vector<std::uint32_t> free_;
 };
 
@@ -136,15 +141,18 @@ class EventLoop {
 
   /// Schedules `fn` to run at absolute time `at` (clamped to now if in the
   /// past). Events at equal times run in scheduling order (FIFO), which keeps
-  /// runs deterministic.
-  void schedule_at(SimTime at, Callback fn) {
+  /// runs deterministic. The Callback is constructed from `fn` in the slot
+  /// it waits in, so scheduling moves no std::function.
+  template <typename F>
+  void schedule_at(SimTime at, F&& fn) {
     if (at < now_) at = now_;
-    queue_.push(Event{at, seq_++, callbacks_.park(std::move(fn))});
+    queue_.push(Event{at, seq_++, callbacks_.park(std::forward<F>(fn))});
   }
 
   /// Schedules `fn` to run `delay` after the current time.
-  void schedule_after(Duration delay, Callback fn) {
-    schedule_at(now_ + delay, std::move(fn));
+  template <typename F>
+  void schedule_after(Duration delay, F&& fn) {
+    schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Runs events until the queue is empty or `limit` events have executed.

@@ -49,7 +49,7 @@ bool StreamEndpoint::peer_alive() const {
 void StreamEndpoint::post(StreamImage data) {
   StreamTable* table = &loop_->streams();
   const std::uint32_t slot =
-      table->chunks_.park({peer_, std::move(data), dropped_released_});
+      table->chunks_.park(peer_, std::move(data), dropped_released_);
   loop_->schedule_after(latency_, [table, slot]() { table->deliver(slot); });
 }
 

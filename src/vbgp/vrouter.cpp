@@ -344,8 +344,6 @@ std::optional<bgp::AttrsPtr> VRouter::import_from_experiment(
 bgp::AttrsPtr VRouter::remap_next_hop(const bgp::AttrsPtr& attrs,
                                       Ipv4Address nh) {
   if (attrs->next_hop == nh) return attrs;
-  // find() before insert: the hit path (steady state) then never copies
-  // the shared_ptr key, so no atomic refcount traffic.
   auto it = nh_memo_.find(attrs);
   if (it != nh_memo_.end() && it->second->next_hop == nh) {
     obs_nh_memo_hits_->inc();

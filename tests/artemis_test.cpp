@@ -20,7 +20,7 @@ mon::MonitorRecord announcement(const std::string& prefix, bgp::AsPath path) {
   attrs.as_path = std::move(path);
   mon::MonitorRecord record;
   record.prefix = pfx(prefix);
-  record.attrs = std::make_shared<const bgp::PathAttributes>(std::move(attrs));
+  record.attrs = bgp::make_attrs(std::move(attrs));
   return record;
 }
 

@@ -160,6 +160,162 @@ TEST(AttrPool, SweepReleasesUnreferencedEntriesAndEncodings) {
   EXPECT_EQ(pool.encode_cache_bytes(), 0u);
 }
 
+PathAttributes sample_attrs(std::uint32_t med) {
+  PathAttributes a;
+  a.as_path = AsPath({65001, 3356});
+  a.next_hop = Ipv4Address(192, 0, 2, 1);
+  a.med = med;
+  a.communities.push_back(Community(47065, 1));
+  return a;
+}
+
+// Every RIB candidate, Adj-RIB-Out path and advert holds one handle, so
+// its size is part of the per-route memory Figure 6a reports.
+TEST(AttrsPtr, HandleIsOnePointerWide) {
+  EXPECT_EQ(sizeof(AttrsPtr), 8u);
+  EXPECT_EQ(sizeof(RibRoute), 24u);
+}
+
+TEST(AttrsPtr, CopiesCountReferencesNotSets) {
+  AttrPool pool;
+  AttrsPtr p = pool.intern(sample_attrs(1));
+  EXPECT_EQ(p.use_count(), 2);  // the pool's reference and ours
+  {
+    AttrsPtr q = p;
+    std::vector<AttrsPtr> many(10, p);
+    EXPECT_EQ(q, p);
+    EXPECT_EQ(p.use_count(), 13);
+    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(pool.stats().intern_misses, 1u);
+  }
+  EXPECT_EQ(p.use_count(), 2);
+
+  AttrsPtr moved = std::move(p);
+  EXPECT_FALSE(p);
+  EXPECT_EQ(p, nullptr);
+  EXPECT_EQ(p.use_count(), 0);
+  EXPECT_EQ(moved.use_count(), 2);
+  p = moved;
+  const AttrsPtr& alias = p;
+  p = alias;  // self-assignment keeps the count
+  EXPECT_EQ(moved.use_count(), 3);
+  p.reset();
+  EXPECT_EQ(moved.use_count(), 2);
+
+  AttrsPtr loose = make_attrs(sample_attrs(1));
+  EXPECT_EQ(loose.use_count(), 1);  // no pool holds it
+  EXPECT_NE(loose, moved);
+  EXPECT_EQ(*loose, *moved);
+  EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(AttrsPtr, OutlivesItsPoolAndIsFreedByItsLastHolder) {
+  const AttrCodecOptions options;
+  AttrsPtr kept;
+  {
+    AttrPool pool;
+    kept = pool.intern(sample_attrs(7));
+    pool.encoded(kept, options);
+    AttrsPtr dropped = pool.intern(sample_attrs(8));
+  }
+  // The pool is gone: its reference went with it, the set did not.
+  ASSERT_TRUE(kept);
+  EXPECT_EQ(kept.use_count(), 1);
+  EXPECT_EQ(*kept, sample_attrs(7));
+
+  // A detached set is foreign to every pool: another one encodes it
+  // without caching and interns it by content.
+  AttrPool other;
+  EXPECT_EQ(other.encoded(kept, options), encode_attributes(*kept, options));
+  EXPECT_EQ(other.encode_cache_bytes(), 0u);
+  AttrsPtr adopted = other.adopt(kept);
+  EXPECT_NE(adopted, kept);
+  EXPECT_EQ(*adopted, *kept);
+
+  AttrsPtr last = kept;
+  kept.reset();
+  EXPECT_EQ(last.use_count(), 1);
+  last.reset();  // frees the node (the asan-ubsan preset checks it)
+  EXPECT_FALSE(last);
+}
+
+TEST(AttrPool, AdoptInternsForeignSetsByContent) {
+  AttrPool pool;
+  AttrPool other;
+  const AttrsPtr own = pool.intern(sample_attrs(1));
+  EXPECT_EQ(pool.adopt(nullptr), nullptr);
+
+  // This pool's own set: the same node, counted as a hit.
+  const auto hits = pool.stats().intern_hits;
+  EXPECT_EQ(pool.adopt(own), own);
+  EXPECT_EQ(pool.stats().intern_hits, hits + 1);
+
+  // A make_attrs() set and another pool's set intern by content.
+  AttrsPtr loose = make_attrs(sample_attrs(1));
+  EXPECT_EQ(pool.adopt(loose), own);
+  AttrsPtr theirs = other.intern(sample_attrs(1));
+  EXPECT_NE(theirs, own);
+  EXPECT_EQ(pool.adopt(theirs), own);
+  EXPECT_EQ(pool.size(), 1u);
+
+  // New content through adopt() becomes a set of this pool.
+  AttrsPtr fresh = pool.adopt(make_attrs(sample_attrs(2)));
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.intern(sample_attrs(2)), fresh);
+  EXPECT_EQ(pool.adopt(fresh), fresh);
+  AttrsPtr theirs3 = other.intern(sample_attrs(3));
+  AttrsPtr ours3 = pool.adopt(theirs3);
+  EXPECT_NE(ours3, theirs3);
+  EXPECT_EQ(*ours3, sample_attrs(3));
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(other.size(), 2u);
+
+  // Only this pool's sets hit its encode cache.
+  const AttrCodecOptions options;
+  pool.encoded(ours3, options);
+  const std::size_t cached = pool.encode_cache_bytes();
+  EXPECT_GT(cached, 0u);
+  pool.encoded(theirs3, options);
+  EXPECT_EQ(pool.encode_cache_bytes(), cached);
+  EXPECT_EQ(pool.stats().encode_hits, 0u);
+  pool.encoded(ours3, options);
+  EXPECT_EQ(pool.stats().encode_hits, 1u);
+}
+
+TEST(AttrPool, SweepFreesExactlyTheSetsOnlyThePoolHolds) {
+  AttrPool pool;
+  AttrCodecOptions four;
+  AttrCodecOptions two;
+  two.four_byte_asn = false;
+  std::vector<AttrsPtr> held;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    AttrsPtr p = pool.intern(sample_attrs(i));
+    pool.encoded(p, four);
+    pool.encoded(p, two);
+    if (i % 2 == 0) held.push_back(p);
+  }
+  held.push_back(held.front());  // a second holder changes nothing
+  ASSERT_EQ(pool.size(), 6u);
+
+  EXPECT_EQ(pool.sweep(), 3u);
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(pool.sweep(), 0u);
+  std::size_t wire = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(pool.intern(sample_attrs(static_cast<std::uint32_t>(2 * i))),
+              held[i]);
+    wire += encode_attributes(*held[i], four).size() +
+            encode_attributes(*held[i], two).size();
+  }
+  EXPECT_EQ(pool.encode_cache_bytes(), wire);
+
+  held.clear();
+  EXPECT_EQ(pool.sweep(), 3u);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.memory_bytes(), 0u);
+  EXPECT_EQ(pool.encode_cache_bytes(), 0u);
+}
+
 // Session churn against a live speaker: repeated announce/churn/reset
 // cycles must not leave the receiving pool inflated (session_down sweeps).
 TEST(AttrFlow, SessionChurnDoesNotGrowPoolMemory) {
