@@ -3,10 +3,35 @@
 // looking glasses cannot split "A did not export" from "B filtered").
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "inet/debugging.h"
 
 namespace peering::inet {
 namespace {
+
+/// FNV-1a over every AS's selected route: its ASN, route type and full
+/// path, in ASN order. Two engines agree on a route map iff (up to
+/// collisions) they hash alike, tie-breaks included.
+std::uint64_t hash_routes(std::uint64_t h,
+                          const std::map<bgp::Asn, AsRoute>& routes) {
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(routes.size());
+  for (const auto& [asn, route] : routes) {
+    mix(asn);
+    mix(static_cast<std::uint64_t>(route.type));
+    mix(route.path.size());
+    for (bgp::Asn hop : route.path) mix(hop);
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 /// Topology:  origin(10) -> t2(2) -> t1(1) -> t2b(3) -> stub(5)
 ///            plus a lateral peering t2(2) -- t2b(3).
@@ -96,6 +121,49 @@ TEST_F(DebuggingTopology, NoFalsePositivesWithoutFilters) {
   auto diagnosis = locate_filters(g, 10, glasses);
   EXPECT_TRUE(diagnosis.suspects.empty());
   EXPECT_TRUE(diagnosis.unexplained.empty());
+}
+
+TEST_F(DebuggingTopology, FilteredPropagationIsPinned) {
+  // The exact routes, tie-breaks included, for every blocked set the tests
+  // above use. Property tests would not notice a changed tie-break.
+  const std::vector<std::set<FilteredEdge>> blocked_sets = {
+      {}, {{2, 3}}, {{2, 3}, {1, 3}}, {{10, 2}}};
+  std::uint64_t h = kFnvOffset;
+  for (const auto& blocked : blocked_sets)
+    h = hash_routes(h, routes_to_filtered(g, 10, blocked));
+  EXPECT_EQ(h, 0x0c9e112f9b9c7c00ull);
+}
+
+TEST(PropagationPin, GeneratedInternetRoutesArePinned) {
+  // Every AS's route toward every origin of the default seeded Internet.
+  Internet net = generate_internet(InternetConfig{});
+  std::uint64_t h = kFnvOffset;
+  for (bgp::Asn origin : net.graph.ases())
+    h = hash_routes(h, net.graph.routes_to(origin));
+  EXPECT_EQ(h, 0xca36e2cbcb21c2baull);
+}
+
+TEST(PropagationPin, GeneratedInternetFilteredRoutesArePinned) {
+  // Every stub origin with a seeded set of blocked provider, peer and
+  // customer edges: all three propagation phases skip some edge.
+  Internet net = generate_internet(InternetConfig{});
+  Rng rng(7);
+  std::set<FilteredEdge> blocked;
+  for (int i = 0; i < 12; ++i) {
+    bgp::Asn t2 = net.tier2[rng.below(net.tier2.size())];
+    const auto& providers = net.graph.providers(t2);
+    const auto& peers = net.graph.peers(t2);
+    const auto& customers = net.graph.customers(t2);
+    if (!providers.empty())
+      blocked.insert({t2, providers[rng.below(providers.size())]});
+    if (!peers.empty()) blocked.insert({t2, peers[rng.below(peers.size())]});
+    if (!customers.empty())
+      blocked.insert({t2, customers[rng.below(customers.size())]});
+  }
+  std::uint64_t h = kFnvOffset;
+  for (bgp::Asn origin : net.stubs)
+    h = hash_routes(h, routes_to_filtered(net.graph, origin, blocked));
+  EXPECT_EQ(h, 0x75768ccedbb873afull);
 }
 
 TEST(FilteredPropagationProperty, FilteredReachabilityIsMonotone) {
