@@ -28,10 +28,17 @@ echo "=== faults-soak: chaos scenarios under 3 fixed seeds, both presets ==="
 PEERING_SOAK_SEEDS="11,23,37" ./build/tests/fault_injection_test
 PEERING_SOAK_SEEDS="11,23,37" ./build-asan/tests/fault_injection_test
 
-echo "=== example smoke: controlled hijack + ARTEMIS detection ==="
-# Exits non-zero if the hijack goes undetected or the victim's
-# mitigation more-specifics are not visible at the collector.
-./build/examples/hijack_detection
+echo "=== example smoke: every example ==="
+# Each example checks its own outcome and exits non-zero on failure
+# (examples::check). hijack_detection fails if the hijack goes undetected
+# or the victim's mitigation more-specifics are not visible at the
+# collector; backup_routes and debug_propagation drive the Gao-Rexford
+# engine (inet::AsGraph::routes_to) end to end.
+for example in quickstart espresso_controller backup_routes \
+    footprint_report security_demo debug_propagation hijack_detection; do
+  echo "--- example: ${example}"
+  ./build/examples/"${example}"
+done
 
 echo "=== bench: fault recovery (self-checking determinism) ==="
 # Exits non-zero if two same-seed runs diverge, so running it is the check.

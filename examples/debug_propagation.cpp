@@ -56,7 +56,7 @@ int main() {
   // never updated for PEERING's newest allocation, so routes from its
   // provider kT2 are dropped.
   std::set<FilteredEdge> hidden_reality{{kT2, 5000}};
-  auto routes = inet::routes_to_filtered(g, kPeering, hidden_reality);
+  auto routes = g.routes_to(kPeering, hidden_reality);
 
   std::printf("[symptom] reachability of the experiment prefix:\n");
   for (bgp::Asn asn : std::vector<bgp::Asn>{3000, 3001, kT1, kT2, 5000, 6001, 6002, 6003}) {
@@ -96,7 +96,7 @@ int main() {
 
   // Fix the filter and verify convergence.
   std::printf("\n[step 4] AS5000 updates its filter; re-checking:\n");
-  auto fixed = inet::routes_to_filtered(g, kPeering, {});
+  auto fixed = g.routes_to(kPeering);
   bool all_reachable = true;
   for (bgp::Asn asn : std::vector<bgp::Asn>{5000, 6001, 6002, 6003})
     if (!fixed.count(asn)) all_reachable = false;

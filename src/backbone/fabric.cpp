@@ -119,17 +119,4 @@ void BackboneFabric::publish_metrics(obs::Registry& registry) const {
       ->set(static_cast<std::int64_t>(circuits_.size()));
 }
 
-TcpRunResult BackboneFabric::measure_tcp(const std::string& pop_a,
-                                         const std::string& pop_b,
-                                         Duration duration, double loss,
-                                         std::uint64_t seed) const {
-  const Circuit* c = circuit_between(pop_a, pop_b);
-  if (!c) return TcpRunResult{};
-  TcpPathConfig path;
-  path.bottleneck_bps = c->capacity_bps;
-  path.rtt = c->latency * 2;
-  path.random_loss = loss;
-  return run_tcp_flow(path, duration, seed);
-}
-
 }  // namespace peering::backbone

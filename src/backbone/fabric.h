@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "backbone/tcp_model.h"
 #include "netbase/result.h"
 #include "obs/metrics.h"
 #include "sim/event_loop.h"
@@ -60,12 +59,6 @@ class BackboneFabric {
   /// Direct circuit between two PoPs, if one exists.
   const Circuit* circuit_between(const std::string& pop_a,
                                  const std::string& pop_b) const;
-
-  /// Estimated TCP goodput between two PoPs over their direct circuit
-  /// (tunnel overhead and cross-traffic loss folded into `loss`).
-  TcpRunResult measure_tcp(const std::string& pop_a, const std::string& pop_b,
-                           Duration duration, double loss = 0.0,
-                           std::uint64_t seed = 1) const;
 
   /// Aggregate data-plane accounting over every distinct router on the
   /// mesh: shared (deduplicated) vs flat (per-view-equivalent) FIB bytes.

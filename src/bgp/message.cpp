@@ -252,33 +252,6 @@ Bytes frame_message(MessageType type, const Bytes& body) {
   return w.take();
 }
 
-Bytes encode_update_from_cached(const Bytes& attr_bytes,
-                                const std::vector<NlriEntry>& nlri,
-                                const UpdateCodecOptions& options) {
-  // Header + empty-withdrawn length + attr length + attrs + NLRI (path id
-  // plus up to 5 prefix bytes each).
-  ByteWriter w(kHeaderSize + 4 + attr_bytes.size() + nlri.size() * 9);
-  for (int i = 0; i < 16; ++i) w.u8(0xff);
-  std::size_t length_at = w.reserve_u16();
-  w.u8(static_cast<std::uint8_t>(MessageType::kUpdate));
-  w.u16(0);  // no withdrawn routes
-  w.u16(static_cast<std::uint16_t>(attr_bytes.size()));
-  w.raw(attr_bytes);
-  for (const auto& entry : nlri) encode_nlri_entry(w, entry, options.add_path);
-  w.patch_u16(length_at, static_cast<std::uint16_t>(w.size()));
-  return w.take();
-}
-
-Bytes encode_update_spliced(const Bytes& attr_bytes, std::size_t nh_offset,
-                            Ipv4Address next_hop,
-                            const std::vector<NlriEntry>& nlri,
-                            const UpdateCodecOptions& options) {
-  Bytes wire;
-  encode_update_spliced_into(wire, attr_bytes, nh_offset, next_hop, nlri,
-                             options);
-  return wire;
-}
-
 void encode_update_spliced_into(Bytes& out, const Bytes& attr_bytes,
                                 std::size_t nh_offset, Ipv4Address next_hop,
                                 const std::vector<NlriEntry>& nlri,

@@ -99,8 +99,6 @@ struct UpdateMessage {
   std::optional<PathAttributes> attributes;
   std::vector<NlriEntry> nlri;
 
-  bool is_withdraw_only() const { return nlri.empty() && !withdrawn.empty(); }
-
   Bytes encode_body(const UpdateCodecOptions& options) const;
   static Result<UpdateMessage> decode_body(std::span<const std::uint8_t> data,
                                            const UpdateCodecOptions& options);
@@ -156,27 +154,14 @@ using BgpMessage = std::variant<OpenMessage, UpdateMessage,
 /// Frames `body` with the BGP header (marker, length, type).
 Bytes frame_message(MessageType type, const Bytes& body);
 
-/// Frames a complete UPDATE for advertised NLRI from pre-encoded
-/// path-attribute bytes (the AttrPool encode cache): the hot transmit path
-/// used by BgpSpeaker's export flush, which skips re-serializing the
-/// attribute set for every session that shares the same codec options.
-Bytes encode_update_from_cached(const Bytes& attr_bytes,
-                                const std::vector<NlriEntry>& nlri,
-                                const UpdateCodecOptions& options);
-
-/// Like encode_update_from_cached, but patches a per-neighbor next-hop
-/// into the framed message at `nh_offset` (the NEXT_HOP value offset
-/// inside `attr_bytes`, from AttrPool::encoded). The cached template is
-/// never modified — the splice lands in the freshly framed copy. Pass
-/// bgp::kNoNextHopOffset to skip the patch.
-Bytes encode_update_spliced(const Bytes& attr_bytes, std::size_t nh_offset,
-                            Ipv4Address next_hop,
-                            const std::vector<NlriEntry>& nlri,
-                            const UpdateCodecOptions& options);
-
-/// Appends the spliced UPDATE directly onto `out` — the flush path
-/// accumulates every message for a peer into one coalesced send buffer,
-/// so the intermediate per-message allocation is pure overhead.
+/// Appends a complete UPDATE for advertised NLRI onto `out`, framed from
+/// pre-encoded path-attribute bytes (the AttrPool encode cache): the hot
+/// transmit path of BgpSpeaker's export drain, which accumulates every
+/// message for a peer into one coalesced send buffer. A per-neighbor
+/// next-hop is patched into the framed message at `nh_offset` (the
+/// NEXT_HOP value offset inside `attr_bytes`, from AttrPool::encoded); the
+/// cached template is never modified. Pass bgp::kNoNextHopOffset to skip
+/// the patch.
 void encode_update_spliced_into(Bytes& out, const Bytes& attr_bytes,
                                 std::size_t nh_offset, Ipv4Address next_hop,
                                 const std::vector<NlriEntry>& nlri,

@@ -99,14 +99,10 @@ class RoutePolicy {
     return *this;
   }
 
-  void set_default_accept(bool accept) { default_accept_ = accept; }
-
   /// Evaluates the policy against the builder's current view, accumulating
   /// transforms copy-on-write (an all-accept policy never clones). Returns
   /// false if the route is denied.
   bool apply(const Ipv4Prefix& prefix, AttrBuilder& attrs) const;
-
-  std::size_t term_count() const { return terms_.size(); }
 
   /// Structural identity hash over terms and the default disposition.
   /// Two policies with equal content always produce the same fingerprint;

@@ -378,7 +378,6 @@ PeerId BgpSpeaker::add_peer(PeerConfig config) {
 
 void BgpSpeaker::note_transition(PeerId peer, SessionState state) {
   obs_transitions_[static_cast<int>(state)]->inc();
-  if (session_event_) session_event_(peer, state);
   if (monitor_) monitor_->on_peer_state(peer, state);
 }
 

@@ -196,10 +196,6 @@ class BgpSpeaker {
   using RouteEventHandler =
       std::function<void(const RibRoute& route, bool withdrawn)>;
 
-  /// Session event: fired on state transitions.
-  using SessionEventHandler =
-      std::function<void(PeerId peer, SessionState state)>;
-
   BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
              Ipv4Address router_id, PipelineConfig pipeline = {});
   ~BgpSpeaker();
@@ -288,13 +284,10 @@ class BgpSpeaker {
   void on_route_event(RouteEventHandler handler) {
     route_event_ = std::move(handler);
   }
-  void on_session_event(SessionEventHandler handler) {
-    session_event_ = std::move(handler);
-  }
 
   /// Attaches a passive monitoring tap (one per speaker; null detaches).
-  /// Separate from on_route_event/on_session_event, which the platform
-  /// consumes — monitoring must not clobber the vrouter's FIB sync.
+  /// Separate from on_route_event, which the platform consumes —
+  /// monitoring must not clobber the vrouter's FIB sync.
   void set_monitor(MonitorTap* tap) { monitor_ = tap; }
   MonitorTap* monitor() const { return monitor_; }
 
@@ -542,7 +535,6 @@ class BgpSpeaker {
   std::unordered_map<std::uint64_t, SourceExportHook> source_export_hooks_;
   ExportFilterHook export_filter_;
   RouteEventHandler route_event_;
-  SessionEventHandler session_event_;
   MonitorTap* monitor_ = nullptr;
 
   std::uint64_t total_updates_rx_ = 0;

@@ -96,8 +96,6 @@ class PacketFilter {
   FilterAction run(std::span<const std::uint8_t> packet, SimTime now,
                    FilterState& state) const;
 
-  std::size_t instruction_count() const { return program_.size(); }
-
   std::uint64_t packets_passed() const { return passed_; }
   std::uint64_t packets_dropped() const { return dropped_; }
 
@@ -117,7 +115,6 @@ class FilterBuilder {
   FilterBuilder& load_word(std::uint32_t offset);
   FilterBuilder& load_byte(std::uint32_t offset);
   FilterBuilder& load_src_ip() { return load_word(12); }
-  FilterBuilder& load_dst_ip() { return load_word(16); }
   FilterBuilder& load_len();
   FilterBuilder& and_(std::uint32_t mask);
   FilterBuilder& rshift(std::uint32_t bits);

@@ -19,14 +19,8 @@ class Switch {
   /// Attaches one side of `link` as a new switch port; returns port index.
   std::size_t attach(sim::Link& link, bool side_a);
 
-  std::size_t port_count() const { return ports_.size(); }
   std::uint64_t frames_forwarded() const { return frames_forwarded_; }
   std::uint64_t frames_flooded() const { return frames_flooded_; }
-
-  /// MAC table contents (for diagnostics).
-  const std::unordered_map<MacAddress, std::size_t>& mac_table() const {
-    return mac_table_;
-  }
 
  private:
   void receive(std::size_t in_port, Bytes& wire);

@@ -1,104 +1,8 @@
 #include "inet/debugging.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace peering::inet {
-
-namespace {
-
-bool edge_blocked(const std::set<FilteredEdge>& blocked, bgp::Asn exporter,
-                  bgp::Asn importer) {
-  return blocked.count({exporter, importer}) > 0;
-}
-
-bool better(const AsRoute& cand, const AsRoute& cur) {
-  if (!cur.valid()) return true;
-  if (static_cast<int>(cand.type) != static_cast<int>(cur.type))
-    return static_cast<int>(cand.type) > static_cast<int>(cur.type);
-  return cand.path.size() < cur.path.size();
-}
-
-AsRoute extend(const AsRoute& base, bgp::Asn via, RouteType type) {
-  AsRoute out;
-  out.type = type;
-  out.path.push_back(via);
-  out.path.insert(out.path.end(), base.path.begin(), base.path.end());
-  return out;
-}
-
-}  // namespace
-
-std::map<bgp::Asn, AsRoute> routes_to_filtered(
-    const AsGraph& graph, bgp::Asn origin,
-    const std::set<FilteredEdge>& blocked) {
-  std::map<bgp::Asn, AsRoute> routes;
-  routes[origin] = AsRoute{RouteType::kCustomer, {}};
-
-  // Phase 1: customer routes ripple up provider edges.
-  std::deque<bgp::Asn> frontier{origin};
-  while (!frontier.empty()) {
-    bgp::Asn cur = frontier.front();
-    frontier.pop_front();
-    const AsRoute cur_route = routes[cur];
-    for (bgp::Asn p : graph.providers(cur)) {
-      if (edge_blocked(blocked, cur, p)) continue;
-      AsRoute cand = extend(cur_route, cur, RouteType::kCustomer);
-      if (better(cand, routes[p])) {
-        routes[p] = std::move(cand);
-        frontier.push_back(p);
-      }
-    }
-  }
-
-  // Phase 2: customer routes are exported to peers (one hop).
-  std::map<bgp::Asn, AsRoute> peer_updates;
-  for (const auto& [asn, route] : routes) {
-    if (route.type != RouteType::kCustomer) continue;
-    for (bgp::Asn peer : graph.peers(asn)) {
-      if (edge_blocked(blocked, asn, peer)) continue;
-      AsRoute cand = extend(route, asn, RouteType::kPeer);
-      auto it = peer_updates.find(peer);
-      if (better(cand, routes[peer]) &&
-          (it == peer_updates.end() || better(cand, it->second)))
-        peer_updates[peer] = std::move(cand);
-    }
-  }
-  for (auto& [asn, route] : peer_updates) {
-    if (better(route, routes[asn])) routes[asn] = std::move(route);
-  }
-
-  // Phase 3: everything propagates down customer edges.
-  std::vector<bgp::Asn> order;
-  for (const auto& [asn, route] : routes)
-    if (route.valid()) order.push_back(asn);
-  std::sort(order.begin(), order.end(), [&](bgp::Asn a, bgp::Asn b) {
-    return routes[a].path.size() < routes[b].path.size();
-  });
-  frontier.assign(order.begin(), order.end());
-  while (!frontier.empty()) {
-    bgp::Asn cur = frontier.front();
-    frontier.pop_front();
-    const AsRoute cur_route = routes[cur];
-    if (!cur_route.valid()) continue;
-    for (bgp::Asn c : graph.customers(cur)) {
-      if (edge_blocked(blocked, cur, c)) continue;
-      AsRoute cand = extend(cur_route, cur, RouteType::kProvider);
-      if (better(cand, routes[c])) {
-        routes[c] = std::move(cand);
-        frontier.push_back(c);
-      }
-    }
-  }
-
-  for (auto it = routes.begin(); it != routes.end();) {
-    if (!it->second.valid())
-      it = routes.erase(it);
-    else
-      ++it;
-  }
-  return routes;
-}
 
 FilterDiagnosis locate_filters(const AsGraph& graph, bgp::Asn origin,
                                const LookingGlassSet& glasses) {
@@ -129,7 +33,7 @@ FilterDiagnosis locate_filters(const AsGraph& graph, bgp::Asn origin,
 
   // The route each AS *would* select absent any filtering tells us who its
   // expected feeder is.
-  auto expected = routes_to_filtered(graph, origin, {});
+  auto expected = graph.routes_to(origin);
 
   for (bgp::Asn asn : glasses.available()) {
     auto view = glasses.query(asn);

@@ -5,7 +5,7 @@
 // looking glasses cannot disambiguate "A did not export to B" from
 // "B filtered the route from A". This module models exactly that problem:
 //
-//   * filtered route propagation: Gao-Rexford routing with a set of
+//   * filtered route propagation: AsGraph::routes_to with a set of
 //     blocked (exporter -> importer) edges;
 //   * looking glasses: a restricted has-route/show-path view at a subset
 //     of ASes;
@@ -14,6 +14,7 @@
 //     filter troubleshooting" future work).
 #pragma once
 
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -21,17 +22,6 @@
 #include "inet/topology.h"
 
 namespace peering::inet {
-
-/// A directed filtered adjacency: routes for the studied prefix are not
-/// passed from `exporter` to `importer` (covers both "exporter does not
-/// export" and "importer filters on import" — indistinguishable from
-/// outside, which is the point).
-using FilteredEdge = std::pair<bgp::Asn, bgp::Asn>;
-
-/// Gao-Rexford propagation with blocked edges.
-std::map<bgp::Asn, AsRoute> routes_to_filtered(
-    const AsGraph& graph, bgp::Asn origin,
-    const std::set<FilteredEdge>& blocked);
 
 /// A looking glass: query interface limited to a subset of ASes ("they
 /// only provide a restricted command line interface").

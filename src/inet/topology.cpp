@@ -47,16 +47,33 @@ std::set<bgp::Asn> AsGraph::customer_cone(bgp::Asn asn) const {
   return cone;
 }
 
-std::map<bgp::Asn, AsRoute> AsGraph::routes_to(bgp::Asn origin) const {
+namespace {
+
+bool better(const AsRoute& cand, const AsRoute& cur) {
+  if (!cur.valid()) return true;
+  if (static_cast<int>(cand.type) != static_cast<int>(cur.type))
+    return static_cast<int>(cand.type) > static_cast<int>(cur.type);
+  return cand.path.size() < cur.path.size();
+}
+
+/// `base` as learned by the AS that `via` passes it to.
+AsRoute extend(const AsRoute& base, bgp::Asn via, RouteType type) {
+  AsRoute out;
+  out.type = type;
+  out.path.push_back(via);
+  out.path.insert(out.path.end(), base.path.begin(), base.path.end());
+  return out;
+}
+
+}  // namespace
+
+std::map<bgp::Asn, AsRoute> AsGraph::routes_to(
+    bgp::Asn origin, const std::set<FilteredEdge>& blocked) const {
+  auto is_blocked = [&blocked](bgp::Asn exporter, bgp::Asn importer) {
+    return blocked.count({exporter, importer}) > 0;
+  };
   std::map<bgp::Asn, AsRoute> routes;
   routes[origin] = AsRoute{RouteType::kCustomer, {}};
-
-  auto better = [](const AsRoute& cand, const AsRoute& cur) {
-    if (!cur.valid()) return true;
-    if (static_cast<int>(cand.type) != static_cast<int>(cur.type))
-      return static_cast<int>(cand.type) > static_cast<int>(cur.type);
-    return cand.path.size() < cur.path.size();
-  };
 
   // Phase 1: customer routes ripple up provider edges (BFS by path length
   // guarantees shortest-first assignment).
@@ -66,10 +83,8 @@ std::map<bgp::Asn, AsRoute> AsGraph::routes_to(bgp::Asn origin) const {
     frontier.pop_front();
     const AsRoute& cur_route = routes[cur];
     for (bgp::Asn p : providers(cur)) {
-      AsRoute cand{RouteType::kCustomer, {}};
-      cand.path.push_back(cur);
-      cand.path.insert(cand.path.end(), cur_route.path.begin(),
-                       cur_route.path.end());
+      if (is_blocked(cur, p)) continue;
+      AsRoute cand = extend(cur_route, cur, RouteType::kCustomer);
       if (better(cand, routes[p])) {
         routes[p] = std::move(cand);
         frontier.push_back(p);
@@ -83,9 +98,8 @@ std::map<bgp::Asn, AsRoute> AsGraph::routes_to(bgp::Asn origin) const {
   for (const auto& [asn, route] : routes) {
     if (route.type != RouteType::kCustomer) continue;
     for (bgp::Asn peer : peers(asn)) {
-      AsRoute cand{RouteType::kPeer, {}};
-      cand.path.push_back(asn);
-      cand.path.insert(cand.path.end(), route.path.begin(), route.path.end());
+      if (is_blocked(asn, peer)) continue;
+      AsRoute cand = extend(route, asn, RouteType::kPeer);
       auto it = peer_updates.find(peer);
       if (better(cand, routes[peer]) &&
           (it == peer_updates.end() || better(cand, it->second)))
@@ -97,12 +111,11 @@ std::map<bgp::Asn, AsRoute> AsGraph::routes_to(bgp::Asn origin) const {
   }
 
   // Phase 3: any route propagates down customer edges (provider routes),
-  // BFS shortest-first among provider routes.
-  frontier.clear();
+  // BFS shortest-first among provider routes. Processing starts in
+  // increasing path length for stable shortest-path results.
+  std::vector<bgp::Asn> order;
   for (const auto& [asn, route] : routes)
-    if (route.valid()) frontier.push_back(asn);
-  // Process in increasing path length for stable shortest-path results.
-  std::vector<bgp::Asn> order(frontier.begin(), frontier.end());
+    if (route.valid()) order.push_back(asn);
   std::sort(order.begin(), order.end(), [&](bgp::Asn a, bgp::Asn b) {
     return routes[a].path.size() < routes[b].path.size();
   });
@@ -110,13 +123,11 @@ std::map<bgp::Asn, AsRoute> AsGraph::routes_to(bgp::Asn origin) const {
   while (!frontier.empty()) {
     bgp::Asn cur = frontier.front();
     frontier.pop_front();
-    const AsRoute cur_route = routes[cur];
+    const AsRoute& cur_route = routes[cur];
     if (!cur_route.valid()) continue;
     for (bgp::Asn c : customers(cur)) {
-      AsRoute cand{RouteType::kProvider, {}};
-      cand.path.push_back(cur);
-      cand.path.insert(cand.path.end(), cur_route.path.begin(),
-                       cur_route.path.end());
+      if (is_blocked(cur, c)) continue;
+      AsRoute cand = extend(cur_route, cur, RouteType::kProvider);
       if (better(cand, routes[c])) {
         routes[c] = std::move(cand);
         frontier.push_back(c);
@@ -124,14 +135,9 @@ std::map<bgp::Asn, AsRoute> AsGraph::routes_to(bgp::Asn origin) const {
     }
   }
 
-  // Drop the origin's self entry path semantics: callers expect origin
-  // present with an empty path.
-  for (auto it = routes.begin(); it != routes.end();) {
-    if (!it->second.valid())
-      it = routes.erase(it);
-    else
-      ++it;
-  }
+  // Lookups above inserted empty entries for ASes that never got a route.
+  std::erase_if(routes,
+                [](const auto& entry) { return !entry.second.valid(); });
   return routes;
 }
 

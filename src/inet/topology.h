@@ -11,6 +11,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgp/types.h"
@@ -37,6 +38,12 @@ struct AsRoute {
   bool valid() const { return type != RouteType::kNone; }
 };
 
+/// A directed filtered adjacency: routes are not passed from `exporter`
+/// (first) to `importer` (second). This covers both "exporter does not
+/// export" and "importer filters on import", which are indistinguishable
+/// from outside (Appendix A).
+using FilteredEdge = std::pair<bgp::Asn, bgp::Asn>;
+
 class AsGraph {
  public:
   void add_as(bgp::Asn asn) { ases_.insert(asn); }
@@ -61,8 +68,10 @@ class AsGraph {
   /// Gao–Rexford route computation: the route every AS selects toward
   /// `origin`, honoring export rules (customer routes are exported to all;
   /// peer/provider routes only to customers) and the standard preference
-  /// customer > peer > provider, then shortest path.
-  std::map<bgp::Asn, AsRoute> routes_to(bgp::Asn origin) const;
+  /// customer > peer > provider, then shortest path. No route crosses an
+  /// edge in `blocked`; an empty set is unfiltered propagation.
+  std::map<bgp::Asn, AsRoute> routes_to(
+      bgp::Asn origin, const std::set<FilteredEdge>& blocked = {}) const;
 
   /// True iff every AS with any route has a valley-free path (diagnostic).
   static bool path_is_valley_free(const AsGraph& graph,

@@ -30,15 +30,6 @@ int Host::add_attached_interface(const std::string& if_name, MacAddress mac,
   return index;
 }
 
-int Host::interface_index(const std::string& if_name) const {
-  const std::string full = name_ + "/" + if_name;
-  for (std::size_t i = 0; i < interfaces_.size(); ++i) {
-    if (interfaces_[i]->name() == full || interfaces_[i]->name() == if_name)
-      return static_cast<int>(i);
-  }
-  return -1;
-}
-
 bool Host::owns_address(Ipv4Address addr) const {
   for (const auto& nif : interfaces_)
     if (nif->owns_address(addr)) return true;
@@ -113,7 +104,6 @@ void Host::deliver_local(int if_index, const Bytes& wire) {
   if (!frame) return;
   auto packet = Ipv4Packet::decode(frame->payload);
   if (!packet) return;
-  ++packets_delivered_;
   if (packet->protocol == static_cast<std::uint8_t>(IpProto::kIcmp)) {
     respond_echo(if_index, *packet);
   }

@@ -56,8 +56,6 @@ class Host {
   ether::NetIf& interface(int index) { return *interfaces_[index]; }
   const ether::NetIf& interface(int index) const { return *interfaces_[index]; }
   int interface_count() const { return static_cast<int>(interfaces_.size()); }
-  /// Index of the interface with the given name, or -1.
-  int interface_index(const std::string& if_name) const;
 
   RoutingTable& routes() { return routes_; }
   const RoutingTable& routes() const { return routes_; }
@@ -80,7 +78,6 @@ class Host {
   ether::ArpCache& arp_cache(int if_index) { return arp_caches_[if_index]; }
 
   std::uint64_t packets_forwarded() const { return packets_forwarded_; }
-  std::uint64_t packets_delivered() const { return packets_delivered_; }
   std::uint64_t packets_dropped_no_route() const { return no_route_drops_; }
   std::uint64_t icmp_ttl_exceeded_sent() const { return ttl_exceeded_sent_; }
 
@@ -153,7 +150,6 @@ class Host {
   std::map<std::pair<int, Ipv4Address>, std::deque<Pending>> pending_;
 
   std::uint64_t packets_forwarded_ = 0;
-  std::uint64_t packets_delivered_ = 0;
   std::uint64_t no_route_drops_ = 0;
   std::uint64_t ttl_exceeded_sent_ = 0;
 };

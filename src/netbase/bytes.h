@@ -58,12 +58,6 @@ class ByteWriter {
     buf_[pos] = static_cast<std::uint8_t>(v >> 8);
     buf_[pos + 1] = static_cast<std::uint8_t>(v);
   }
-  std::size_t reserve_u8() {
-    std::size_t pos = buf_.size();
-    u8(0);
-    return pos;
-  }
-  void patch_u8(std::size_t pos, std::uint8_t v) { buf_[pos] = v; }
 
   std::size_t size() const { return buf_.size(); }
   const Bytes& bytes() const { return buf_; }

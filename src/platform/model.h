@@ -52,12 +52,6 @@ struct PopModel {
       if (ic.type == InterconnectType::kTransit) ++n;
     return n;
   }
-  std::size_t bilateral_peer_count() const {
-    std::size_t n = 0;
-    for (const auto& ic : interconnects)
-      if (ic.type == InterconnectType::kBilateralPeer) ++n;
-    return n;
-  }
 };
 
 enum class ExperimentStatus : std::uint8_t {

@@ -27,22 +27,8 @@ bool LinkDirection::drop(Bytes&& frame) {
   return false;
 }
 
-std::uint32_t LinkDirection::park(Bytes&& frame) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(std::move(frame));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_flight_[slot] = std::move(frame);
-  }
-  return slot;
-}
-
 void LinkDirection::deliver(std::uint32_t slot) {
-  Bytes frame = std::move(in_flight_[slot]);
-  free_slots_.push_back(slot);
+  Bytes frame = parked_.take(slot);
   receiver_(frame);
   loop_->buffers().release(std::move(frame));
 }
@@ -62,7 +48,6 @@ bool LinkDirection::send(Bytes&& frame) {
   if (!frame.empty() && impairments_.corrupt_probability > 0.0 &&
       impairment_rng_.chance(impairments_.corrupt_probability)) {
     frame[impairment_rng_.below(frame.size())] ^= 0xFF;
-    ++frames_corrupted_;
     corrupted_counter_->inc();
   }
   Duration latency = config_.latency;
@@ -78,7 +63,7 @@ bool LinkDirection::send(Bytes&& frame) {
     // Infinite bandwidth: only propagation latency applies.
     ++frames_sent_;
     bytes_sent_ += size;
-    const std::uint32_t slot = park(std::move(frame));
+    const std::uint32_t slot = parked_.park(std::move(frame));
     loop_->schedule_after(latency, [this, slot]() { deliver(slot); });
     return true;
   }
@@ -104,7 +89,7 @@ bool LinkDirection::send(Bytes&& frame) {
   loop_->schedule_at(tx_free_, [this, size]() {
     if (queued_bytes_ >= size) queued_bytes_ -= size;
   });
-  const std::uint32_t slot = park(std::move(frame));
+  const std::uint32_t slot = parked_.park(std::move(frame));
   loop_->schedule_at(tx_free_ + latency, [this, slot]() { deliver(slot); });
   return true;
 }

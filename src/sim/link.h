@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "netbase/bytes.h"
 #include "netbase/rand.h"
@@ -80,27 +79,22 @@ class LinkDirection {
 
   /// Shrinks (or restores) the drop-tail queue bound for this direction.
   void set_queue_limit(std::size_t bytes) { config_.queue_limit_bytes = bytes; }
-  std::size_t queue_limit() const { return config_.queue_limit_bytes; }
 
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_dropped() const { return frames_dropped_; }
-  std::uint64_t frames_corrupted() const { return frames_corrupted_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
   /// Counts a dropped frame and recycles its buffer; returns false.
   bool drop(Bytes&& frame);
-  /// Parks `frame` until its delivery event; returns its slot.
-  std::uint32_t park(Bytes&& frame);
   void deliver(std::uint32_t slot);
 
   EventLoop* loop_;
   LinkConfig config_;
   FrameHandler receiver_;
-  /// Frames in flight, by slot. A delivery event captures only its slot,
-  /// so it fits std::function's inline storage and allocates nothing.
-  std::vector<Bytes> in_flight_;
-  std::vector<std::uint32_t> free_slots_;
+  /// Frames in flight. A delivery event captures only its slot, so it
+  /// fits std::function's inline storage and allocates nothing.
+  SlotTable<Bytes> parked_;
   LinkImpairments impairments_;
   Rng impairment_rng_;
   /// Time at which the transmitter becomes free (serialization horizon).
@@ -108,7 +102,6 @@ class LinkDirection {
   std::size_t queued_bytes_ = 0;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_dropped_ = 0;
-  std::uint64_t frames_corrupted_ = 0;
   std::uint64_t bytes_sent_ = 0;
   // Resolved once against the registry installed at construction time
   // (satellite of ISSUE 5: frames_dropped_ was invisible to telemetry).

@@ -8,14 +8,6 @@ namespace peering::tenant {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::string tap_name(const std::string& tenant_id) {
   // Stable, tenant-keyed device name: add/remove of one tenant never
   // renumbers another tenant's tap (templating's positional tapN scheme
@@ -138,7 +130,7 @@ Result<CompiledTenant> IntentCompiler::compile(
   tenant.grant.traffic_rate_bps = intent.traffic_rate_bps;
   tenant.tunnel_index = tunnel_index;
 
-  std::uint64_t h = fnv1a(0xcbf29ce484222325ull, intent.fingerprint());
+  std::uint64_t h = fnv1a(kFnv1aOffset, intent.fingerprint());
 
   for (const std::string& pop_id : intent.resolve_pops(*model_)) {
     const platform::PopModel& pop = model_->pops.at(pop_id);

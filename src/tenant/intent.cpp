@@ -6,8 +6,6 @@
 
 namespace peering::tenant {
 
-namespace {
-
 std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
   for (unsigned char c : s) {
     h ^= c;
@@ -15,8 +13,6 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
   }
   return h;
 }
-
-}  // namespace
 
 Status TenantIntent::validate(const platform::PlatformModel& model) const {
   if (id.empty()) return Error("tenant: empty tenant id");
@@ -106,7 +102,7 @@ std::string TenantIntent::fingerprint() const {
   os << ";poison=" << max_poisoned_asns << ";maxcomm=" << max_communities
      << ";updates=" << max_updates_per_day << ";rate=" << traffic_rate_bps;
 
-  std::uint64_t h = fnv1a(0xcbf29ce484222325ull, os.str());
+  std::uint64_t h = fnv1a(kFnv1aOffset, os.str());
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));

@@ -9,6 +9,7 @@
 // and fleet state reproducible.
 #pragma once
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +22,11 @@
 #include "platform/model.h"
 
 namespace peering::tenant {
+
+/// 64-bit FNV-1a of `s`, continuing from `h` (start from kFnv1aOffset):
+/// the hash behind intent and compiled-tenant fingerprints.
+constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a(std::uint64_t h, const std::string& s);
 
 /// Announcement scope at one PoP: which classes of interconnect the
 /// tenant's routes may be exported to there. An empty class set means

@@ -140,7 +140,6 @@ class NeighborRegistry {
   std::size_t fib_flat_bytes() const {
     return fib_set_.flat_equivalent_bytes();
   }
-  std::size_t fib_route_count() const { return fib_set_.route_count(); }
 
   FibAccounting fib_accounting() const;
 

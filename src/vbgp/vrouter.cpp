@@ -50,15 +50,14 @@ VRouter::VRouter(sim::EventLoop* loop, const VRouterConfig& config)
       metrics_->counter("vbgp_frames_demuxed_total", labels);
   obs_frames_to_exp_ =
       metrics_->counter("vbgp_frames_to_experiments_total", labels);
-  obs_enforcement_drops_ =
-      metrics_->counter("vbgp_enforcement_drops_total", labels);
-  obs_no_route_ = metrics_->counter("vbgp_no_fib_route_total", labels);
   auto drop_counter = [&](const char* reason) {
     obs::Labels with_reason = labels;
     with_reason.emplace_back("reason", reason);
     return metrics_->counter("vbgp_frames_dropped_total", with_reason);
   };
   obs_drop_no_transit_ = drop_counter("no_transit");
+  obs_drop_enforcement_ = drop_counter("enforcement");
+  obs_drop_no_fib_route_ = drop_counter("no_fib_route");
   obs_arp_replies_ =
       metrics_->counter("vbgp_arp_virtual_replies_total", labels);
   obs_demux_mac_hits_ =
@@ -319,12 +318,13 @@ std::optional<bgp::AttrsPtr> VRouter::import_from_experiment(
 
   bgp::AttrsPtr working = attrs;
   if (control_enforcer_) {
-    enforce::AnnouncementContext ctx;
-    ctx.experiment_id = exp_it->second;
-    ctx.pop_id = config_.pop_id;
-    ctx.prefix = prefix;
-    ctx.attrs = attrs;
-    ctx.now = loop_->now();
+    // Every field set at construction: a default-built context would make
+    // (and free) an empty attribute set just to overwrite it.
+    const enforce::AnnouncementContext ctx{.experiment_id = exp_it->second,
+                                           .pop_id = config_.pop_id,
+                                           .prefix = prefix,
+                                           .attrs = attrs,
+                                           .now = loop_->now()};
     enforce::Verdict verdict = control_enforcer_->check(ctx);
     switch (verdict.action) {
       case enforce::Verdict::Action::kReject:
@@ -456,23 +456,6 @@ std::string VRouter::show_neighbors() const {
     out << std::left << std::setw(20) << nb->name << std::setw(15)
         << nb->virtual_ip.str() << std::setw(20) << nb->virtual_mac.str()
         << nb->fib.size() << (nb->remote ? "  (remote)" : "") << "\n";
-  }
-  return out.str();
-}
-
-std::string VRouter::show_route(const Ipv4Prefix& prefix) const {
-  std::ostringstream out;
-  for (const auto& route : speaker_.loc_rib().candidates(prefix)) {
-    out << prefix.str() << " via " << route.attrs->next_hop.str() << " ["
-        << route.attrs->as_path.str() << "]";
-    if (route.attrs->local_pref)
-      out << " lp=" << *route.attrs->local_pref;
-    if (route.attrs->med) out << " med=" << *route.attrs->med;
-    for (auto c : route.attrs->communities) out << " " << c.str();
-    auto best = speaker_.loc_rib().best(prefix);
-    if (best && best->peer == route.peer && best->path_id == route.path_id)
-      out << " *";
-    out << "\n";
   }
   return out.str();
 }
@@ -688,7 +671,7 @@ void VRouter::egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
         loop_->now());
     if (action == enforce::FilterAction::kDrop) {
       ++stats_.packets_enforcement_drop;
-      obs_enforcement_drops_->inc();
+      obs_drop_enforcement_->inc();
       return;
     }
   }
@@ -706,7 +689,7 @@ void VRouter::egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
   auto route = neighbor.fib.lookup(dst);
   if (!route) {
     ++stats_.packets_no_fib_route;
-    obs_no_route_->inc();
+    obs_drop_no_fib_route_->inc();
     send_icmp_error(in_if, src, ip::make_unreachable(datagram, 0));
     return;
   }

@@ -153,11 +153,6 @@ class VRouter : public ip::Host {
     return experiments_by_peer_;
   }
 
-  /// True when `peer` is a registered backbone iBGP session.
-  bool is_backbone_peer(bgp::PeerId peer) const {
-    return backbone_interfaces_.count(peer) != 0;
-  }
-
   /// True if `prefix` already has a local (tunnel) mux route; used by the
   /// platform to avoid shadowing a local attachment with a backbone route.
   bool has_local_experiment_route(const Ipv4Prefix& prefix) const {
@@ -200,12 +195,11 @@ class VRouter : public ip::Host {
   void enable_default_table(bool on) { default_table_enabled_ = on; }
   const ip::FibView& default_table() const { return default_table_; }
 
-  /// Operational surface (the platform's looking glass / "show" commands):
-  /// session table, virtual-neighbor table with FIB sizes, per-prefix
-  /// route dump. Text output, BIRD-CLI flavored. Read-only: the whole
-  /// surface is const so a looking glass can hold `const VRouter*`.
+  /// Operational surface ("show" commands): virtual-neighbor table with
+  /// FIB sizes and a summary. Text output, BIRD-CLI flavored. Read-only:
+  /// the whole surface is const. Per-prefix route dumps are the looking
+  /// glass's job (mon::LookingGlass, over speaker()).
   std::string show_neighbors() const;
-  std::string show_route(const Ipv4Prefix& prefix) const;
   std::string show_summary() const;
 
   /// Publishes this router's derived state (FIB accounting, per-experiment
@@ -334,10 +328,12 @@ class VRouter : public ip::Host {
   obs::Registry* metrics_;
   obs::Counter* obs_frames_demuxed_;
   obs::Counter* obs_frames_to_exp_;
-  obs::Counter* obs_enforcement_drops_;
-  obs::Counter* obs_no_route_;
-  /// `vbgp_frames_dropped_total{reason}` for frames toward no experiment.
+  /// `vbgp_frames_dropped_total{reason}`: frames toward no experiment,
+  /// frames the data-plane enforcer dropped, and experiment egress with no
+  /// route in the chosen neighbor's FIB.
   obs::Counter* obs_drop_no_transit_;
+  obs::Counter* obs_drop_enforcement_;
+  obs::Counter* obs_drop_no_fib_route_;
   obs::Counter* obs_arp_replies_;
   obs::Counter* obs_demux_mac_hits_;
   obs::Counter* obs_demux_mac_misses_;

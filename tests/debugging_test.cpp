@@ -11,8 +11,8 @@ namespace peering::inet {
 namespace {
 
 /// FNV-1a over every AS's selected route: its ASN, route type and full
-/// path, in ASN order. Two engines agree on a route map iff (up to
-/// collisions) they hash alike, tie-breaks included.
+/// path, in ASN order. Two route maps hash alike iff (up to collisions)
+/// they are equal, tie-breaks included.
 std::uint64_t hash_routes(std::uint64_t h,
                           const std::map<bgp::Asn, AsRoute>& routes) {
   auto mix = [&h](std::uint64_t v) {
@@ -48,35 +48,39 @@ class DebuggingTopology : public ::testing::Test {
 };
 
 TEST_F(DebuggingTopology, UnfilteredMatchesBaseline) {
-  auto filtered = routes_to_filtered(g, 10, {});
-  auto baseline = g.routes_to(10);
-  ASSERT_EQ(filtered.size(), baseline.size());
-  for (const auto& [asn, route] : baseline) {
-    ASSERT_TRUE(filtered.count(asn));
-    EXPECT_EQ(filtered[asn].path, route.path) << "AS" << asn;
-  }
+  // An empty blocked set is plain Gao-Rexford propagation: AS3 prefers its
+  // peer route over the provider route via AS1, and hands it down to AS5.
+  auto routes = g.routes_to(10, {});
+  ASSERT_EQ(routes.size(), 5u);
+  EXPECT_EQ(routes[10].path, (std::vector<bgp::Asn>{}));
+  EXPECT_EQ(routes[2].path, (std::vector<bgp::Asn>{10}));
+  EXPECT_EQ(routes[1].path, (std::vector<bgp::Asn>{2, 10}));
+  EXPECT_EQ(routes[3].type, RouteType::kPeer);
+  EXPECT_EQ(routes[3].path, (std::vector<bgp::Asn>{2, 10}));
+  EXPECT_EQ(routes[5].type, RouteType::kProvider);
+  EXPECT_EQ(routes[5].path, (std::vector<bgp::Asn>{3, 2, 10}));
 }
 
 TEST_F(DebuggingTopology, BlockedEdgeRemovesOrReroutes) {
   // Block the peering edge 2 -> 3: 3 falls back to the path via 1.
-  auto routes = routes_to_filtered(g, 10, {{2, 3}});
+  auto routes = g.routes_to(10, {{2, 3}});
   ASSERT_TRUE(routes.count(3));
   EXPECT_EQ(routes[3].path, (std::vector<bgp::Asn>{1, 2, 10}));
 
   // Block both of 3's feeds: 3 and its customer 5 lose the route entirely.
-  auto cut = routes_to_filtered(g, 10, {{2, 3}, {1, 3}});
+  auto cut = g.routes_to(10, {{2, 3}, {1, 3}});
   EXPECT_FALSE(cut.count(3));
   EXPECT_FALSE(cut.count(5));
 }
 
 TEST_F(DebuggingTopology, BlockedFirstHopKillsEverything) {
-  auto routes = routes_to_filtered(g, 10, {{10, 2}});
+  auto routes = g.routes_to(10, {{10, 2}});
   EXPECT_EQ(routes.size(), 1u);  // only the origin itself
 }
 
 TEST_F(DebuggingTopology, LocatesFilteringEdgeWithFullVisibility) {
   std::set<FilteredEdge> blocked{{2, 3}, {1, 3}};
-  auto ground_truth = routes_to_filtered(g, 10, blocked);
+  auto ground_truth = g.routes_to(10, blocked);
   LookingGlassSet glasses(ground_truth, {1, 2, 3, 5, 10});
 
   auto diagnosis = locate_filters(g, 10, glasses);
@@ -95,7 +99,7 @@ TEST_F(DebuggingTopology, AmbiguityIsPreservedNotGuessed) {
   // by checking the suspect is exactly the adjacency (1,3) when only that
   // edge is filtered.
   std::set<FilteredEdge> blocked{{1, 3}, {2, 3}};
-  auto ground_truth = routes_to_filtered(g, 10, blocked);
+  auto ground_truth = g.routes_to(10, blocked);
   LookingGlassSet glasses(ground_truth, {1, 3});
   auto diagnosis = locate_filters(g, 10, glasses);
   ASSERT_FALSE(diagnosis.suspects.empty());
@@ -104,7 +108,7 @@ TEST_F(DebuggingTopology, AmbiguityIsPreservedNotGuessed) {
 
 TEST_F(DebuggingTopology, LimitedGlassesYieldUnexplained) {
   std::set<FilteredEdge> blocked{{2, 3}, {1, 3}};
-  auto ground_truth = routes_to_filtered(g, 10, blocked);
+  auto ground_truth = g.routes_to(10, blocked);
   // Looking glasses only at AS3 and AS5: none of their upstreams are
   // observable for 5 (3 is observable), and 3's upstreams are dark.
   LookingGlassSet glasses(ground_truth, {3, 5});
@@ -116,7 +120,7 @@ TEST_F(DebuggingTopology, LimitedGlassesYieldUnexplained) {
 }
 
 TEST_F(DebuggingTopology, NoFalsePositivesWithoutFilters) {
-  auto ground_truth = routes_to_filtered(g, 10, {});
+  auto ground_truth = g.routes_to(10);
   LookingGlassSet glasses(ground_truth, {1, 2, 3, 5, 10});
   auto diagnosis = locate_filters(g, 10, glasses);
   EXPECT_TRUE(diagnosis.suspects.empty());
@@ -130,7 +134,7 @@ TEST_F(DebuggingTopology, FilteredPropagationIsPinned) {
       {}, {{2, 3}}, {{2, 3}, {1, 3}}, {{10, 2}}};
   std::uint64_t h = kFnvOffset;
   for (const auto& blocked : blocked_sets)
-    h = hash_routes(h, routes_to_filtered(g, 10, blocked));
+    h = hash_routes(h, g.routes_to(10, blocked));
   EXPECT_EQ(h, 0x0c9e112f9b9c7c00ull);
 }
 
@@ -162,7 +166,7 @@ TEST(PropagationPin, GeneratedInternetFilteredRoutesArePinned) {
   }
   std::uint64_t h = kFnvOffset;
   for (bgp::Asn origin : net.stubs)
-    h = hash_routes(h, routes_to_filtered(net.graph, origin, blocked));
+    h = hash_routes(h, net.graph.routes_to(origin, blocked));
   EXPECT_EQ(h, 0x75768ccedbb873afull);
 }
 
@@ -177,14 +181,14 @@ TEST(FilteredPropagationProperty, FilteredReachabilityIsMonotone) {
   Rng rng(11);
 
   std::set<FilteredEdge> blocked;
-  std::size_t last_reach = routes_to_filtered(net.graph, origin, {}).size();
+  std::size_t last_reach = net.graph.routes_to(origin).size();
   for (int i = 0; i < 10; ++i) {
     // Block a random provider edge.
     bgp::Asn t2 = net.tier2[rng.below(net.tier2.size())];
     const auto& providers = net.graph.providers(t2);
     if (providers.empty()) continue;
     blocked.insert({t2, providers[rng.below(providers.size())]});
-    std::size_t reach = routes_to_filtered(net.graph, origin, blocked).size();
+    std::size_t reach = net.graph.routes_to(origin, blocked).size();
     EXPECT_LE(reach, last_reach);
     last_reach = reach;
   }

@@ -22,8 +22,8 @@
 
 #include "bgp/attributes.h"
 #include "bgp/rib.h"
-#include "inet/debugging.h"
 #include "inet/route_feed.h"
+#include "inet/topology.h"
 #include "platform/internet_feed.h"
 #include "toolkit/client.h"
 
@@ -56,7 +56,7 @@ TEST_F(ReachabilityTopology, TransitAnnouncementReachesEveryAs) {
 
 TEST_F(ReachabilityTopology, PeerOnlyAnnouncementReachesExactlyTheCone) {
   // Announce to the peer only: block the transit edge.
-  auto routes = inet::routes_to_filtered(g, 47065, {{47065, 3000}});
+  auto routes = g.routes_to(47065, {{47065, 3000}});
   std::set<bgp::Asn> reached;
   for (const auto& [asn, route] : routes) reached.insert(asn);
   reached.erase(47065);  // self
@@ -77,7 +77,7 @@ TEST_F(ReachabilityTopology, ExtraRouteDiversityForConeMembers) {
   // the peer edge.
   auto with_peer = g.routes_to(47065);
   auto without_peer =
-      inet::routes_to_filtered(g, 47065, {{47065, 4000}, {4000, 47065}});
+      g.routes_to(47065, {{47065, 4000}, {4000, 47065}});
   ASSERT_TRUE(with_peer.count(4001));
   ASSERT_TRUE(without_peer.count(4001));
   // With the peering, the cone member uses the short peer path; without

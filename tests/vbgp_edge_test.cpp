@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "bgp/message.h"
+#include "mon/looking_glass.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "platform/peering.h"
@@ -62,6 +63,15 @@ class EdgeTest : public ::testing::Test {
     return client;
   }
 
+  /// `vbgp_frames_dropped_total{reason}` at `router`; -1 if unregistered.
+  std::int64_t dropped(const vbgp::VRouter* router, const char* reason) {
+    const obs::Labels labels{{"pop", "capped01"},
+                             {"reason", reason},
+                             {"router", router->name()}};
+    return registry_.snapshot(loop_.now())
+        .value("vbgp_frames_dropped_total", labels, -1);
+  }
+
   /// Installed before the platform is built, so the routers' counters
   /// resolve against it.
   obs::Registry registry_{true};
@@ -116,21 +126,57 @@ TEST_F(EdgeTest, NonExperimentDestinationIsNotTransited) {
 TEST_F(EdgeTest, NoTransitDropIsCountedWithItsReason) {
   auto* pop = peering_.pop("capped01");
   auto& nb = *pop->neighbors[0];
-  const obs::Labels labels{{"pop", "capped01"},
-                           {"reason", "no_transit"},
-                           {"router", pop->router->name()}};
-  auto no_transit = [&] {
-    return registry_.snapshot(loop_.now())
-        .value("vbgp_frames_dropped_total", labels, -1);
-  };
-  const std::int64_t before = no_transit();
+  const std::int64_t before = dropped(pop->router.get(), "no_transit");
   ASSERT_GE(before, 0) << "no_transit drop counter not registered";
   ip::Ipv4Packet stray;
   stray.src = Ipv4Address(192, 168, 0, 1);
   stray.dst = Ipv4Address(203, 0, 113, 99);  // owned by no experiment
   nb.host->send_packet(std::move(stray));
   peering_.settle(Duration::seconds(2));
-  EXPECT_EQ(no_transit(), before + 1);
+  EXPECT_EQ(dropped(pop->router.get(), "no_transit"), before + 1);
+}
+
+TEST_F(EdgeTest, EnforcementDropIsCountedWithItsReason) {
+  auto client_ptr = connect();
+  auto& client = *client_ptr;
+  auto views = client.routes(pfx("192.168.0.0/24"));
+  ASSERT_EQ(views.size(), 1u);
+  ASSERT_TRUE(client
+                  .select_egress(pfx("192.168.0.0/24"), "capped01",
+                                 views[0].virtual_next_hop)
+                  .ok());
+  auto* router = peering_.pop("capped01")->router.get();
+  const std::int64_t before = dropped(router, "enforcement");
+  ASSERT_GE(before, 0) << "enforcement drop counter not registered";
+  ip::Ipv4Packet spoofed;
+  spoofed.src = Ipv4Address(198, 51, 100, 7);  // outside the allocation
+  spoofed.dst = Ipv4Address(192, 168, 0, 1);
+  client.host().send_packet(std::move(spoofed));
+  peering_.settle(Duration::seconds(2));
+  EXPECT_EQ(dropped(router, "enforcement"), before + 1);
+}
+
+TEST_F(EdgeTest, NoFibRouteDropIsCountedWithItsReason) {
+  auto client_ptr = connect();
+  auto& client = *client_ptr;
+  auto views = client.routes(pfx("192.168.0.0/24"));
+  ASSERT_EQ(views.size(), 1u);
+  // Steer a destination the neighbor never announced at its virtual
+  // next-hop: the neighbor's FIB has no route for it.
+  ASSERT_TRUE(client
+                  .select_egress(pfx("198.18.0.0/24"), "capped01",
+                                 views[0].virtual_next_hop)
+                  .ok());
+  auto* router = peering_.pop("capped01")->router.get();
+  const std::int64_t before = dropped(router, "no_fib_route");
+  ASSERT_GE(before, 0) << "no_fib_route drop counter not registered";
+  ip::Ipv4Packet probe;
+  probe.src = db_.experiment("exp1")->allocated_prefixes[0].address();
+  probe.src = Ipv4Address(probe.src.value() + 1);
+  probe.dst = Ipv4Address(198, 18, 0, 1);
+  client.host().send_packet(std::move(probe));
+  peering_.settle(Duration::seconds(2));
+  EXPECT_EQ(dropped(router, "no_fib_route"), before + 1);
 }
 
 TEST_F(EdgeTest, BandwidthCappedSiteShapesExperimentTraffic) {
@@ -178,10 +224,13 @@ TEST_F(EdgeTest, ShowCommandsRenderOperationalState) {
   EXPECT_NE(neighbors.find("transit-a"), std::string::npos);
   EXPECT_NE(neighbors.find("127.65."), std::string::npos);
 
-  std::string route = router->show_route(pfx("192.168.0.0/24"));
+  // Per-prefix route dumps come from the looking glass over the router's
+  // speaker.
+  mon::LookingGlass glass(&router->speaker());
+  std::string route = glass.explain_best(pfx("192.168.0.0/24"));
   EXPECT_NE(route.find("192.168.0.0/24"), std::string::npos);
   EXPECT_NE(route.find("65001 64999"), std::string::npos);
-  EXPECT_NE(route.find("*"), std::string::npos);  // best marker
+  EXPECT_NE(route.find("selected: [0]"), std::string::npos);
 
   std::string summary = router->show_summary();
   EXPECT_NE(summary.find("AS47065"), std::string::npos);
