@@ -40,6 +40,19 @@ for example in quickstart espresso_controller backup_routes \
   ./build/examples/"${example}"
 done
 
+echo "=== perfbench: self-test and one short run per workload ==="
+# perfbench (BENCHMARK.json) compiles the platform from src/ into its own
+# build tree; a run exits non-zero when one of its correctness checks
+# fails. So a src/ API change that breaks its build or its checks fails
+# here, not first in a benchmark comparison.
+python3 perfbench/run.py --self-test
+for workload in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  echo "--- perfbench: ${workload}"
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 2 \
+    --trace 0
+done
+
 echo "=== bench: fault recovery (self-checking determinism) ==="
 # Exits non-zero if two same-seed runs diverge, so running it is the check.
 (cd build/bench && ./bench_fault_recovery)

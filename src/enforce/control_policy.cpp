@@ -144,6 +144,7 @@ ControlPlaneEnforcer::ControlPlaneEnforcer()
                                     {{"action", "reject"}});
   obs_transformed_ = metrics_->counter("enforce_verdicts_total",
                                        {{"action", "transform"}});
+  obs_log_evicted_ = metrics_->counter("enforce_log_evicted_total");
 }
 
 void ControlPlaneEnforcer::install_default_rules(
@@ -183,8 +184,9 @@ const ExperimentGrant* ControlPlaneEnforcer::grant(
 
 Verdict ControlPlaneEnforcer::check(const AnnouncementContext& ctx) {
   auto log_verdict = [&](const Verdict& v) {
-    log_.push_back({ctx.now, ctx.experiment_id, ctx.pop_id, ctx.prefix.str(),
-                    v.rule, v.reason, v.action});
+    if (log_.push({ctx.now, ctx.experiment_id, ctx.pop_id, ctx.prefix.str(),
+                   v.rule, v.reason, v.action}))
+      obs_log_evicted_->inc();
     auto tenant = tenant_counters_.find(ctx.experiment_id);
     switch (v.action) {
       case Verdict::Action::kAccept:

@@ -18,6 +18,7 @@
 #include "netbase/prefix.h"
 #include "netbase/time.h"
 #include "obs/metrics.h"
+#include "obs/ring.h"
 
 namespace peering::enforce {
 
@@ -157,6 +158,12 @@ struct EnforcementLogEntry {
 /// The engine: an ordered rule chain with fail-closed overload behaviour.
 class ControlPlaneEnforcer {
  public:
+  /// The attribution log keeps the most recent verdicts, as many as the
+  /// event trace keeps events, so a long-running mux's enforcer memory
+  /// stays fixed; evictions count in `enforce_log_evicted_total`.
+  static constexpr std::size_t kLogCapacity =
+      obs::EventTrace::kDefaultCapacity;
+
   ControlPlaneEnforcer();
 
   /// Installs the platform's standard rule chain (ownership, origin, rate
@@ -189,7 +196,8 @@ class ControlPlaneEnforcer {
   bool overloaded() const { return overloaded_; }
 
   StateStore& state() { return state_; }
-  const std::vector<EnforcementLogEntry>& log() const { return log_; }
+  /// Oldest first.
+  const obs::Ring<EnforcementLogEntry>& log() const { return log_; }
   std::uint64_t accepted() const { return accepted_; }
   std::uint64_t rejected() const { return rejected_; }
   std::uint64_t transformed() const { return transformed_; }
@@ -204,7 +212,7 @@ class ControlPlaneEnforcer {
   std::map<std::string, ExperimentGrant> grants_;
   std::map<std::string, TenantCounters> tenant_counters_;
   StateStore state_;
-  std::vector<EnforcementLogEntry> log_;
+  obs::Ring<EnforcementLogEntry> log_{kLogCapacity};
   bool overloaded_ = false;
   std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;
@@ -216,6 +224,7 @@ class ControlPlaneEnforcer {
   obs::Counter* obs_accepted_;
   obs::Counter* obs_rejected_;
   obs::Counter* obs_transformed_;
+  obs::Counter* obs_log_evicted_;
 };
 
 }  // namespace peering::enforce

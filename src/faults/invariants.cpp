@@ -89,7 +89,6 @@ InvariantReport InvariantChecker::check_fib_liveness() {
     // Loc-RIB sweep: every candidate must come from a live session, and
     // every virtual-pool next-hop must resolve to a registered neighbor.
     const bgp::Asn asn = router->config().asn;
-    const auto& experiment_peers = router->experiment_peers();
     speaker.loc_rib().visit_all([&](const bgp::RibRoute& route) {
       ++report.checks;
       if (route.peer != bgp::kLocalRoutes &&
@@ -101,7 +100,7 @@ InvariantReport InvariantChecker::check_fib_liveness() {
       }
       if (route.peer == bgp::kLocalRoutes) return;
       if (vbgp::has_experiment_marker(*route.attrs, asn)) return;
-      if (experiment_peers.count(route.peer) != 0) return;
+      if (router->is_experiment_peer(route.peer)) return;
       const Ipv4Address nh = route.attrs->next_hop;
       if (kLocalPool.contains(nh)) {
         if (router->registry().by_virtual_ip(nh) == nullptr) {
@@ -132,16 +131,13 @@ InvariantReport InvariantChecker::check_addpath_fanout() {
       continue;
     vbgp::VRouter* router = exp.attached;
     const bgp::Asn asn = router->config().asn;
-    const auto& experiment_peers = router->experiment_peers();
 
     // Exportable candidates per prefix at the router: everything except
     // experiment-originated routes (isolation strips those from the fan-out).
     std::map<Ipv4Prefix, std::uint64_t> exportable;
     router->speaker().loc_rib().visit_all([&](const bgp::RibRoute& route) {
       if (vbgp::has_experiment_marker(*route.attrs, asn)) return;
-      if (route.peer != bgp::kLocalRoutes &&
-          experiment_peers.count(route.peer) != 0)
-        return;
+      if (router->is_experiment_peer(route.peer)) return;
       ++exportable[route.prefix];
     });
 

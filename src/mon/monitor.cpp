@@ -10,25 +10,14 @@ namespace peering::mon {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// record fields are short ASCII identifiers and reasons.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += "\\u00";
-      const char* hex = "0123456789abcdef";
-      out.push_back(hex[(c >> 4) & 0xf]);
-      out.push_back(hex[c & 0xf]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
+/// Appends `,"key":"value"`, with `value` JSON-escaped.
+void append_string_field(std::string& out, const char* key,
+                         std::string_view value) {
+  out += ",\"";
+  out += key;
+  out += "\":\"";
+  obs::append_json_escaped(out, value);
+  out += '"';
 }
 
 }  // namespace
@@ -53,8 +42,8 @@ std::string render_record_json(const MonitorRecord& record,
   std::string out = "{\"seq\":" + std::to_string(record.seq) +
                     ",\"at_ns\":" + std::to_string(record.at.ns()) +
                     ",\"type\":\"" + record_type_name(record.type) + "\"";
-  if (!speaker.empty()) out += ",\"speaker\":\"" + json_escape(speaker) + "\"";
-  out += ",\"peer\":\"" + json_escape(peer_name) + "\"";
+  if (!speaker.empty()) append_string_field(out, "speaker", speaker);
+  append_string_field(out, "peer", peer_name);
   if (record.type == RecordType::kRouteMonitoring) {
     out += std::string(",\"post_policy\":") +
            (record.post_policy ? "true" : "false");
@@ -65,7 +54,7 @@ std::string render_record_json(const MonitorRecord& record,
     if (record.attrs) {
       const bgp::PathAttributes& a = *record.attrs;
       out += ",\"next_hop\":\"" + a.next_hop.str() + "\"";
-      out += ",\"as_path\":\"" + json_escape(a.as_path.str()) + "\"";
+      append_string_field(out, "as_path", a.as_path.str());
       out += ",\"origin\":" +
              std::to_string(static_cast<unsigned>(a.origin));
       if (a.local_pref)
@@ -75,8 +64,7 @@ std::string render_record_json(const MonitorRecord& record,
         out += ",\"communities\":" + std::to_string(a.communities.size());
     }
   }
-  if (!record.info.empty())
-    out += ",\"info\":\"" + json_escape(record.info) + "\"";
+  if (!record.info.empty()) append_string_field(out, "info", record.info);
   out += "}";
   return out;
 }

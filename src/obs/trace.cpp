@@ -5,9 +5,7 @@
 
 namespace peering::obs {
 
-namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
+void append_json_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -38,10 +36,8 @@ void append_escaped(std::string& out, std::string_view s) {
   }
 }
 
-}  // namespace
-
 void EventTrace::set_capacity(std::size_t capacity) {
-  capacity_ = capacity;
+  ring_ = Ring<TraceEvent>(capacity);
   clear();
 }
 
@@ -49,7 +45,7 @@ void EventTrace::emit(
     SimTime at, std::string_view category, std::string_view name,
     std::initializer_list<std::pair<std::string_view, std::string_view>>
         fields) {
-  if (!enabled_ || capacity_ == 0) return;
+  if (!enabled_ || ring_.capacity() == 0) return;
   TraceEvent event;
   event.seq = next_seq_++;
   event.at = at;
@@ -59,13 +55,7 @@ void EventTrace::emit(
   for (const auto& [k, v] : fields) {
     event.fields.emplace_back(std::string(k), std::string(v));
   }
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
-  } else {
-    ring_[head_] = std::move(event);
-    head_ = (head_ + 1) % capacity_;
-    ++dropped_;
-  }
+  if (ring_.push(std::move(event))) ++dropped_;
 }
 
 std::string EventTrace::to_jsonl() const {
@@ -80,15 +70,15 @@ std::string EventTrace::to_jsonl() const {
     std::snprintf(buf, sizeof(buf), "%" PRId64, event.at.ns());
     out += buf;
     out += ",\"cat\":\"";
-    append_escaped(out, event.category);
+    append_json_escaped(out, event.category);
     out += "\",\"event\":\"";
-    append_escaped(out, event.name);
+    append_json_escaped(out, event.name);
     out += "\"";
     for (const auto& [k, v] : event.fields) {
       out += ",\"";
-      append_escaped(out, k);
+      append_json_escaped(out, k);
       out += "\":\"";
-      append_escaped(out, v);
+      append_json_escaped(out, v);
       out += "\"";
     }
     out += "}\n";
@@ -98,7 +88,6 @@ std::string EventTrace::to_jsonl() const {
 
 void EventTrace::clear() {
   ring_.clear();
-  head_ = 0;
   dropped_ = 0;
 }
 

@@ -15,8 +15,15 @@
 #include <vector>
 
 #include "netbase/time.h"
+#include "obs/ring.h"
 
 namespace peering::obs {
+
+/// Appends `s` to `out` as the body of a JSON string: quotes and
+/// backslashes escaped, \n \t \r by name, other control bytes as \u00XX.
+/// Every JSON writer in the tree (trace lines, metric snapshots, monitor
+/// records) escapes through it.
+void append_json_escaped(std::string& out, std::string_view s);
 
 struct TraceEvent {
   std::uint64_t seq = 0;  // 1-based, monotone across the ring's lifetime
@@ -31,12 +38,12 @@ class EventTrace {
   static constexpr std::size_t kDefaultCapacity = 8192;
 
   explicit EventTrace(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
+      : ring_(capacity) {}
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   /// Resizing clears the ring.
   void set_capacity(std::size_t capacity);
 
@@ -54,8 +61,7 @@ class EventTrace {
   /// Visits held events oldest-first.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    std::size_t n = ring_.size();
-    for (std::size_t i = 0; i < n; ++i) fn(ring_[(head_ + i) % n]);
+    for (std::size_t i = 0; i < ring_.size(); ++i) fn(ring_[i]);
   }
 
   /// JSON-lines export, oldest event first.
@@ -64,10 +70,8 @@ class EventTrace {
   void clear();
 
  private:
-  std::size_t capacity_;
   bool enabled_ = true;
-  std::vector<TraceEvent> ring_;  // grows to capacity_, then cycles
-  std::size_t head_ = 0;          // index of the oldest event once full
+  Ring<TraceEvent> ring_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t dropped_ = 0;
 };

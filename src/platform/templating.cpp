@@ -5,10 +5,7 @@
 
 namespace peering::platform {
 
-namespace {
-
-/// Renders one BGP protocol stanza in BIRD style.
-void render_bgp_protocol(std::ostringstream& out, const std::string& name,
+void render_bgp_protocol(std::ostream& out, const std::string& name,
                          bgp::Asn asn, const std::string& description,
                          bool add_paths, const std::string& import_filter,
                          const std::string& export_filter) {
@@ -25,38 +22,57 @@ void render_bgp_protocol(std::ostringstream& out, const std::string& name,
   out << "    import filter " << import_filter << ";\n";
   out << "    export filter " << export_filter << ";\n";
   out << "  };\n";
-  out << "}\n\n";
+  out << "}\n";
 }
 
-void render_experiment_filter(std::ostringstream& out,
-                              const ExperimentModel& exp) {
-  out << "filter import_experiment_" << exp.id << " {\n";
+void render_experiment_filter(
+    std::ostream& out, const std::string& name,
+    const std::vector<Ipv4Prefix>& prefixes, bgp::Asn origin_asn,
+    const std::set<enforce::Capability>& capabilities, int max_poisoned_asns,
+    int max_communities) {
+  out << "filter " << name << " {\n";
   out << "  # allocation ownership\n";
   bool first = true;
   out << "  if ! (net ~ [";
-  for (const auto& prefix : exp.allocated_prefixes) {
+  for (const auto& prefix : prefixes) {
     if (!first) out << ", ";
     out << prefix.str() << "+";
     first = false;
   }
   out << "]) then reject;\n";
-  out << "  if (bgp_path.last != " << exp.asn << ") then reject;\n";
-  if (exp.capabilities.count(enforce::Capability::kAsPathPoisoning)) {
-    out << "  # poisoning allowed: up to " << exp.max_poisoned_asns
+  out << "  if (bgp_path.last != " << origin_asn << ") then reject;\n";
+  if (capabilities.count(enforce::Capability::kAsPathPoisoning)) {
+    out << "  # poisoning allowed: up to " << max_poisoned_asns
         << " third-party ASNs\n";
   } else {
     out << "  if (bgp_path.len > 4) then reject;  # no poisoning grant\n";
   }
-  if (exp.capabilities.count(enforce::Capability::kCommunities)) {
-    out << "  # communities allowed: up to " << exp.max_communities << "\n";
+  if (capabilities.count(enforce::Capability::kCommunities)) {
+    out << "  # communities allowed: up to " << max_communities << "\n";
   } else {
     out << "  bgp_community.delete([(*, *)]);  # strip: no community grant\n";
   }
   out << "  accept;\n";
-  out << "}\n\n";
+  out << "}\n";
 }
 
-}  // namespace
+DesiredNetworkState tenantless_network_state(const PopModel& pop) {
+  DesiredNetworkState state;
+  state.interfaces.push_back(
+      NlInterface{"lo", true, {{Ipv4Address(127, 0, 0, 1), 8}}});
+  state.interfaces.push_back(
+      NlInterface{"eth0", true, {{Ipv4Address(10, 0, 0, 1), 24}}});
+  std::uint32_t table = 1000;
+  std::uint32_t priority = 100;
+  for (const auto& ic : pop.interconnects) {
+    NlRule rule;
+    rule.priority = priority++;
+    rule.selector = "dmac:neighbor-" + std::to_string(ic.global_id);
+    rule.table = table++;
+    state.rules.push_back(rule);
+  }
+  return state;
+}
 
 std::size_t GeneratedConfigs::bird_line_count() const {
   return static_cast<std::size_t>(
@@ -96,6 +112,7 @@ GeneratedConfigs generate_pop_configs(const PlatformModel& model,
                             pop.location,
                         /*add_paths=*/false, "import_neighbor",
                         "export_neighbor");
+    bird << "\n";
   }
 
   // Experiment sessions at this PoP.
@@ -105,10 +122,14 @@ GeneratedConfigs generate_pop_configs(const PlatformModel& model,
       continue;
     if (std::find(exp.pops.begin(), exp.pops.end(), pop_id) == exp.pops.end())
       continue;
-    render_experiment_filter(bird, exp);
+    render_experiment_filter(bird, "import_experiment_" + exp.id,
+                             exp.allocated_prefixes, exp.asn, exp.capabilities,
+                             exp.max_poisoned_asns, exp.max_communities);
+    bird << "\n";
     render_bgp_protocol(bird, "experiment_" + exp.id, exp.asn,
                         "experiment " + exp.id, /*add_paths=*/true,
                         "import_experiment_" + exp.id, "export_all_paths");
+    bird << "\n";
   }
   configs.bird_config = bird.str();
 
@@ -144,22 +165,7 @@ GeneratedConfigs generate_pop_configs(const PlatformModel& model,
   configs.enforcer_config = enf.str();
 
   // ----------------------- Desired network state ------------------------
-  NlInterface lo{"lo", true, {{Ipv4Address(127, 0, 0, 1), 8}}};
-  configs.network.interfaces.push_back(lo);
-  NlInterface phys{"eth0", true, {{Ipv4Address(10, 0, 0, 1), 24}}};
-  configs.network.interfaces.push_back(phys);
-
-  // One policy rule + table per interconnect: the per-neighbor FIBs of the
-  // vBGP data plane (§3.2.2).
-  std::uint32_t table = 1000;
-  std::uint32_t priority = 100;
-  for (const auto& ic : pop.interconnects) {
-    NlRule rule;
-    rule.priority = priority++;
-    rule.selector = "dmac:neighbor-" + std::to_string(ic.global_id);
-    rule.table = table++;
-    configs.network.rules.push_back(rule);
-  }
+  configs.network = tenantless_network_state(pop);
 
   // One tap interface per connected experiment.
   int tap = 0;

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "platform/templating.h"
+
 namespace peering::tenant {
 
 namespace {
@@ -13,52 +15,6 @@ std::string tap_name(const std::string& tenant_id) {
   // renumbers another tenant's tap (templating's positional tapN scheme
   // would, which flaps tunnels on every removal).
   return "tap-" + tenant_id;
-}
-
-void render_session(std::ostringstream& out, const TenantIntent& intent,
-                    bgp::Asn asn, const std::string& pop_id) {
-  out << "protocol bgp tenant_" << intent.id << " {\n";
-  out << "  description \"tenant " << intent.id << " at " << pop_id << "\";\n";
-  out << "  local as 47065;\n";
-  out << "  neighbor as " << asn << ";\n";
-  out << "  hold time 90;\n";
-  out << "  keepalive time 30;\n";
-  out << "  connect retry time 30;\n";
-  out << "  graceful restart on;\n";
-  if (intent.add_path) out << "  add paths tx rx;\n";
-  out << "  ipv4 {\n";
-  out << "    import filter import_tenant_" << intent.id << ";\n";
-  out << "    export filter export_tenant_" << intent.id << ";\n";
-  out << "  };\n";
-  out << "}\n";
-}
-
-void render_import(std::ostringstream& out, const TenantIntent& intent,
-                   bgp::Asn asn, const std::vector<Ipv4Prefix>& prefixes) {
-  out << "filter import_tenant_" << intent.id << " {\n";
-  out << "  # allocation ownership\n";
-  out << "  if ! (net ~ [";
-  bool first = true;
-  for (const auto& prefix : prefixes) {
-    if (!first) out << ", ";
-    out << prefix.str() << "+";
-    first = false;
-  }
-  out << "]) then reject;\n";
-  out << "  if (bgp_path.last != " << asn << ") then reject;\n";
-  if (intent.capabilities.count(enforce::Capability::kAsPathPoisoning)) {
-    out << "  # poisoning allowed: up to " << intent.max_poisoned_asns
-        << " third-party ASNs\n";
-  } else {
-    out << "  if (bgp_path.len > 4) then reject;  # no poisoning grant\n";
-  }
-  if (intent.capabilities.count(enforce::Capability::kCommunities)) {
-    out << "  # communities allowed: up to " << intent.max_communities << "\n";
-  } else {
-    out << "  bgp_community.delete([(*, *)]);  # strip: no community grant\n";
-  }
-  out << "  accept;\n";
-  out << "}\n";
 }
 
 void render_export(std::ostringstream& out, const TenantIntent& intent,
@@ -140,8 +96,13 @@ Result<CompiledTenant> IntentCompiler::compile(
     artifacts.pop_id = pop_id;
 
     std::ostringstream session, import, exportf;
-    render_session(session, intent, exp.asn, pop_id);
-    render_import(import, intent, exp.asn, exp.allocated_prefixes);
+    platform::render_bgp_protocol(
+        session, "tenant_" + intent.id, exp.asn,
+        "tenant " + intent.id + " at " + pop_id, intent.add_path,
+        "import_tenant_" + intent.id, "export_tenant_" + intent.id);
+    platform::render_experiment_filter(
+        import, "import_tenant_" + intent.id, exp.allocated_prefixes, exp.asn,
+        intent.capabilities, intent.max_poisoned_asns, intent.max_communities);
     render_export(exportf, intent, pop, scope,
                   &artifacts.exportable_interconnects);
     artifacts.session_config = session.str();

@@ -6,6 +6,7 @@
 
 #include "netbase/log.h"
 #include "platform/peering.h"
+#include "platform/templating.h"
 
 namespace peering::tenant {
 
@@ -56,21 +57,7 @@ Status TenantOrchestrator::register_pop(
     state.enforcer = state.owned_enforcer.get();
   }
 
-  // Tenantless baseline, mirroring templating's desired state: loopback,
-  // the physical interface, and one policy rule + table per interconnect.
-  state.baseline.interfaces.push_back(
-      platform::NlInterface{"lo", true, {{Ipv4Address(127, 0, 0, 1), 8}}});
-  state.baseline.interfaces.push_back(
-      platform::NlInterface{"eth0", true, {{Ipv4Address(10, 0, 0, 1), 24}}});
-  std::uint32_t table = 1000;
-  std::uint32_t priority = 100;
-  for (const auto& ic : model.interconnects) {
-    platform::NlRule rule;
-    rule.priority = priority++;
-    rule.selector = "dmac:neighbor-" + std::to_string(ic.global_id);
-    rule.table = table++;
-    state.baseline.rules.push_back(rule);
-  }
+  state.baseline = platform::tenantless_network_state(model);
 
   platform::ApplyResult applied = state.controller->apply(state.baseline);
   if (!applied.success)

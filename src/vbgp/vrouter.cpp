@@ -79,7 +79,7 @@ void VRouter::install_hooks() {
   speaker_.set_import_hook([this](bgp::PeerId from,
                                   const bgp::NlriEntry& entry,
                                   const bgp::AttrsPtr& attrs) {
-    switch (peer_kind(from)) {
+    switch (peer_record(from).kind) {
       case PeerKind::kNeighbor:
         return import_from_neighbor(from, entry, attrs);
       case PeerKind::kBackbone:
@@ -113,7 +113,7 @@ void VRouter::install_hooks() {
         const bool experiment_route =
             has_experiment_marker(*route.attrs, config_.asn) ||
             (route.peer != bgp::kLocalRoutes &&
-             peer_kind(route.peer) == PeerKind::kExperiment);
+             peer_record(route.peer).kind == PeerKind::kExperiment);
         if (experiment_route) return std::nullopt;
         Ipv4Address nh = route.attrs->next_hop;
         if (VirtualNeighbor* nb = registry_.local_by_global_ip(nh)) {
@@ -127,7 +127,7 @@ void VRouter::install_hooks() {
       });
   speaker_.set_export_filter(
       [this](bgp::PeerId to, const bgp::PathAttributes& source_attrs) {
-        switch (peer_kind(to)) {
+        switch (peer_record(to).kind) {
           case PeerKind::kExperiment:
             // Figure-6b quantity: one counted export per experiment session
             // actually receiving the advert.
@@ -151,14 +151,16 @@ void VRouter::install_hooks() {
   });
 }
 
-VRouter::PeerKind VRouter::peer_kind(bgp::PeerId peer) const {
-  return peer < peer_kinds_.size() ? peer_kinds_[peer] : PeerKind::kNeighbor;
+const VRouter::PeerRecord& VRouter::peer_record(bgp::PeerId peer) const {
+  static const PeerRecord kNeighbor;
+  return peer < peers_.size() ? peers_[peer] : kNeighbor;
 }
 
-void VRouter::set_peer_kind(bgp::PeerId peer, PeerKind kind) {
-  if (peer >= peer_kinds_.size())
-    peer_kinds_.resize(peer + 1, PeerKind::kNeighbor);
-  peer_kinds_[peer] = kind;
+VRouter::PeerRecord& VRouter::add_peer_record(bgp::PeerId peer,
+                                              PeerKind kind) {
+  if (peer >= peers_.size()) peers_.resize(peer + 1);
+  peers_[peer].kind = kind;
+  return peers_[peer];
 }
 
 bgp::PeerId VRouter::add_neighbor(const NeighborSpec& spec) {
@@ -170,7 +172,7 @@ bgp::PeerId VRouter::add_neighbor(const NeighborSpec& spec) {
   config.hold_time = spec.hold_time;
   config.export_class = export_class_of(PeerKind::kNeighbor);
   bgp::PeerId peer = speaker_.add_peer(config);
-  set_peer_kind(peer, PeerKind::kNeighbor);
+  add_peer_record(peer, PeerKind::kNeighbor);
   registry_.add_local(spec.name, peer, spec.remote_address, spec.interface,
                       spec.global_id);
   // The export hook's next-hop mapping reads the registry; memoized
@@ -195,11 +197,10 @@ bgp::PeerId VRouter::add_experiment(const ExperimentSpec& spec) {
   config.transparent = true;
   config.export_class = export_class_of(PeerKind::kExperiment);
   bgp::PeerId peer = speaker_.add_peer(config);
-  set_peer_kind(peer, PeerKind::kExperiment);
-  experiments_by_peer_[peer] = spec.experiment_id;
-  // The account exists from attachment on, so the data plane never looks
-  // an experiment up by name.
+  // The account exists from attachment on, so neither the data plane nor
+  // the import path ever looks an experiment up by name.
   auto account = accounting_.try_emplace(spec.experiment_id).first;
+  add_peer_record(peer, PeerKind::kExperiment).experiment = &account->first;
   Port& port = mutable_port(spec.interface);
   port.experiment = &account->first;
   port.account = &account->second;
@@ -217,8 +218,8 @@ bgp::PeerId VRouter::add_backbone_peer(const BackboneSpec& spec) {
   config.export_all_paths = true;
   config.export_class = export_class_of(PeerKind::kBackbone);
   bgp::PeerId peer = speaker_.add_peer(config);
-  set_peer_kind(peer, PeerKind::kBackbone);
-  backbone_interfaces_[peer] = spec.interface;
+  add_peer_record(peer, PeerKind::kBackbone).backbone_interface =
+      spec.interface;
   mutable_port(spec.interface).backbone = true;
   return peer;
 }
@@ -262,21 +263,23 @@ std::optional<bgp::AttrsPtr> VRouter::import_from_neighbor(
     const bgp::AttrsPtr& attrs) {
   VirtualNeighbor* nb = registry_.by_peer(from);
   if (!nb) return std::nullopt;
-  // Remember the route's real gateway for the per-neighbor FIB. A direct
-  // neighbor announces itself as next-hop; a route server announces the
-  // advertising member's fabric address (the RS is control-plane only).
-  Ipv4Address real_nh =
+  // The neighbor's FIB view is the one record of the route's real gateway,
+  // written here, where the route arrives: nothing after this hook rejects
+  // it. A direct neighbor announces itself as next-hop; a route server
+  // announces the advertising member's fabric address (the RS is
+  // control-plane only). Neighbors never negotiate ADD-PATH receive, so the
+  // view holds the one candidate per prefix that the Loc-RIB holds.
+  const Ipv4Address gateway =
       attrs->next_hop.is_zero() ? nb->gateway : attrs->next_hop;
-  auto [real, inserted] =
-      real_next_hops_.try_emplace({from, entry.prefix, entry.path_id}, real_nh);
-  if (!inserted && real->second != real_nh) {
-    real->second = real_nh;
-    // A change of next-hop alone remaps to the stored attribute set, so the
-    // Loc-RIB sees no change and fires no route event: move the view's
-    // gateway here. Any other change rewrites it again in sync_fib.
-    if (nb->fib.exact(entry.prefix)) {
-      nb->fib.insert(ip::Route{entry.prefix, real_nh, nb->interface, 0});
+  const auto installed = nb->fib.exact(entry.prefix);
+  if (!installed || installed->next_hop != gateway) {
+    nb->fib.insert(ip::Route{entry.prefix, gateway, nb->interface, 0});
+    // A new route is reported by sync_fib at its route event. A moved
+    // gateway is reported here: a change of next-hop alone remaps to the
+    // stored attribute set, so the Loc-RIB sees no change and fires none.
+    if (installed) {
       if (fib_observer_) fib_observer_(entry.prefix, /*withdrawn=*/false);
+      sync_default(entry.prefix);
     }
   }
   // Store the route with the platform-global neighbor IP as next-hop: iBGP
@@ -296,14 +299,13 @@ std::optional<bgp::AttrsPtr> VRouter::import_from_backbone(
   // A route from a remote PoP's neighbor: its next-hop is that neighbor's
   // global pool IP. Lazily materialize a local virtual identity for it so
   // experiments here can address it.
-  auto it = backbone_interfaces_.find(from);
-  if (it != backbone_interfaces_.end() &&
-      Ipv4Prefix(kGlobalPoolBase, 16).contains(attrs->next_hop)) {
+  if (Ipv4Prefix(kGlobalPoolBase, 16).contains(attrs->next_hop)) {
     std::uint32_t global_id = attrs->next_hop.value() - kGlobalPoolBase.value();
     // Invalidate export memos only on a genuinely new registration: the
     // steady state re-observes known neighbors on every route.
     const bool known = registry_.remote_by_global_ip(attrs->next_hop) != nullptr;
-    registry_.add_remote(global_id, from, it->second);
+    registry_.add_remote(global_id, from,
+                         peer_record(from).backbone_interface);
     if (!known) speaker_.invalidate_export_memos();
   }
   return attrs;
@@ -312,19 +314,16 @@ std::optional<bgp::AttrsPtr> VRouter::import_from_backbone(
 std::optional<bgp::AttrsPtr> VRouter::import_from_experiment(
     bgp::PeerId from, const bgp::NlriEntry& entry,
     const bgp::AttrsPtr& attrs) {
-  const Ipv4Prefix& prefix = entry.prefix;
-  auto exp_it = experiments_by_peer_.find(from);
-  if (exp_it == experiments_by_peer_.end()) return std::nullopt;
-
   bgp::AttrsPtr working = attrs;
   if (control_enforcer_) {
     // Every field set at construction: a default-built context would make
     // (and free) an empty attribute set just to overwrite it.
-    const enforce::AnnouncementContext ctx{.experiment_id = exp_it->second,
-                                           .pop_id = config_.pop_id,
-                                           .prefix = prefix,
-                                           .attrs = attrs,
-                                           .now = loop_->now()};
+    const enforce::AnnouncementContext ctx{
+        .experiment_id = *peer_record(from).experiment,
+        .pop_id = config_.pop_id,
+        .prefix = entry.prefix,
+        .attrs = attrs,
+        .now = loop_->now()};
     enforce::Verdict verdict = control_enforcer_->check(ctx);
     switch (verdict.action) {
       case enforce::Verdict::Action::kReject:
@@ -370,12 +369,12 @@ std::optional<bgp::AttrsPtr> VRouter::export_route(bgp::PeerId to,
                                                    const bgp::AttrsPtr& attrs) {
   const PeerKind from_kind =
       route.peer == bgp::kLocalRoutes ? PeerKind::kNeighbor  // local routes
-                                      : peer_kind(route.peer);
+                                      : peer_record(route.peer).kind;
   const bool experiment_route =
       has_experiment_marker(*route.attrs, config_.asn) ||
       from_kind == PeerKind::kExperiment;
 
-  switch (peer_kind(to)) {
+  switch (peer_record(to).kind) {
     case PeerKind::kNeighbor: {
       // Only experiment-originated (or platform-originated) announcements
       // reach the Internet; PEERING never transits third-party routes. The
@@ -404,45 +403,40 @@ std::optional<bgp::AttrsPtr> VRouter::export_route(bgp::PeerId to,
 
 void VRouter::sync_fib(const bgp::RibRoute& route, bool withdrawn) {
   VirtualNeighbor* nb = nullptr;
-  switch (peer_kind(route.peer)) {
-    case PeerKind::kNeighbor:
-      nb = registry_.by_peer(route.peer);
-      break;
-    case PeerKind::kBackbone:
-      // Only routes pointing at a remote neighbor's global IP get a FIB;
-      // experiment routes relayed over the backbone are mux-routed.
-      nb = registry_.remote_by_global_ip(route.attrs->next_hop);
-      break;
-    case PeerKind::kExperiment:
-      nb = nullptr;
-      break;
+  const PeerKind kind = peer_record(route.peer).kind;
+  if (kind == PeerKind::kNeighbor) {
+    nb = registry_.by_peer(route.peer);
+  } else if (kind == PeerKind::kBackbone) {
+    // Only routes pointing at a remote neighbor's global IP get a FIB;
+    // experiment routes relayed over the backbone are mux-routed.
+    nb = registry_.remote_by_global_ip(route.attrs->next_hop);
   }
   if (nb) {
     if (withdrawn) {
       nb->fib.remove(route.prefix);
-      real_next_hops_.erase({route.peer, route.prefix, route.path_id});
-    } else {
-      Ipv4Address gateway = nb->gateway;
-      auto real = real_next_hops_.find({route.peer, route.prefix, route.path_id});
-      if (real != real_next_hops_.end()) gateway = real->second;
-      nb->fib.insert(ip::Route{route.prefix, gateway, nb->interface, 0});
+    } else if (kind == PeerKind::kBackbone) {
+      // A local neighbor's route was installed where it arrived
+      // (import_from_neighbor); a remote one forwards to its global IP.
+      nb->fib.insert(ip::Route{route.prefix, nb->gateway, nb->interface, 0});
     }
     if (fib_observer_) fib_observer_(route.prefix, withdrawn);
   }
+  sync_default(route.prefix);
+}
 
-  if (default_table_enabled_) {
-    auto best = speaker_.loc_rib().best(route.prefix);
-    if (!best) {
-      default_table_.remove(route.prefix);
-    } else {
-      VirtualNeighbor* bnb = registry_.by_peer(best->peer);
-      if (!bnb) bnb = registry_.remote_by_global_ip(best->attrs->next_hop);
-      if (bnb) {
-        default_table_.insert(
-            ip::Route{route.prefix, bnb->gateway, bnb->interface, 0});
-      }
-    }
+void VRouter::sync_default(const Ipv4Prefix& prefix) {
+  if (!default_table_enabled_) return;
+  auto best = speaker_.loc_rib().best(prefix);
+  if (!best) {
+    default_table_.remove(prefix);
+    return;
   }
+  VirtualNeighbor* nb = registry_.by_peer(best->peer);
+  if (!nb) nb = registry_.remote_by_global_ip(best->attrs->next_hop);
+  if (!nb) return;
+  // The view's entry carries the real gateway: for a path learned through
+  // a route server, the advertising member, not the server.
+  if (auto installed = nb->fib.exact(prefix)) default_table_.insert(*installed);
 }
 
 // ---------------------------------------------------------------------------

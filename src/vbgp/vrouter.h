@@ -24,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_map>
 #include <optional>
 #include <string>
@@ -146,11 +145,11 @@ class VRouter : public ip::Host {
                                    int backbone_interface,
                                    Ipv4Address gateway);
 
-  /// Peer id -> experiment id for every registered experiment session. The
-  /// invariant checker uses this to separate experiment sessions (which see
-  /// full ADD-PATH fan-out) from neighbor/backbone sessions.
-  const std::map<bgp::PeerId, std::string>& experiment_peers() const {
-    return experiments_by_peer_;
+  /// True if `peer` is an experiment session. The invariant checker uses
+  /// this to separate experiment sessions (which see full ADD-PATH fan-out)
+  /// from neighbor/backbone sessions.
+  bool is_experiment_peer(bgp::PeerId peer) const {
+    return peer_record(peer).kind == PeerKind::kExperiment;
   }
 
   /// True if `prefix` already has a local (tunnel) mux route; used by the
@@ -180,8 +179,9 @@ class VRouter : public ip::Host {
   /// and never touches the registry's ring.
   void set_trace(obs::EventTrace* trace) { trace_ = trace; }
 
-  /// Called after every per-neighbor FIB insert/remove with the affected
-  /// prefix. Generic hook (vbgp stays independent of the monitoring
+  /// Called with the affected prefix after every route event that touches
+  /// a per-neighbor FIB, and after a next-hop change moves an installed
+  /// route's gateway. Generic hook (vbgp stays independent of the monitoring
   /// plane): mon::PropagationTracer wires `note_fib` through it to measure
   /// time-to-FIB.
   using FibObserver = std::function<void(const Ipv4Prefix&, bool withdrawn)>;
@@ -190,8 +190,9 @@ class VRouter : public ip::Host {
   }
 
   /// Enables maintenance of a best-path "default" routing table synced from
-  /// the Loc-RIB (the per-interconnection-with-default configuration of
-  /// Figure 6a; unnecessary for pure vBGP operation).
+  /// the Loc-RIB, each entry forwarding to the best path's real gateway
+  /// (the per-interconnection-with-default configuration of Figure 6a;
+  /// unnecessary for pure vBGP operation).
   void enable_default_table(bool on) { default_table_enabled_ = on; }
   const ip::FibView& default_table() const { return default_table_; }
 
@@ -244,6 +245,9 @@ class VRouter : public ip::Host {
   bgp::AttrsPtr remap_next_hop(const bgp::AttrsPtr& attrs, Ipv4Address nh);
 
   void sync_fib(const bgp::RibRoute& route, bool withdrawn);
+  /// Points the default table's entry for `prefix` at the Loc-RIB best
+  /// path's real gateway, read from that path's neighbor FIB view.
+  void sync_default(const Ipv4Prefix& prefix);
 
   /// What the data plane needs to know about an interface, resolved when
   /// the experiment or backbone session is attached (never per packet).
@@ -270,10 +274,17 @@ class VRouter : public ip::Host {
   static std::uint64_t export_class_of(PeerKind kind) {
     return static_cast<std::uint64_t>(kind) + 1;
   }
-  /// Export filters ask once per (member, advert), so this is a vector
-  /// index: PeerIds are dense, starting at 1. Unknown peers are neighbors.
-  PeerKind peer_kind(bgp::PeerId peer) const;
-  void set_peer_kind(bgp::PeerId peer, PeerKind kind);
+  /// What the router knows of one session beyond its BGP config, set when
+  /// the session is added.
+  struct PeerRecord {
+    PeerKind kind = PeerKind::kNeighbor;
+    int backbone_interface = -1;              // backbone sessions
+    const std::string* experiment = nullptr;  // experiment sessions
+  };
+  /// Import and export filters ask per route, so this is a vector index:
+  /// PeerIds are dense, starting at 1. Unknown peers are neighbors.
+  const PeerRecord& peer_record(bgp::PeerId peer) const;
+  PeerRecord& add_peer_record(bgp::PeerId peer, PeerKind kind);
 
   VRouterConfig config_;
   bgp::BgpSpeaker speaker_;
@@ -285,10 +296,8 @@ class VRouter : public ip::Host {
   // reallocated at the same address. Cleared wholesale past a size cap.
   std::unordered_map<bgp::AttrsPtr, bgp::AttrsPtr> nh_memo_;
 
-  std::vector<PeerKind> peer_kinds_;  // indexed by PeerId
-  std::map<bgp::PeerId, int> backbone_interfaces_;
-  std::map<bgp::PeerId, std::string> experiments_by_peer_;
-  std::vector<Port> ports_;  // indexed by interface
+  std::vector<PeerRecord> peers_;  // indexed by PeerId
+  std::vector<Port> ports_;        // indexed by interface
 
   /// Destination-prefix multiplexer: which experiment (or which backbone
   /// path) receives traffic for an experiment prefix. A view of the
@@ -303,24 +312,6 @@ class VRouter : public ip::Host {
   FibObserver fib_observer_;
   std::map<std::string, TrafficAccount> accounting_;
   obs::EventTrace* trace_ = nullptr;
-
-  /// Original (pre-rewrite) next-hop per imported route: the gateway the
-  /// per-neighbor FIB forwards to. For a direct neighbor this equals the
-  /// neighbor's address; for a route-server session it is the advertising
-  /// member's address on the IXP fabric. Hashed: one insert per import and
-  /// one lookup per FIB sync, never walked in order.
-  struct RouteKeyHash {
-    std::size_t operator()(const std::tuple<bgp::PeerId, Ipv4Prefix,
-                                            std::uint32_t>& k) const noexcept {
-      std::size_t h = std::hash<Ipv4Prefix>{}(std::get<1>(k));
-      h = h * 0x9e3779b97f4a7c15ull +
-          static_cast<std::size_t>(std::get<0>(k));
-      return h * 0x9e3779b97f4a7c15ull + std::get<2>(k);
-    }
-  };
-  std::unordered_map<std::tuple<bgp::PeerId, Ipv4Prefix, std::uint32_t>,
-                     Ipv4Address, RouteKeyHash>
-      real_next_hops_;
 
   VRouterStats stats_;
 

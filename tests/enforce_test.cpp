@@ -143,6 +143,27 @@ TEST_F(EnforcerTest, VerdictsAreLoggedForAttribution) {
   EXPECT_EQ(enforcer_.log()[1].prefix, "8.8.8.0/24");
 }
 
+TEST(EnforcementLogBound, KeepsTheMostRecentEntriesAndCountsEvictions) {
+  obs::Registry registry(true);
+  obs::Scope scope(&registry);
+  ControlPlaneEnforcer enforcer;
+  enforcer.install_default_rules({47065, 47064});
+  enforcer.set_grant(basic_grant());
+
+  // capacity + 1 checks; only the first names the unknown experiment.
+  enforcer.check(context("ghost"));
+  for (std::size_t i = 0; i < ControlPlaneEnforcer::kLogCapacity; ++i)
+    enforcer.check(context());
+
+  const auto& log = enforcer.log();
+  ASSERT_EQ(log.size(), ControlPlaneEnforcer::kLogCapacity);
+  EXPECT_EQ(registry.snapshot().value("enforce_log_evicted_total", {}, -1),
+            1);
+  for (std::size_t i = 0; i < log.size(); ++i)
+    ASSERT_EQ(log[i].experiment_id, "exp1") << "oldest entry kept at " << i;
+  EXPECT_EQ(log[0].action, Verdict::Action::kAccept);
+}
+
 // ---------------------------------------------------------------------------
 // Capability matrix (§4.7 testing methodology): each capability exercised
 // with and without the grant.

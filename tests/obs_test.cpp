@@ -53,6 +53,12 @@ TEST(Histogram, BucketBoundariesAtPowersOfTwo) {
   EXPECT_EQ(h->bucket(11), 1u);  // {1024}
 }
 
+TEST(JsonEscape, NamesCommonControlsAndHexEncodesTheRest) {
+  std::string out = "x";
+  append_json_escaped(out, "a\"b\\c\nd\te\rf\x01g");
+  EXPECT_EQ(out, "xa\\\"b\\\\c\\nd\\te\\rf\\u0001g");
+}
+
 TEST(Registry, HandlesAreStableAndShared) {
   Registry registry;
   Counter* a = registry.counter("x_total", {{"peer", "n1"}});

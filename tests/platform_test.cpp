@@ -270,6 +270,49 @@ TEST(Templating, ExperimentCapabilitiesShapeConfig) {
   EXPECT_FALSE(configs.network.routes.empty());
 }
 
+TEST(Templating, RenderedConfigsArePinned) {
+  ConfigDatabase db(build_footprint());
+  ExperimentProposal p;
+  p.id = "exp1";
+  p.requested_prefixes = 2;
+  p.requested_capabilities = {enforce::Capability::kAsPathPoisoning};
+  ASSERT_TRUE(db.propose_experiment(p).ok());
+  ASSERT_TRUE(db.approve_experiment("exp1").ok());
+  ASSERT_TRUE(db.activate_experiment("exp1", "gatech01").ok());
+  ASSERT_TRUE(db.activate_experiment("exp1", "amsterdam01").ok());
+
+  // 64-bit FNV-1a over every artifact, against values taken before the
+  // BIRD renderers and the tenantless baseline were shared with src/tenant.
+  auto fnv1a = [](const std::string& s) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) h = (h ^ c) * 0x100000001b3ull;
+    return h;
+  };
+  auto network_text = [](const DesiredNetworkState& state) {
+    std::string out;
+    for (const auto& nif : state.interfaces) {
+      out += nif.name + (nif.up ? " up" : " down");
+      for (const auto& a : nif.addresses)
+        out += " " + a.address.str() + "/" + std::to_string(a.prefix_length);
+      out += "\n";
+    }
+    for (const auto& rule : state.rules)
+      out += std::to_string(rule.priority) + " " + rule.selector + " " +
+             std::to_string(rule.table) + "\n";
+    for (const auto& route : state.routes)
+      out += route.prefix.str() + " via " + route.gateway.str() + " dev " +
+             route.interface + " table " + std::to_string(route.table) + "\n";
+    return out;
+  };
+  const GeneratedConfigs small = generate_pop_configs(db.model(), "gatech01");
+  EXPECT_EQ(fnv1a(small.bird_config), 0x847628687c864d31ull);
+  EXPECT_EQ(fnv1a(network_text(small.network)), 0x05b0fb532f21aab9ull);
+  const GeneratedConfigs large =
+      generate_pop_configs(db.model(), "amsterdam01");
+  EXPECT_EQ(fnv1a(large.bird_config), 0xceda8019923491b8ull);
+  EXPECT_EQ(fnv1a(network_text(large.network)), 0xa8ef386989e8b035ull);
+}
+
 TEST(Templating, RuleCountTracksInterconnects) {
   PlatformModel model = build_footprint();
   auto ams = generate_pop_configs(model, "amsterdam01");

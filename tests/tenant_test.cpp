@@ -131,6 +131,49 @@ TEST(CompilerTest, CompilationIsDeterministicAndScoped) {
             tunnel_client_address(9));
 }
 
+TEST(CompilerTest, SessionAndImportTextArePinned) {
+  platform::PlatformModel model = platform::build_footprint(1);
+  platform::ExperimentModel exp;
+  exp.id = "t1";
+  exp.status = platform::ExperimentStatus::kActive;
+  exp.asn = 61574;
+  exp.allocated_prefixes = {pfx("184.164.224.0/24"), pfx("184.164.226.0/24")};
+  TenantIntent intent = basic_intent("t1");
+  intent.capabilities = {enforce::Capability::kCommunities};
+  intent.max_communities = 4;
+
+  Result<CompiledTenant> tenant = IntentCompiler(&model).compile(intent, exp, 3);
+  ASSERT_TRUE(tenant.ok()) << tenant.error().message;
+  const CompiledPopArtifacts* ams = tenant->at_pop("amsterdam01");
+  ASSERT_NE(ams, nullptr);
+  EXPECT_EQ(ams->session_config,
+            "protocol bgp tenant_t1 {\n"
+            "  description \"tenant t1 at amsterdam01\";\n"
+            "  local as 47065;\n"
+            "  neighbor as 61574;\n"
+            "  hold time 90;\n"
+            "  keepalive time 30;\n"
+            "  connect retry time 30;\n"
+            "  graceful restart on;\n"
+            "  add paths tx rx;\n"
+            "  ipv4 {\n"
+            "    import filter import_tenant_t1;\n"
+            "    export filter export_tenant_t1;\n"
+            "  };\n"
+            "}\n");
+  EXPECT_EQ(ams->import_policy,
+            "filter import_tenant_t1 {\n"
+            "  # allocation ownership\n"
+            "  if ! (net ~ [184.164.224.0/24+, 184.164.226.0/24+]) then "
+            "reject;\n"
+            "  if (bgp_path.last != 61574) then reject;\n"
+            "  if (bgp_path.len > 4) then reject;  # no poisoning grant\n"
+            "  # communities allowed: up to 4\n"
+            "  accept;\n"
+            "}\n");
+  EXPECT_EQ(tenant->fingerprint, "c6ea8e3df01a012b");
+}
+
 TEST(CompilerTest, RejectsUnapprovedExperiments) {
   platform::PlatformModel model = platform::build_footprint(1);
   platform::ExperimentModel exp;

@@ -435,5 +435,26 @@ TEST_F(ThirdPartyNextHopTest, WithdrawAndAnnounceInOneDeliveryKeepNewGateway) {
   EXPECT_EQ(fib_gateway(kDst), kMemberB);
 }
 
+TEST_F(ThirdPartyNextHopTest, DefaultTableForwardsToTheRealGateway) {
+  ASSERT_EQ(router_.speaker().session_state(peer_),
+            bgp::SessionState::kEstablished);
+  router_.enable_default_table(true);
+  auto default_gateway = [&] {
+    auto route = router_.default_table().lookup(kDst);
+    return route ? route->next_hop : Ipv4Address();
+  };
+
+  // The route server carries no data traffic: the best path forwards to
+  // the member it names as next-hop.
+  deliver(announce(kPrefix, kMemberA));
+  EXPECT_EQ(default_gateway(), kMemberA);
+
+  deliver(announce(kPrefix, kMemberB));
+  EXPECT_EQ(default_gateway(), kMemberB);
+
+  deliver(withdraw(kPrefix));
+  EXPECT_EQ(default_gateway(), Ipv4Address());
+}
+
 }  // namespace
 }  // namespace peering
